@@ -7,7 +7,6 @@ use games::symmetry::augment_sample;
 use games::tictactoe::TicTacToe;
 use games::Game;
 use mcts::reuse::ReusableSearch;
-use mcts::serial::SerialSearch;
 use mcts::speculative::SpeculativeSearch;
 use mcts::{MctsConfig, NnEvaluator, SearchScheme, UniformEvaluator};
 use nn::resnet::{ResNetConfig, ResNetPolicyValueNet};
@@ -37,7 +36,7 @@ fn bench_tree_reuse(c: &mut Criterion) {
     group.bench_function("fresh_tree_4_moves", |b| {
         b.iter(|| {
             let eval = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
-            let mut s = SerialSearch::new(cfg, eval);
+            let mut s = ReusableSearch::one_shot(cfg, eval);
             let mut g = TicTacToe::new();
             for _ in 0..4 {
                 let r = s.search(&g);

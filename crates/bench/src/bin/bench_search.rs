@@ -23,8 +23,7 @@
 use games::gomoku::Gomoku;
 use games::Game;
 use mcts::{
-    BatchEvaluator, EvictionPolicy, MctsConfig, NnEvaluator, Scheme, SearchBuilder, SearchScheme,
-    UniformEvaluator,
+    BatchEvaluator, MctsConfig, NnEvaluator, Scheme, SearchBuilder, SearchScheme, UniformEvaluator,
 };
 use nn::{NetConfig, PolicyValueNet};
 use std::fmt::Write as _;
@@ -174,7 +173,6 @@ fn main() {
         .config(MctsConfig {
             playouts: soak_playouts,
             arena_budget_bytes: Some(soak_budget),
-            eviction: EvictionPolicy::Lru,
             ..Default::default()
         })
         .evaluator(Arc::clone(&uniform))

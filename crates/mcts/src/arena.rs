@@ -59,19 +59,15 @@
 //! cannot be served from the free-list or by growing, the owning tree
 //! reclaims live slots and retries, so long-running serving processes
 //! search under a fixed memory budget instead of growing without limit.
-//! Two policies exist (see [`crate::config::EvictionPolicy`]):
+//! The policy is LRU: an intrusive doubly-linked list is threaded
+//! through the slots (`lru_prev`/`lru_next` columns). Every node that
+//! owns a child block is on the list; selection *touches* each expanded
+//! node it descends through (moves it to the front), and expansion
+//! pushes the newly expanded node to the front. On exhaustion the tree
+//! walks from the tail — the **coldest** block owner — and evicts that
+//! node's whole subtree, detaching it back to an unexpanded node.
 //!
-//! * **LRU (default):** an intrusive doubly-linked list is threaded
-//!   through the slots (`lru_prev`/`lru_next` columns). Every node that
-//!   owns a child block is on the list; selection *touches* each expanded
-//!   node it descends through (moves it to the front), and expansion
-//!   pushes the newly expanded node to the front. On exhaustion the tree
-//!   walks from the tail — the **coldest** block owner — and evicts that
-//!   node's whole subtree, detaching it back to an unexpanded node.
-//! * **Deepest-fringe:** the pre-LRU policy — prune the deepest expanded
-//!   node all of whose children are leaves.
-//!
-//! Either way the detach is **stats-preserving**: the victim keeps its
+//! The detach is **stats-preserving**: the victim keeps its
 //! visit count `N` and value sum `W`, and records the visits that flowed
 //! into the discarded subtree in the `n_detached` column so the tree-wide
 //! visit identity (`N == Σ N(children) + n_detached + 1` for expanded
@@ -136,7 +132,7 @@ pub struct NodeArena {
     pub(crate) first_child: Vec<u32>,
     pub(crate) child_count: Vec<u32>,
     /// Visits absorbed by subtrees that were detached from this node by
-    /// eviction/pruning (plus one re-expansion self-visit per detach).
+    /// eviction (plus one re-expansion self-visit per detach).
     /// Keeps the visit identity exact across stats-preserving detaches.
     pub(crate) n_detached: Vec<u32>,
     /// Intrusive LRU list: previous (warmer) neighbour, [`NIL`] when the

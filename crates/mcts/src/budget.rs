@@ -119,7 +119,7 @@ impl Budget {
 
     /// The effective per-run configuration: the scheme's config with this
     /// budget's overrides folded in. Schemes build their run's tree from
-    /// the returned config so arena sizing and pruning see the budget.
+    /// the returned config so arena sizing and eviction see the budget.
     pub fn apply_to(&self, cfg: &MctsConfig) -> MctsConfig {
         let mut out = *cfg;
         if let Some(p) = self.playouts {
@@ -192,6 +192,24 @@ impl RunGate {
             active_ns: 0,
             steps: 0,
         }
+    }
+
+    /// A gate over `target` playouts under this gate's deadline — one
+    /// worker's share of a run split across private trees.
+    pub fn share(&self, target: u64) -> Self {
+        RunGate {
+            target,
+            done: 0,
+            deadline: self.deadline,
+            active_ns: 0,
+            steps: 0,
+        }
+    }
+
+    /// Replace the playout target (root parallelization rounds the
+    /// requested count up to at least one playout per worker).
+    pub fn set_target(&mut self, target: u64) {
+        self.target = target;
     }
 
     /// Charge one finished `step` call to the run: accumulate the time

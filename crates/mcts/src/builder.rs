@@ -24,16 +24,13 @@
 use crate::adaptive::Scheme;
 use crate::budget::Budget;
 use crate::config::{LockKind, MctsConfig, VirtualLoss};
-use crate::evaluator::{
-    AccelEvaluator, BatchEvaluator, Evaluator, LegacyEvaluator, UniformEvaluator,
-};
+use crate::evaluator::{AccelEvaluator, BatchEvaluator, UniformEvaluator};
 use crate::leaf_parallel::LeafParallelSearch;
 use crate::local::LocalTreeSearch;
 use crate::noise::RootNoise;
 use crate::result::SearchScheme;
 use crate::reuse::ReusableSearch;
 use crate::root_parallel::RootParallelSearch;
-use crate::serial::SerialSearch;
 use crate::shared::SharedTreeSearch;
 use crate::speculative::SpeculativeSearch;
 use accel::Device;
@@ -42,7 +39,7 @@ use std::sync::Arc;
 
 /// Where a builder's evaluations come from.
 enum EvalSource {
-    /// Any batch evaluator (CPU network, uniform stub, legacy adapter…).
+    /// Any batch evaluator (CPU network, uniform stub…).
     Batch(Arc<dyn BatchEvaluator>),
     /// An accelerator device: schemes that can will feed its queue
     /// natively (local tree); the rest get an [`AccelEvaluator`] view.
@@ -111,8 +108,8 @@ impl SearchBuilder {
         self
     }
 
-    /// Hard node-capacity bound: single-owner trees prune their deepest
-    /// fringe subtree instead of growing past `nodes`; the shared tree
+    /// Hard node-capacity bound: single-owner trees evict their coldest
+    /// subtree instead of growing past `nodes`; the shared tree
     /// pre-allocates exactly `nodes` slots. See
     /// [`MctsConfig::max_nodes`].
     pub fn max_nodes(mut self, nodes: usize) -> Self {
@@ -153,16 +150,9 @@ impl SearchBuilder {
     }
 
     /// Evaluate leaves with `eval` (batch-first interface; concrete
-    /// `Arc<MyEvaluator>` coerces here, including legacy [`Evaluator`]
-    /// impls through the blanket adapter).
+    /// `Arc<MyEvaluator>` coerces here).
     pub fn evaluator(mut self, eval: Arc<dyn BatchEvaluator>) -> Self {
         self.eval = Some(EvalSource::Batch(eval));
-        self
-    }
-
-    /// Evaluate leaves with a boxed legacy evaluator.
-    pub fn legacy_evaluator(mut self, eval: Arc<dyn Evaluator>) -> Self {
-        self.eval = Some(EvalSource::Batch(Arc::new(LegacyEvaluator(eval))));
         self
     }
 
@@ -247,7 +237,7 @@ impl SearchBuilder {
         };
         match self.scheme {
             Scheme::Serial if self.reuse => Box::new(ReusableSearch::new(cfg, eval)),
-            Scheme::Serial => Box::new(SerialSearch::new(cfg, eval)),
+            Scheme::Serial => Box::new(ReusableSearch::one_shot(cfg, eval)),
             Scheme::SharedTree => match self.coalesce_window {
                 Some(w) => Box::new(SharedTreeSearch::with_coalesce_window(cfg, eval, w)),
                 None => Box::new(SharedTreeSearch::new(cfg, eval)),
@@ -383,17 +373,6 @@ mod tests {
     #[should_panic(expected = "needs an evaluator")]
     fn missing_evaluator_panics() {
         let _ = SearchBuilder::new(Scheme::Serial).build::<TicTacToe>();
-    }
-
-    #[test]
-    fn legacy_evaluator_route_works() {
-        let legacy: Arc<dyn Evaluator> = uniform();
-        let mut s = SearchBuilder::new(Scheme::Serial)
-            .playouts(30)
-            .legacy_evaluator(legacy)
-            .build::<TicTacToe>();
-        let r = s.search(&TicTacToe::new());
-        assert_eq!(r.stats.playouts, 30);
     }
 
     #[test]

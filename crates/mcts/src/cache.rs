@@ -387,8 +387,8 @@ thread_local! {
 /// and forwards only the residual misses to the inner evaluator in one
 /// batch, scattering results back in request order.
 ///
-/// * Keyed entry points ([`BatchEvaluator::evaluate_batch_keyed`],
-///   [`BatchEvaluator::evaluate_one_keyed`]) consult the cache.
+/// * The keyed entry point ([`BatchEvaluator::evaluate_batch_keyed`])
+///   consults the cache.
 /// * The keyless [`BatchEvaluator::evaluate_batch`] passes straight
 ///   through — without a position hash there is nothing sound to key on,
 ///   so unkeyed callers observe the inner evaluator exactly.
@@ -492,7 +492,6 @@ impl BatchEvaluator for CachedEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::Evaluator;
     use std::sync::atomic::AtomicUsize;
 
     /// Deterministic per-key evaluator that counts samples it sees.
@@ -710,11 +709,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_sample_evaluators_accept_keyed_calls() {
-        // The defaulted trait method must work through the blanket impl.
+    fn keyless_evaluators_accept_keyed_calls() {
+        // The defaulted keyed entry point ignores the keys.
         let e = crate::UniformEvaluator::new(4, 2);
-        let o = BatchEvaluator::evaluate_one_keyed(&e, 77, &[0.0; 4]);
-        assert_eq!(o.priors, vec![0.5, 0.5]);
-        let _ = Evaluator::action_space(&e);
+        let mut out = [EvalOutput::default()];
+        e.evaluate_batch_keyed(&[77], &[&[0.0; 4]], &mut out);
+        assert_eq!(out[0].priors, vec![0.5, 0.5]);
     }
 }

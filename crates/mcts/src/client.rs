@@ -460,14 +460,14 @@ mod tests {
     fn worker_panic_surfaces_instead_of_hanging() {
         /// Panics on every call.
         struct Exploding;
-        impl crate::evaluator::Evaluator for Exploding {
+        impl BatchEvaluator for Exploding {
             fn input_len(&self) -> usize {
                 4
             }
             fn action_space(&self) -> usize {
                 2
             }
-            fn evaluate(&self, _x: &[f32]) -> (Vec<f32>, f32) {
+            fn evaluate_batch(&self, _inputs: &[&[f32]], _out: &mut [EvalOutput]) {
                 panic!("backend died");
             }
         }

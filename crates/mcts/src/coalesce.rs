@@ -15,7 +15,7 @@
 
 use crate::autotune::BatchTuner;
 use crate::error::SearchError;
-use crate::evaluator::{BatchEvaluator, EvalOutput, Evaluator};
+use crate::evaluator::{BatchEvaluator, EvalOutput};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,9 +79,10 @@ impl CoalesceStats {
     }
 }
 
-/// Turns concurrent single-sample `evaluate` calls into shared batches
-/// (see module docs). Implements the synchronous [`Evaluator`] trait so
-/// it drops into any single-sample call site.
+/// Turns concurrent single-sample [`BatchEvaluator::evaluate_one`] calls
+/// into shared batches (see module docs). The blocking join *is* its
+/// `evaluate_one`; `evaluate_batch` joins once per sample, and
+/// `preferred_batch()` stays 1 so no caller assembles batches on top.
 pub struct CoalescingEvaluator {
     inner: Arc<dyn BatchEvaluator>,
     max_batch: usize,
@@ -230,7 +231,7 @@ impl CoalescingEvaluator {
     }
 }
 
-impl Evaluator for CoalescingEvaluator {
+impl BatchEvaluator for CoalescingEvaluator {
     fn input_len(&self) -> usize {
         self.inner.input_len()
     }
@@ -239,7 +240,14 @@ impl Evaluator for CoalescingEvaluator {
         self.inner.action_space()
     }
 
-    fn evaluate(&self, input: &[f32]) -> (Vec<f32>, f32) {
+    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        debug_assert_eq!(inputs.len(), out.len());
+        for (x, o) in inputs.iter().zip(out.iter_mut()) {
+            *o = self.evaluate_one(x);
+        }
+    }
+
+    fn evaluate_one(&self, input: &[f32]) -> EvalOutput {
         let mut st = self.state.lock();
         // A full round that its leader hasn't sealed yet must not grow
         // past max_batch; wait for the seal to open the next epoch. While
@@ -340,7 +348,7 @@ impl Evaluator for CoalescingEvaluator {
                         self.finished.notify_all();
                     }
                     drop(st);
-                    (mine.priors, mine.value)
+                    mine
                 }
                 Err(panic) => {
                     if followers > 0 {
@@ -374,7 +382,7 @@ impl Evaluator for CoalescingEvaluator {
                     }
                     drop(st);
                     match mine {
-                        Ok(o) => return (o.priors, o.value),
+                        Ok(o) => return o,
                         // Re-raise with the type intact: the serve
                         // supervisor downcasts this back to SearchError.
                         Err(err) => std::panic::panic_any(err),
@@ -397,9 +405,9 @@ mod tests {
     fn single_caller_passes_through() {
         let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
         let c = CoalescingEvaluator::with_window(inner, 4, Duration::from_micros(50));
-        let (p, v) = c.evaluate(&[0.0; 4]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(v, 0.0);
+        let o = c.evaluate_one(&[0.0; 4]);
+        assert_eq!(o.priors.len(), 3);
+        assert_eq!(o.value, 0.0);
     }
 
     #[test]
@@ -420,12 +428,12 @@ mod tests {
                 s.spawn(move || {
                     let input: Vec<f32> =
                         (0..36).map(|j| ((i * 17 + j) % 9) as f32 / 9.0).collect();
-                    let (p, v) = c.evaluate(&input);
+                    let got = c.evaluate_one(&input);
                     let o = reference.evaluate_one(&input);
-                    for (a, b) in p.iter().zip(&o.priors) {
+                    for (a, b) in got.priors.iter().zip(&o.priors) {
                         assert!((a - b).abs() < 1e-4, "coalesced result diverged");
                     }
-                    assert!((v - o.value).abs() < 1e-4);
+                    assert!((got.value - o.value).abs() < 1e-4);
                 });
             }
         });
@@ -454,7 +462,7 @@ mod tests {
                 for _ in 0..4 {
                     let c = Arc::clone(&c);
                     s.spawn(move || {
-                        let (p, _) = c.evaluate(&[0.0; 4]);
+                        let p = c.evaluate_one(&[0.0; 4]).priors;
                         assert_eq!(p.len(), 3);
                     });
                 }
@@ -493,7 +501,7 @@ mod tests {
                     let c = Arc::clone(&c);
                     s.spawn(move || {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            c.evaluate(&[0.0; 4])
+                            c.evaluate_one(&[0.0; 4])
                         }))
                         .is_err()
                     })
@@ -538,7 +546,7 @@ mod tests {
                     s.spawn(move || {
                         let payload =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                c.evaluate(&[0.0; 4])
+                                c.evaluate_one(&[0.0; 4])
                             }))
                             .expect_err("every caller must observe the failure");
                         SearchError::from_panic(payload.as_ref())
@@ -574,7 +582,7 @@ mod tests {
             for _ in 0..4 {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
-                    c.evaluate(&[0.0; 4]);
+                    c.evaluate_one(&[0.0; 4]);
                 });
             }
         });
@@ -599,7 +607,7 @@ mod tests {
         let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 2));
         let c = CoalescingEvaluator::with_window(inner, 16, Duration::from_micros(100));
         for _ in 0..20 {
-            let (p, _) = c.evaluate(&[0.0; 4]);
+            let p = c.evaluate_one(&[0.0; 4]).priors;
             assert_eq!(p.len(), 2);
         }
     }

@@ -33,26 +33,6 @@ pub enum LockKind {
     Atomic,
 }
 
-/// How a capacity-bounded single-owner tree reclaims slots when an
-/// expansion cannot be served from the free-list or by growing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EvictionPolicy {
-    /// Evict the **coldest** subtree: an intrusive LRU list threaded
-    /// through the arena tracks every block-owning node (selection
-    /// touches nodes it descends through), and the tail-most evictable
-    /// node is detached back to an unexpanded leaf, stats preserved.
-    /// Sustains stable playout rates on indefinitely long sessions —
-    /// the hot principal lines stay resident while stale branches from
-    /// long-abandoned lines are recycled first.
-    #[default]
-    Lru,
-    /// Prune the **deepest fringe** subtree (an expanded node all of
-    /// whose children are leaves, farthest from the root). The pre-LRU
-    /// policy, kept for comparison and for workloads that want
-    /// depth-biased rather than recency-biased reclamation.
-    DeepestFringe,
-}
-
 /// Hyper-parameters for one tree-based search ("move").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MctsConfig {
@@ -69,9 +49,11 @@ pub struct MctsConfig {
     /// Q value assumed for unvisited edges (first-play urgency).
     pub q_init: f32,
     /// Hard bound on tree memory, in nodes. For the single-owner tree
-    /// this caps the arena: when an expansion cannot be served, a live
-    /// subtree is reclaimed per [`MctsConfig::eviction`] and the search
-    /// continues under the fixed budget. For the shared tree it sizes
+    /// this caps the arena: when an expansion cannot be served, the
+    /// coldest live subtree is evicted (an intrusive LRU list tracks
+    /// every block-owning node; the victim reverts to an unexpanded
+    /// leaf, stats preserved) and the search continues under the fixed
+    /// budget. For the shared tree it sizes
     /// the pre-allocated per-move arena. `None` ⇒ single-owner trees
     /// grow on demand (unless [`MctsConfig::arena_budget_bytes`] bounds
     /// them); the shared tree derives its size from `playouts × fanout`.
@@ -89,9 +71,6 @@ pub struct MctsConfig {
     /// the serve layer speaks: per-session arena budgets and admission
     /// byte quotas are denominated in bytes, not slots.
     pub arena_budget_bytes: Option<usize>,
-    /// Reclamation policy when the arena bound is hit (single-owner
-    /// trees only). Default [`EvictionPolicy::Lru`].
-    pub eviction: EvictionPolicy,
     /// AlphaZero-style Dirichlet noise mixed into the root priors during
     /// self-play (None ⇒ deterministic evaluation-time search).
     pub root_noise: Option<crate::noise::RootNoise>,
@@ -106,11 +85,15 @@ pub struct MctsConfig {
     /// Maintain a per-tree transposition index (position hash → node) so
     /// identical states reached by different move orders reuse already
     /// computed priors/values at expansion instead of paying another
-    /// evaluation. Supported by the single-owner serial schemes
-    /// (`SerialSearch`, `ReusableSearch`); other schemes ignore it. Off
-    /// by default: enabling it changes which evaluations run, so
+    /// evaluation. Honoured wherever the serial leaf hook runs: the
+    /// serial searcher (`ReusableSearch`, with or without reuse) and
+    /// every root-parallel slot, each on its own private tree — the same
+    /// hook also passes position keys to a
+    /// [`CachedEvaluator`](crate::CachedEvaluator). Other schemes ignore
+    /// it. Off by default: enabling it changes which evaluations run, so
     /// seed-for-seed reproducibility against older runs requires the
-    /// default. (Full cross-path *stat merging* is deliberately not done
+    /// default (with it off and no cache, root-parallel results are
+    /// identical to the unkeyed loop it used to run). (Full cross-path *stat merging* is deliberately not done
     /// — only priors/value reuse — so PUCT visit counts stay sound.)
     pub transpositions: bool,
 }
@@ -126,7 +109,6 @@ impl Default for MctsConfig {
             q_init: 0.0,
             max_nodes: None,
             arena_budget_bytes: None,
-            eviction: EvictionPolicy::default(),
             root_noise: None,
             time_budget_ms: None,
             transpositions: false,

@@ -11,11 +11,10 @@
 //! requests to the accelerator queue from one thread and gathers the
 //! completions without blocking a thread per request.
 //!
-//! The legacy single-sample [`Evaluator`] trait is still supported:
-//! every `Evaluator` is a `BatchEvaluator` through a blanket adapter
-//! that evaluates a batch as `B` sequential calls (`preferred_batch()
-//! == 1`, so schemes won't try to assemble batches for it). Existing
-//! custom evaluators keep working unmodified.
+//! A backend with nothing to amortize implements `evaluate_batch` as a
+//! loop over its samples and leaves `preferred_batch()` at 1, so schemes
+//! won't try to assemble batches for it ([`UniformEvaluator`] and
+//! [`DelayedEvaluator`] are the in-tree examples).
 //!
 //! For pumping *many* leaves through a backend from one thread, see
 //! [`crate::client::EvalClient`] (submit/gather tickets); for coalescing
@@ -112,94 +111,6 @@ pub trait BatchEvaluator: Send + Sync {
     fn evaluate_batch_keyed(&self, keys: &[u64], inputs: &[&[f32]], out: &mut [EvalOutput]) {
         debug_assert_eq!(keys.len(), inputs.len());
         self.evaluate_batch(inputs, out);
-    }
-
-    /// Convenience: evaluate one keyed sample through the keyed batch
-    /// path.
-    fn evaluate_one_keyed(&self, key: u64, input: &[f32]) -> EvalOutput {
-        let mut out = [EvalOutput::default()];
-        self.evaluate_batch_keyed(&[key], &[input], &mut out);
-        let [o] = out;
-        o
-    }
-}
-
-/// Legacy single-sample evaluation interface.
-///
-/// Kept for custom evaluators and tests: the blanket adapter below makes
-/// every `Evaluator` usable wherever a [`BatchEvaluator`] is expected
-/// (batches degrade to sequential single-sample calls).
-pub trait Evaluator: Send + Sync {
-    /// Length of the flattened input expected by [`Evaluator::evaluate`].
-    fn input_len(&self) -> usize;
-
-    /// Size of the returned prior vector.
-    fn action_space(&self) -> usize;
-
-    /// Evaluate one state. May block (e.g. while an accelerator batch
-    /// assembles).
-    fn evaluate(&self, input: &[f32]) -> (Vec<f32>, f32);
-}
-
-/// Blanket adapter: every legacy evaluator is a batch evaluator whose
-/// batches run as sequential single-sample calls.
-impl<E: Evaluator + ?Sized> BatchEvaluator for E {
-    fn input_len(&self) -> usize {
-        Evaluator::input_len(self)
-    }
-
-    fn action_space(&self) -> usize {
-        Evaluator::action_space(self)
-    }
-
-    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
-        debug_assert_eq!(inputs.len(), out.len());
-        for (x, o) in inputs.iter().zip(out.iter_mut()) {
-            let (priors, value) = self.evaluate(x);
-            *o = EvalOutput { priors, value };
-        }
-    }
-}
-
-/// Adapter lifting a boxed legacy evaluator into the batch API.
-///
-/// Needed only for `Arc<dyn Evaluator>` *trait objects* (Rust cannot
-/// coerce `Arc<dyn Evaluator>` to `Arc<dyn BatchEvaluator>` even though
-/// the blanket impl applies); concrete `Arc<E: Evaluator>` coerce
-/// directly.
-pub struct LegacyEvaluator(pub Arc<dyn Evaluator>);
-
-impl BatchEvaluator for LegacyEvaluator {
-    fn input_len(&self) -> usize {
-        Evaluator::input_len(self.0.as_ref())
-    }
-
-    fn action_space(&self) -> usize {
-        Evaluator::action_space(self.0.as_ref())
-    }
-
-    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
-        self.0.as_ref().evaluate_batch(inputs, out)
-    }
-}
-
-/// Adapter exposing a [`BatchEvaluator`] through the legacy synchronous
-/// interface, one sample per call (no cross-caller coalescing — see
-/// [`crate::coalesce::CoalescingEvaluator`] for that).
-pub struct SingleSample(pub Arc<dyn BatchEvaluator>);
-
-impl Evaluator for SingleSample {
-    fn input_len(&self) -> usize {
-        self.0.input_len()
-    }
-
-    fn action_space(&self) -> usize {
-        self.0.action_space()
-    }
-
-    fn evaluate(&self, input: &[f32]) -> (Vec<f32>, f32) {
-        let o = self.0.evaluate_one(input);
-        (o.priors, o.value)
     }
 }
 
@@ -475,7 +386,7 @@ impl UniformEvaluator {
     }
 }
 
-impl Evaluator for UniformEvaluator {
+impl BatchEvaluator for UniformEvaluator {
     fn input_len(&self) -> usize {
         self.input_len
     }
@@ -484,20 +395,26 @@ impl Evaluator for UniformEvaluator {
         self.actions
     }
 
-    fn evaluate(&self, _input: &[f32]) -> (Vec<f32>, f32) {
-        (vec![1.0 / self.actions as f32; self.actions], 0.0)
+    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        debug_assert_eq!(inputs.len(), out.len());
+        for o in out {
+            o.priors.clear();
+            o.priors.resize(self.actions, 1.0 / self.actions as f32);
+            o.value = 0.0;
+        }
     }
 }
 
-/// Wraps another evaluator and sleeps for a fixed duration per call —
-/// used to emulate a given `T_DNN` in performance experiments.
-pub struct DelayedEvaluator<E: Evaluator> {
+/// Wraps another evaluator and sleeps for a fixed duration per sample —
+/// used to emulate a given `T_DNN` in performance experiments. Batches
+/// run as sequential single-sample calls (`preferred_batch() == 1`).
+pub struct DelayedEvaluator<E: BatchEvaluator> {
     inner: E,
     delay: Duration,
     calls: AtomicU64,
 }
 
-impl<E: Evaluator> DelayedEvaluator<E> {
+impl<E: BatchEvaluator> DelayedEvaluator<E> {
     /// Add `delay` per evaluation on top of `inner`.
     pub fn new(inner: E, delay: Duration) -> Self {
         DelayedEvaluator {
@@ -513,7 +430,7 @@ impl<E: Evaluator> DelayedEvaluator<E> {
     }
 }
 
-impl<E: Evaluator> Evaluator for DelayedEvaluator<E> {
+impl<E: BatchEvaluator> BatchEvaluator for DelayedEvaluator<E> {
     fn input_len(&self) -> usize {
         self.inner.input_len()
     }
@@ -522,12 +439,16 @@ impl<E: Evaluator> Evaluator for DelayedEvaluator<E> {
         self.inner.action_space()
     }
 
-    fn evaluate(&self, input: &[f32]) -> (Vec<f32>, f32) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if !self.delay.is_zero() {
-            std::thread::sleep(self.delay);
+    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        debug_assert_eq!(inputs.len(), out.len());
+        for (x, o) in inputs.iter().zip(out.iter_mut()) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if !self.delay.is_zero() {
+                std::thread::sleep(self.delay);
+            }
+            self.inner
+                .evaluate_batch(std::slice::from_ref(x), std::slice::from_mut(o));
         }
-        self.inner.evaluate(input)
     }
 }
 
@@ -541,12 +462,12 @@ mod tests {
     #[test]
     fn uniform_evaluator_shapes() {
         let e = UniformEvaluator::for_game(&TicTacToe::new());
-        assert_eq!(Evaluator::action_space(&e), 9);
-        assert_eq!(Evaluator::input_len(&e), 36);
-        let (p, v) = e.evaluate(&[0.0; 36]);
-        assert_eq!(p.len(), 9);
-        assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        assert_eq!(v, 0.0);
+        assert_eq!(e.action_space(), 9);
+        assert_eq!(e.input_len(), 36);
+        let o = e.evaluate_one(&[0.0; 36]);
+        assert_eq!(o.priors.len(), 9);
+        assert!((o.priors.iter().sum::<f32>() - 1.0).abs() < 1e-6);
+        assert_eq!(o.value, 0.0);
     }
 
     #[test]
@@ -584,15 +505,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_blanket_adapter_loops_singles() {
-        let e = UniformEvaluator::new(4, 2);
+    fn single_sample_backends_loop_over_the_batch() {
+        let e = DelayedEvaluator::new(UniformEvaluator::new(4, 2), Duration::ZERO);
         let a = [0.0f32; 4];
         let b = [1.0f32; 4];
         let mut out = vec![EvalOutput::default(); 2];
-        BatchEvaluator::evaluate_batch(&e, &[&a, &b], &mut out);
+        e.evaluate_batch(&[&a, &b], &mut out);
         assert_eq!(out[0].priors, vec![0.5, 0.5]);
         assert_eq!(out[1].priors, vec![0.5, 0.5]);
-        assert_eq!(BatchEvaluator::preferred_batch(&e), 1);
+        assert_eq!(e.calls(), 2, "one call per sample");
+        assert_eq!(e.preferred_batch(), 1);
     }
 
     #[test]
@@ -637,31 +559,9 @@ mod tests {
     fn delayed_evaluator_counts_and_delays() {
         let e = DelayedEvaluator::new(UniformEvaluator::new(4, 2), Duration::from_millis(5));
         let t0 = std::time::Instant::now();
-        let _ = e.evaluate(&[0.0; 4]);
-        let _ = e.evaluate(&[0.0; 4]);
+        let _ = e.evaluate_one(&[0.0; 4]);
+        let _ = e.evaluate_one(&[0.0; 4]);
         assert!(t0.elapsed() >= Duration::from_millis(10));
         assert_eq!(e.calls(), 2);
-    }
-
-    #[test]
-    fn legacy_trait_object_adapter_works() {
-        let legacy: Arc<dyn Evaluator> = Arc::new(UniformEvaluator::new(4, 2));
-        let batch = LegacyEvaluator(legacy);
-        let o = batch.evaluate_one(&[0.0; 4]);
-        assert_eq!(o.priors, vec![0.5, 0.5]);
-        assert_eq!(BatchEvaluator::action_space(&batch), 2);
-        assert_eq!(BatchEvaluator::input_len(&batch), 4);
-    }
-
-    #[test]
-    fn single_sample_adapter_roundtrips() {
-        let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 3));
-        let batch: Arc<dyn BatchEvaluator> = Arc::new(NnEvaluator::new(Arc::clone(&net)));
-        let single = SingleSample(Arc::clone(&batch));
-        let input: Vec<f32> = (0..36).map(|i| (i % 4) as f32 * 0.25).collect();
-        let (p, v) = single.evaluate(&input);
-        let o = batch.evaluate_one(&input);
-        assert_eq!(p, o.priors);
-        assert_eq!(v, o.value);
     }
 }

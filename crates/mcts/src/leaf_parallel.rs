@@ -16,24 +16,16 @@
 //! classic shape instead: `N` concurrent evaluations on a worker pool,
 //! so the scheme's wall-clock profile as a baseline stays faithful.
 
-use crate::budget::{Budget, RootSlot, RunGate, StepOutcome};
+use crate::budget::{Budget, RootSlot, StepOutcome};
 use crate::config::MctsConfig;
 use crate::evaluator::{BatchEvaluator, EvalOutput};
+use crate::playout::Run;
 use crate::pool::WorkerPool;
-use crate::result::{SearchResult, SearchScheme, SearchStats};
-use crate::tree::{SelectOutcome, Tree};
+use crate::result::{SearchResult, SearchScheme};
+use crate::tree::Tree;
 use crossbeam::channel::unbounded;
 use games::Game;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Resumable-run state of a leaf-parallel search.
-struct LeafRun {
-    tree: Tree,
-    stats: SearchStats,
-    gate: RunGate,
-    action_space: usize,
-}
 
 /// Same-leaf replicated evaluation parallelism.
 pub struct LeafParallelSearch {
@@ -45,7 +37,7 @@ pub struct LeafParallelSearch {
     encode_buf: Vec<f32>,
     replicas: Vec<EvalOutput>,
     root: RootSlot,
-    run: Option<LeafRun>,
+    run: Option<(Tree, Run)>,
 }
 
 impl LeafParallelSearch {
@@ -63,36 +55,41 @@ impl LeafParallelSearch {
             evaluator,
             pool,
             encode_buf: Vec::new(),
-            replicas: Vec::new(),
+            replicas: vec![EvalOutput::default(); cfg.workers],
             root: RootSlot::new(),
             run: None,
         }
     }
+}
 
-    /// Evaluate the same encoded state `n` times into `replicas`.
-    fn replicate(&self, encoded: &[f32], replicas: &mut [EvalOutput]) {
-        match &self.pool {
-            // Natively-batching backend: one call, one fused batch.
-            None => {
-                let inputs: Vec<&[f32]> = (0..replicas.len()).map(|_| encoded).collect();
-                self.evaluator.evaluate_batch(&inputs, replicas);
+/// Evaluate the same encoded state once per slot of `replicas`.
+fn replicate(
+    pool: Option<&WorkerPool>,
+    evaluator: &Arc<dyn BatchEvaluator>,
+    encoded: &[f32],
+    replicas: &mut [EvalOutput],
+) {
+    match pool {
+        // Natively-batching backend: one call, one fused batch.
+        None => {
+            let inputs: Vec<&[f32]> = (0..replicas.len()).map(|_| encoded).collect();
+            evaluator.evaluate_batch(&inputs, replicas);
+        }
+        // Single-sample backend: N concurrent evaluations, the
+        // classic Cazenave & Jouandeau shape.
+        Some(pool) => {
+            let (tx, rx) = unbounded();
+            for _ in 0..replicas.len() {
+                let input = encoded.to_vec();
+                let eval = Arc::clone(evaluator);
+                let tx = tx.clone();
+                pool.submit(move || {
+                    let _ = tx.send(eval.evaluate_one(&input));
+                });
             }
-            // Single-sample backend: N concurrent evaluations, the
-            // classic Cazenave & Jouandeau shape.
-            Some(pool) => {
-                let (tx, rx) = unbounded();
-                for _ in 0..replicas.len() {
-                    let input = encoded.to_vec();
-                    let eval = Arc::clone(&self.evaluator);
-                    let tx = tx.clone();
-                    pool.submit(move || {
-                        let _ = tx.send(eval.evaluate_one(&input));
-                    });
-                }
-                drop(tx);
-                for r in replicas.iter_mut() {
-                    *r = rx.recv().expect("replica worker alive");
-                }
+            drop(tx);
+            for r in replicas.iter_mut() {
+                *r = rx.recv().expect("replica worker alive");
             }
         }
     }
@@ -101,88 +98,36 @@ impl LeafParallelSearch {
 impl<G: Game> SearchScheme<G> for LeafParallelSearch {
     fn begin(&mut self, root: &G, budget: Budget) {
         SearchScheme::<G>::cancel(self);
-        let run_cfg = budget.apply_to(&self.cfg);
         self.root.store(root);
-        self.encode_buf.resize(root.encoded_len(), 0.0);
-        self.replicas
-            .resize(self.cfg.workers, EvalOutput::default());
-        self.run = Some(LeafRun {
-            tree: Tree::new(run_cfg),
-            stats: SearchStats::default(),
-            gate: RunGate::new(&self.cfg, &budget, root.status().is_terminal()),
-            action_space: root.action_space(),
-        });
+        self.run = Some(Run::fresh(&self.cfg, &budget, root));
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
-        let Some(mut run) = self.run.take() else {
+        let Some((tree, run)) = &mut self.run else {
             return StepOutcome::Done;
         };
-        let step_start = Instant::now();
-        let n = self.cfg.workers;
-        let mut used = 0usize;
-        while used < quota && !run.gate.exhausted() {
-            let mut game = self.root.get::<G>().clone();
-            let t0 = Instant::now();
-            let (leaf, outcome) = run.tree.select(&mut game);
-            run.stats.select_ns += t0.elapsed().as_nanos() as u64;
-            match outcome {
-                SelectOutcome::TerminalBackedUp => {}
-                SelectOutcome::NeedsEval => {
-                    game.encode(&mut self.encode_buf);
-                    // Fan the SAME state out to all N replica slots.
-                    let t1 = Instant::now();
-                    let mut replicas = std::mem::take(&mut self.replicas);
-                    self.replicate(&self.encode_buf, &mut replicas);
-                    run.stats.eval_ns += t1.elapsed().as_nanos() as u64;
-                    let value =
-                        (replicas.iter().map(|o| o.value as f64).sum::<f64>() / n as f64) as f32;
-                    let t2 = Instant::now();
-                    run.tree.expand_and_backup(leaf, &replicas[0].priors, value);
-                    run.stats.backup_ns += t2.elapsed().as_nanos() as u64;
-                    self.replicas = replicas;
-                }
-                SelectOutcome::Busy => unreachable!("leaf-parallel is single-path"),
-            }
-            used += 1;
-            run.gate.done += 1;
-            run.stats.playouts += 1;
-        }
-        run.gate.note_step(step_start);
-        let outcome = if run.gate.exhausted() {
-            debug_assert_eq!(run.tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            run.tree.check_invariants();
-            StepOutcome::Done
-        } else {
-            StepOutcome::Running
-        };
-        self.run = Some(run);
-        outcome
+        let (pool, evaluator) = (self.pool.as_ref(), &self.evaluator);
+        let (encode_buf, replicas) = (&mut self.encode_buf, &mut self.replicas);
+        run.step(tree, self.root.get::<G>(), quota, |leaf| {
+            // Fan the SAME state out to all N replica slots.
+            let value = leaf.evaluate(|_, game| {
+                encode_buf.resize(game.encoded_len(), 0.0);
+                game.encode(encode_buf);
+                replicate(pool, evaluator, encode_buf, replicas);
+                let sum: f64 = replicas.iter().map(|o| o.value as f64).sum();
+                (sum / replicas.len() as f64) as f32
+            });
+            leaf.backup(|tree, id| tree.expand_and_backup(id, &replicas[0].priors, value));
+        })
     }
 
     fn partial_result(&self) -> SearchResult {
-        let Some(run) = &self.run else {
-            return SearchResult::default();
-        };
-        let (visits, probs, value) = run.tree.action_prior(run.action_space);
-        let mut stats = run.stats;
-        stats.move_ns = run.gate.active_ns;
-        stats.seq = run.gate.seq();
-        stats.nodes = run.tree.len() as u64;
-        SearchResult {
-            probs,
-            visits,
-            value,
-            stats,
-        }
+        Run::snapshot(self.run.as_ref().map(|(tree, run)| (tree, run)))
     }
 
     fn cancel(&mut self) {
-        if let Some(run) = self.run.take() {
-            debug_assert_eq!(run.tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            run.tree.check_invariants();
+        if let Some((tree, run)) = self.run.take() {
+            run.finish(&tree);
         }
     }
 
@@ -195,9 +140,10 @@ impl<G: Game> SearchScheme<G> for LeafParallelSearch {
 mod tests {
     use super::*;
     use crate::evaluator::UniformEvaluator;
-    use crate::serial::SerialSearch;
+    use crate::reuse::ReusableSearch;
     use games::tictactoe::TicTacToe;
     use games::Game;
+    use std::time::Instant;
 
     fn cfg(playouts: usize, workers: usize) -> MctsConfig {
         MctsConfig {
@@ -225,7 +171,7 @@ mod tests {
         let g = TicTacToe::new();
         let eval = Arc::new(UniformEvaluator::for_game(&g));
         let mut leaf = LeafParallelSearch::new(cfg(80, 4), Arc::clone(&eval) as Arc<_>);
-        let mut serial = SerialSearch::new(cfg(80, 1), eval);
+        let mut serial = ReusableSearch::one_shot(cfg(80, 1), eval);
         let rl = SearchScheme::<TicTacToe>::search(&mut leaf, &g);
         let rs = SearchScheme::<TicTacToe>::search(&mut serial, &g);
         assert_eq!(rl.visits, rs.visits, "wasted parallelism: same search");

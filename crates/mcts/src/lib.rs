@@ -7,8 +7,8 @@
 //! [`BatchEvaluator`] (`evaluate_batch` over `[B, C, H, W]` inputs), and
 //! asynchronous backends are driven through an [`EvalClient`]
 //! (submit/gather tickets) so one thread can keep many leaves in flight.
-//! Legacy single-sample [`Evaluator`] implementations keep working via a
-//! blanket adapter (their batches run as sequential calls).
+//! [`BatchEvaluator`] is the only evaluator contract; a single-sample
+//! backend implements `evaluate_batch` as a loop.
 //!
 //! # The two parallel schemes
 //!
@@ -22,8 +22,13 @@
 //!   batched CPU inference workers or the accelerator queue's native
 //!   async submit/poll interface (Algorithm 3's FIFO pipes).
 //!
-//! * [`serial::SerialSearch`], [`leaf_parallel::LeafParallelSearch`] and
-//!   [`root_parallel::RootParallelSearch`] are the baselines from §2.2.
+//! * [`reuse::ReusableSearch`] (the serial searcher, with or without
+//!   tree reuse across moves), [`leaf_parallel::LeafParallelSearch`],
+//!   [`root_parallel::RootParallelSearch`] and
+//!   [`speculative::SpeculativeSearch`] are the baselines from §2.2.
+//!   Every scheme that owns its tree outright runs the one playout loop
+//!   in the crate-private `playout` module and differs only in what it
+//!   does with a selected leaf.
 //!
 //! [`adaptive::AdaptiveSearch`] dispatches to the scheme selected by the
 //! performance model (see the `perfmodel` crate), reproducing the paper's
@@ -92,11 +97,11 @@ pub mod evaluator;
 pub mod leaf_parallel;
 pub mod local;
 pub mod noise;
+mod playout;
 pub mod pool;
 pub mod result;
 pub mod reuse;
 pub mod root_parallel;
-pub mod serial;
 pub mod shared;
 pub mod speculative;
 pub mod tree;
@@ -111,11 +116,10 @@ pub use cache::{CacheStats, CachedEvaluator, EvalCache, EvalCacheConfig};
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosEvaluator, ChaosGame};
 pub use client::{Completion, EvalClient, Ticket};
 pub use coalesce::{CoalesceStats, CoalescingEvaluator};
-pub use config::{EvictionPolicy, LockKind, MctsConfig, VirtualLoss};
+pub use config::{LockKind, MctsConfig, VirtualLoss};
 pub use error::{EvalError, SearchError};
 pub use evaluator::{
-    AccelEvaluator, BatchEvaluator, EvalOutput, Evaluator, LegacyEvaluator, NnEvaluator, Precision,
-    SingleSample, UniformEvaluator,
+    AccelEvaluator, BatchEvaluator, EvalOutput, NnEvaluator, Precision, UniformEvaluator,
 };
 pub use noise::RootNoise;
 pub use result::{SearchResult, SearchScheme, SearchStats};

@@ -23,38 +23,33 @@
 //! pending — the master blocks on the next completion (Algorithm 3,
 //! lines 12–13).
 
-use crate::budget::{Budget, RootSlot, RunGate, StepOutcome};
+use crate::budget::{Budget, RootSlot, StepOutcome};
 use crate::client::EvalClient;
 use crate::config::MctsConfig;
 use crate::evaluator::BatchEvaluator;
-use crate::result::{SearchResult, SearchScheme, SearchStats};
+use crate::playout::Run;
+use crate::result::{SearchResult, SearchScheme};
 use crate::tree::{SelectOutcome, Tree};
 use accel::Device;
 use games::Game;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Resumable-run state of a local-tree search. Unlike the serial-family
-/// schemes, leaves may stay **in flight across step boundaries** — the
-/// pipeline keeps filling device/worker batches while the session is
-/// parked — so [`LocalTreeSearch::in_flight`] can be non-zero between
-/// steps; `cancel` drains and applies those completions before tearing
-/// the run down.
-struct LocalRun {
-    tree: Tree,
-    stats: SearchStats,
-    gate: RunGate,
-    action_space: usize,
-    issued: u64,
-}
-
 /// Master-thread local-tree search over an [`EvalClient`].
+///
+/// Unlike the serial-family schemes, leaves may stay **in flight across
+/// step boundaries** — the pipeline keeps filling device/worker batches
+/// while the session is parked — so [`LocalTreeSearch::in_flight`] can
+/// be non-zero between steps; `cancel` drains and applies those
+/// completions before tearing the run down.
 pub struct LocalTreeSearch {
     cfg: MctsConfig,
     client: EvalClient,
     encode_buf: Vec<f32>,
     root: RootSlot,
-    run: Option<LocalRun>,
+    run: Option<(Tree, Run)>,
+    /// Leaves issued (selected) so far this run, completed or in flight.
+    issued: u64,
 }
 
 impl LocalTreeSearch {
@@ -62,13 +57,7 @@ impl LocalTreeSearch {
     /// the master is the `N+1`-th thread).
     pub fn new(cfg: MctsConfig, evaluator: Arc<dyn BatchEvaluator>) -> Self {
         cfg.validate();
-        LocalTreeSearch {
-            client: EvalClient::threaded(evaluator, cfg.workers),
-            cfg,
-            encode_buf: Vec::new(),
-            root: RootSlot::new(),
-            run: None,
-        }
+        Self::with_client(cfg, EvalClient::threaded(evaluator, cfg.workers))
     }
 
     /// Accelerator configuration: leaves go straight into `device`'s
@@ -78,13 +67,7 @@ impl LocalTreeSearch {
     pub fn with_device(cfg: MctsConfig, device: Arc<Device>) -> Self {
         cfg.validate();
         let cap = cfg.workers.max(device.batch_size());
-        LocalTreeSearch {
-            client: EvalClient::for_device(device, cap),
-            cfg,
-            encode_buf: Vec::new(),
-            root: RootSlot::new(),
-            run: None,
-        }
+        Self::with_client(cfg, EvalClient::for_device(device, cap))
     }
 
     /// Build over an explicit client (tests, custom backends).
@@ -96,6 +79,7 @@ impl LocalTreeSearch {
             encode_buf: Vec::new(),
             root: RootSlot::new(),
             run: None,
+            issued: 0,
         }
     }
 
@@ -109,25 +93,27 @@ impl LocalTreeSearch {
     pub fn in_flight(&self) -> usize {
         self.client.in_flight()
     }
+}
 
-    /// Gather one completion (blocking) and apply it to the run's tree.
-    fn process_one(client: &mut EvalClient, run: &mut LocalRun) {
-        let done = client.gather();
-        Self::apply(run, done);
-    }
+/// Expansion/backup of one completed evaluation (the tag carries the
+/// leaf id back).
+fn apply(tree: &mut Tree, run: &mut Run, done: crate::client::Completion) {
+    let t = Instant::now();
+    tree.expand_and_backup(
+        done.ticket.tag as u32,
+        &done.output.priors,
+        done.output.value,
+    );
+    run.stats.backup_ns += t.elapsed().as_nanos() as u64;
+    run.gate.done += 1;
+    run.stats.playouts += 1;
+}
 
-    /// Expansion/backup of one completed evaluation (the tag carries the
-    /// leaf id back).
-    fn apply(run: &mut LocalRun, done: crate::client::Completion) {
-        let t = Instant::now();
-        run.tree.expand_and_backup(
-            done.ticket.tag as u32,
-            &done.output.priors,
-            done.output.value,
-        );
-        run.stats.backup_ns += t.elapsed().as_nanos() as u64;
-        run.gate.done += 1;
-        run.stats.playouts += 1;
+/// Gather completions (blocking) and apply them until nothing is in
+/// flight, so every virtual loss is released.
+fn drain(client: &mut EvalClient, tree: &mut Tree, run: &mut Run) {
+    while client.in_flight() > 0 {
+        apply(tree, run, client.gather());
     }
 }
 
@@ -135,37 +121,32 @@ impl<G: Game> SearchScheme<G> for LocalTreeSearch {
     fn begin(&mut self, root: &G, budget: Budget) {
         SearchScheme::<G>::cancel(self);
         debug_assert_eq!(self.client.in_flight(), 0);
-        let run_cfg = budget.apply_to(&self.cfg);
         self.client.reset_eval_ns();
         self.root.store(root);
         self.encode_buf.resize(root.encoded_len(), 0.0);
-        self.run = Some(LocalRun {
-            tree: Tree::new(run_cfg),
-            stats: SearchStats::default(),
-            gate: RunGate::new(&self.cfg, &budget, root.status().is_terminal()),
-            action_space: root.action_space(),
-            issued: 0,
-        });
+        self.issued = 0;
+        self.run = Some(Run::fresh(&self.cfg, &budget, root));
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
-        let Some(mut run) = self.run.take() else {
+        let Some((tree, run)) = &mut self.run else {
             return StepOutcome::Done;
         };
         let step_start = Instant::now();
-        let cap = self.client.capacity();
+        let client = &mut self.client;
+        let cap = client.capacity();
         let target = run.gate.target();
         let until = run.gate.done.saturating_add(quota as u64).min(target);
 
         while run.gate.done < until && !run.gate.out_of_time() {
-            if run.issued < target {
+            if self.issued < target {
                 let mut game = self.root.get::<G>().clone();
                 let t0 = Instant::now();
-                let (leaf, outcome) = run.tree.select(&mut game);
+                let (leaf, outcome) = tree.select(&mut game);
                 run.stats.select_ns += t0.elapsed().as_nanos() as u64;
                 match outcome {
                     SelectOutcome::TerminalBackedUp => {
-                        run.issued += 1;
+                        self.issued += 1;
                         run.gate.done += 1;
                         run.stats.playouts += 1;
                     }
@@ -173,81 +154,47 @@ impl<G: Game> SearchScheme<G> for LocalTreeSearch {
                         game.encode(&mut self.encode_buf);
                         // Ticket into the FIFO pipe; the tag carries the
                         // leaf id back with the completion.
-                        self.client.submit(leaf as u64, &self.encode_buf);
-                        run.issued += 1;
+                        client.submit(leaf as u64, &self.encode_buf);
+                        self.issued += 1;
                     }
                     SelectOutcome::Busy => {
                         // Selection hit an in-flight leaf; wait for one
                         // result so the tree gains information, then retry.
                         run.stats.collisions += 1;
-                        assert!(
-                            self.client.in_flight() > 0,
-                            "busy leaf with nothing in flight"
-                        );
-                        Self::process_one(&mut self.client, &mut run);
+                        assert!(client.in_flight() > 0, "busy leaf with nothing in flight");
+                        apply(tree, run, client.gather());
                     }
                 }
             }
             // Algorithm 3 lines 12-13: block while the pipe is saturated.
-            while self.client.in_flight() >= cap
-                || (run.issued >= target && self.client.in_flight() > 0)
-            {
-                Self::process_one(&mut self.client, &mut run);
+            while client.in_flight() >= cap || (self.issued >= target && client.in_flight() > 0) {
+                apply(tree, run, client.gather());
             }
             // Opportunistic non-blocking drain keeps the tree fresh.
-            while let Some(done) = self.client.try_gather() {
-                Self::apply(&mut run, done);
+            while let Some(done) = client.try_gather() {
+                apply(tree, run, done);
             }
         }
-        let outcome = if run.gate.exhausted() {
-            // Finished (budget or deadline): drain the pipe so the run
-            // ends with every virtual loss released.
-            while self.client.in_flight() > 0 {
-                Self::process_one(&mut self.client, &mut run);
-            }
-            debug_assert_eq!(run.tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            run.tree.check_invariants();
-            StepOutcome::Done
-        } else {
-            // Quota boundary: leaves stay in flight so the pipeline keeps
-            // its depth while the session is parked.
-            StepOutcome::Running
-        };
-        run.gate.note_step(step_start);
-        self.run = Some(run);
+        // Finished (budget or deadline): drain the pipe so the run ends
+        // with every virtual loss released. At a quota boundary leaves
+        // stay in flight instead, so the pipeline keeps its depth while
+        // the session is parked.
+        let outcome = run.end_step(tree, step_start, |tree, run| drain(client, tree, run));
+        run.stats.eval_ns = client.eval_ns();
         outcome
     }
 
     fn partial_result(&self) -> SearchResult {
-        let Some(run) = &self.run else {
-            return SearchResult::default();
-        };
-        let (visits, probs, value) = run.tree.action_prior(run.action_space);
-        let mut stats = run.stats;
-        stats.eval_ns = self.client.eval_ns();
-        stats.move_ns = run.gate.active_ns;
-        stats.seq = run.gate.seq();
-        stats.nodes = run.tree.len() as u64;
-        SearchResult {
-            probs,
-            visits,
-            value,
-            stats,
-        }
+        Run::snapshot(self.run.as_ref().map(|(tree, run)| (tree, run)))
     }
 
     fn cancel(&mut self) {
-        if let Some(mut run) = self.run.take() {
+        if let Some((mut tree, mut run)) = self.run.take() {
             // Drain and apply everything in flight: completions release
             // their virtual loss, so the tree is consistent when dropped
-            // (and the walk below can prove it).
-            while self.client.in_flight() > 0 {
-                Self::process_one(&mut self.client, &mut run);
-            }
-            debug_assert_eq!(run.tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            run.tree.check_invariants();
+            // (and the walk in `finish` can prove it).
+            drain(&mut self.client, &mut tree, &mut run);
+            run.finish(&tree);
         }
     }
 

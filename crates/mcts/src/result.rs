@@ -26,8 +26,9 @@ pub struct SearchStats {
     /// Live nodes in the tree at the end of the search.
     pub nodes: u64,
     /// Nodes reclaimed onto the arena free-list since the previous search
-    /// (in-place re-rooting and capacity pruning). Always 0 for schemes
-    /// that rebuild their tree every move.
+    /// on the same tree (in-place re-rooting and capacity eviction). For
+    /// a scheme that builds a new tree every move this is the run's own
+    /// eviction count: 0 unless a memory bound is set and was hit.
     pub reclaimed: u64,
     /// Snapshot sequence number: completed [`SearchScheme::step`] calls
     /// of the run when this snapshot was taken. Strictly monotone within

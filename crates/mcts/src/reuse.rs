@@ -1,14 +1,23 @@
-//! Tree reuse across moves: keep the subtree of the move actually played as
-//! the starting tree for the next search.
+//! The serial searcher, with optional tree reuse across moves: keep the
+//! subtree of the move actually played as the starting tree for the next
+//! search.
+//!
+//! One thread interleaves in-tree operations and node evaluation (the
+//! crate-private `playout` module holds the loop). This is the 1-worker
+//! reference whose profile motivates the paper ("tree-based search
+//! accounts for more than 85% of the total runtime", §1) and the
+//! algorithmic ground truth the parallel schemes are validated against.
 //!
 //! The paper rebuilds the tree from scratch for every move (Algorithm 2
-//! line 2 copies the environment and starts at a bare root). Production
-//! AlphaZero implementations instead *re-root*: after playing action `a`
-//! from state `s`, the child subtree under `a` already holds thousands of
-//! evaluated nodes that remain valid for `s' = s·a`. This module provides
-//! that optimization on top of the single-owner tree as an opt-in wrapper —
-//! an ablation target for the benchmarks (reuse shrinks `T_select` early in
-//! the move, which shifts the shared/local crossover of §4).
+//! line 2 copies the environment and starts at a bare root) — that is
+//! [`ReusableSearch::one_shot`], what the builder returns for
+//! `Scheme::Serial`. Production AlphaZero implementations instead
+//! *re-root*: after playing action `a` from state `s`, the child subtree
+//! under `a` already holds thousands of evaluated nodes that remain valid
+//! for `s' = s·a`. [`ReusableSearch::new`] (the builder's `.reuse(true)`)
+//! provides that optimization — an ablation target for the benchmarks
+//! (reuse shrinks `T_select` early in the move, which shifts the
+//! shared/local crossover of §4).
 //!
 //! Re-rooting is **in place** ([`crate::tree::Tree::advance_root`]): the
 //! kept subtree stays where it is, the discarded region goes onto the
@@ -19,61 +28,72 @@
 //! [`MctsConfig::max_nodes`] set the retained tree searches under a hard
 //! memory bound across the entire game.
 
-use crate::budget::{Budget, RootSlot, RunGate, StepOutcome};
+use crate::budget::{Budget, RootSlot, StepOutcome};
 use crate::config::MctsConfig;
-use crate::evaluator::{BatchEvaluator, EvalOutput};
-use crate::result::{SearchResult, SearchScheme, SearchStats};
-use crate::tree::{SelectOutcome, Tree, TreeStats};
+use crate::evaluator::BatchEvaluator;
+use crate::playout::{KeyedHook, Run};
+use crate::result::{SearchResult, SearchScheme};
+use crate::tree::{Tree, TreeStats};
 use games::{Action, Game};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Resumable-run state of a reuse search (the tree itself lives in
-/// [`ReusableSearch::tree`] so it persists across runs).
-struct ReuseRun {
-    stats: SearchStats,
-    gate: RunGate,
-    action_space: usize,
-}
-
-/// A serial searcher that persists its tree across moves.
+/// The serial searcher. Built with [`ReusableSearch::new`] it persists
+/// its tree across moves; built with [`ReusableSearch::one_shot`] every
+/// search starts from a bare root.
 ///
-/// Unlike [`crate::serial::SerialSearch`], this type is *stateful*: callers
-/// must report every move actually played (their own and the opponent's)
-/// through [`ReusableSearch::advance`] so the internal tree tracks the game.
-/// It implements [`SearchScheme`] (whose `advance` hook it overrides), so
+/// A reusing searcher is *stateful*: callers must report every move
+/// actually played (their own and the opponent's) through
+/// [`ReusableSearch::advance`] so the internal tree tracks the game. It
+/// implements [`SearchScheme`] (whose `advance` hook it overrides), so
 /// self-play drivers get tree reuse for free when the builder enables it.
+///
+/// A one-shot searcher ignores `advance`/`reset` and builds a new tree
+/// at every `begin`, so per-run [`Budget::max_nodes`]/`max_bytes` apply.
+/// It keeps its last tree (for [`ReusableSearch::tree_stats`]) until the
+/// next `begin` or until it is dropped — the memory of one search stays
+/// resident between searches.
 pub struct ReusableSearch {
     cfg: MctsConfig,
     evaluator: Arc<dyn BatchEvaluator>,
+    /// Keep the tree across runs and re-root it on `advance`.
+    reuse: bool,
     tree: Option<Tree>,
-    encode_buf: Vec<f32>,
-    /// Reusable single-slot output for the batch-path evaluation of each
-    /// leaf (keeps the steady-state search loop allocation-free).
-    eval_out: [EvalOutput; 1],
+    /// Reused encode/output buffers of the leaf hook (keeps the
+    /// steady-state search loop allocation-free).
+    hook: KeyedHook,
     /// `reclaimed_total` snapshot at the end of the previous search, so
     /// each result reports the delta.
     reclaimed_snapshot: u64,
     /// Nodes inherited from previous moves via reuse (for diagnostics).
     pub inherited_nodes: u64,
     root: RootSlot,
-    run: Option<ReuseRun>,
+    run: Option<Run>,
 }
 
 impl ReusableSearch {
-    /// Create a reusable searcher.
+    /// Create a serial searcher that keeps its tree across moves.
+    /// `cfg.workers` is ignored (always 1).
     pub fn new(cfg: MctsConfig, evaluator: Arc<dyn BatchEvaluator>) -> Self {
         cfg.validate();
         ReusableSearch {
             cfg,
             evaluator,
+            reuse: true,
             tree: None,
-            encode_buf: Vec::new(),
-            eval_out: [EvalOutput::default()],
+            hook: KeyedHook::default(),
             reclaimed_snapshot: 0,
             inherited_nodes: 0,
             root: RootSlot::new(),
             run: None,
+        }
+    }
+
+    /// Create a serial searcher that starts every search from a bare
+    /// root (the paper's Algorithm 2; see the type docs).
+    pub fn one_shot(cfg: MctsConfig, evaluator: Arc<dyn BatchEvaluator>) -> Self {
+        ReusableSearch {
+            reuse: false,
+            ..Self::new(cfg, evaluator)
         }
     }
 
@@ -95,8 +115,12 @@ impl ReusableSearch {
 
     /// Drop any retained search state (e.g. when starting a new game).
     /// The arena's memory is kept, so the next game's searches reuse it.
-    /// An active resumable run is abandoned.
+    /// An active resumable run is abandoned. No-op for a one-shot
+    /// searcher.
     pub fn reset(&mut self) {
+        if !self.reuse {
+            return;
+        }
         self.run = None;
         if let Some(t) = &mut self.tree {
             t.reset_in_place();
@@ -109,7 +133,11 @@ impl ReusableSearch {
     /// corresponding child (`O(discarded nodes)`, no allocation), or
     /// resets it if that child was never expanded. An active resumable
     /// run is abandoned first (its completed playouts stay in the tree).
+    /// No-op for a one-shot searcher.
     pub fn advance(&mut self, action: Action) {
+        if !self.reuse {
+            return;
+        }
         self.run = None;
         if let Some(t) = &mut self.tree {
             t.advance_root(action);
@@ -117,16 +145,16 @@ impl ReusableSearch {
     }
 
     /// Nodes retained for the next search (0 when nothing useful is held:
-    /// no tree, or only a bare root).
+    /// no tree, only a bare root, or a one-shot searcher).
     pub fn retained_nodes(&self) -> usize {
         match &self.tree {
-            Some(t) if !t.is_empty() => t.len(),
+            Some(t) if self.reuse && !t.is_empty() => t.len(),
             _ => 0,
         }
     }
 
-    /// Arena accounting of the retained tree (live/free/high-water plus
-    /// cumulative reclaim and prune counters); `None` before the first
+    /// Arena accounting of the current tree (live/free/high-water plus
+    /// cumulative reclaim and eviction counters); `None` before the first
     /// search.
     pub fn tree_stats(&self) -> Option<TreeStats> {
         self.tree.as_ref().map(Tree::stats)
@@ -158,16 +186,9 @@ impl ReusableSearch {
     /// allocation once the buffers have capacity). Leaves `result`
     /// untouched when no run is active.
     pub fn partial_into(&self, result: &mut SearchResult) {
-        let (Some(run), Some(tree)) = (&self.run, &self.tree) else {
-            return;
-        };
-        result.value =
-            tree.action_prior_into(run.action_space, &mut result.visits, &mut result.probs);
-        result.stats = run.stats;
-        result.stats.move_ns = run.gate.active_ns;
-        result.stats.seq = run.gate.seq();
-        result.stats.nodes = tree.len() as u64;
-        result.stats.reclaimed = tree.stats().reclaimed_total - self.reclaimed_snapshot;
+        if let (Some(tree), Some(run)) = (&self.tree, &self.run) {
+            run.snapshot_into(tree, result);
+        }
     }
 }
 
@@ -176,96 +197,48 @@ impl<G: Game> SearchScheme<G> for ReusableSearch {
         SearchScheme::<G>::cancel(self);
         let run_cfg = budget.apply_to(&self.cfg);
         let tree = match &mut self.tree {
-            Some(t) => {
+            Some(t) if self.reuse => {
                 // Per-run knob changes apply to the retained tree too
                 // (its arena bound stays where it is, see Budget docs).
                 t.set_search_params(run_cfg);
                 t
             }
-            None => self.tree.insert(Tree::new(run_cfg)),
+            // The previous one-shot tree is dropped here, once its
+            // replacement exists.
+            slot => {
+                self.reclaimed_snapshot = 0;
+                slot.insert(Tree::new(run_cfg))
+            }
         };
         self.inherited_nodes = (tree.len() as u64).saturating_sub(1);
         self.root.store(root);
-        self.encode_buf.resize(root.encoded_len(), 0.0);
         // Count *new* playouts only: an inherited tree already holds
         // visits, so the per-run compute budget stays comparable to a
         // fresh search.
-        self.run = Some(ReuseRun {
-            stats: SearchStats::default(),
-            gate: RunGate::new(&self.cfg, &budget, root.status().is_terminal()),
-            action_space: root.action_space(),
-        });
+        let mut run = Run::begin(&self.cfg, &budget, root);
+        run.reclaimed_base = self.reclaimed_snapshot;
+        self.run = Some(run);
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
-        let Some(run) = &mut self.run else {
+        let (Some(tree), Some(run)) = (&mut self.tree, &mut self.run) else {
             return StepOutcome::Done;
         };
-        let tree = self.tree.as_mut().expect("run implies a tree");
-        let step_start = Instant::now();
-        let root = self.root.get::<G>();
-        let mut used = 0usize;
-        while used < quota && !run.gate.exhausted() {
-            let mut game = root.clone();
-            let t0 = Instant::now();
-            let (leaf, outcome) = tree.select(&mut game);
-            run.stats.select_ns += t0.elapsed().as_nanos() as u64;
-            match outcome {
-                SelectOutcome::TerminalBackedUp => {}
-                SelectOutcome::NeedsEval => {
-                    let key = game.hash();
-                    if let Some(src) = tree.tt_lookup(key) {
-                        // Same position reached by another move order:
-                        // reuse its priors/value, skip the evaluator.
-                        let t1 = Instant::now();
-                        tree.expand_from_transposition(leaf, src);
-                        run.stats.tt_hits += 1;
-                        run.stats.backup_ns += t1.elapsed().as_nanos() as u64;
-                    } else {
-                        let t1 = Instant::now();
-                        game.encode(&mut self.encode_buf);
-                        let inputs = [self.encode_buf.as_slice()];
-                        self.evaluator
-                            .evaluate_batch_keyed(&[key], &inputs, &mut self.eval_out);
-                        let o = &self.eval_out[0];
-                        run.stats.eval_ns += t1.elapsed().as_nanos() as u64;
-                        let t2 = Instant::now();
-                        tree.expand_and_backup(leaf, &o.priors, o.value);
-                        tree.tt_record(key, leaf);
-                        run.stats.backup_ns += t2.elapsed().as_nanos() as u64;
-                    }
-                }
-                SelectOutcome::Busy => unreachable!("serial reuse search found a pending leaf"),
-            }
-            used += 1;
-            run.gate.done += 1;
-            run.stats.playouts += 1;
-        }
-        run.gate.note_step(step_start);
-        if run.gate.exhausted() {
-            debug_assert_eq!(tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            tree.check_invariants();
-            StepOutcome::Done
-        } else {
-            StepOutcome::Running
-        }
+        let (hook, evaluator) = (&mut self.hook, self.evaluator.as_ref());
+        run.step(tree, self.root.get::<G>(), quota, |leaf| {
+            hook.leaf(evaluator, leaf)
+        })
     }
 
     fn partial_result(&self) -> SearchResult {
-        let mut result = SearchResult::default();
-        self.partial_into(&mut result);
-        result
+        Run::snapshot(self.tree.as_ref().zip(self.run.as_ref()))
     }
 
     fn cancel(&mut self) {
-        if self.run.take().is_some() {
+        if let (Some(tree), Some(run)) = (&self.tree, self.run.take()) {
             // The retained tree keeps the cancelled run's completed
             // playouts: a shorter search happened, nothing is torn down.
-            let tree = self.tree.as_ref().expect("run implies a tree");
-            debug_assert_eq!(tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            tree.check_invariants();
+            run.finish(tree);
             self.reclaimed_snapshot = tree.stats().reclaimed_total;
         }
     }
@@ -283,16 +256,22 @@ impl<G: Game> SearchScheme<G> for ReusableSearch {
     }
 
     fn name(&self) -> &'static str {
-        "serial+reuse"
+        if self.reuse {
+            "serial+reuse"
+        } else {
+            "serial"
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::UniformEvaluator;
+    use crate::evaluator::{DelayedEvaluator, UniformEvaluator};
+    use crate::{Scheme, SearchBuilder};
     use games::tictactoe::TicTacToe;
     use games::{Game, Status};
+    use std::time::Duration;
 
     fn searcher(playouts: usize) -> ReusableSearch {
         let cfg = MctsConfig {
@@ -300,6 +279,22 @@ mod tests {
             ..Default::default()
         };
         ReusableSearch::new(cfg, Arc::new(UniformEvaluator::for_game(&TicTacToe::new())))
+    }
+
+    /// The one-shot serial searcher, the way callers get it: through the
+    /// builder.
+    fn one_shot_with(cfg: MctsConfig) -> Box<dyn SearchScheme<TicTacToe>> {
+        SearchBuilder::new(Scheme::Serial)
+            .config(cfg)
+            .evaluator(Arc::new(UniformEvaluator::for_game(&TicTacToe::new())))
+            .build()
+    }
+
+    fn one_shot(playouts: usize) -> Box<dyn SearchScheme<TicTacToe>> {
+        one_shot_with(MctsConfig {
+            playouts,
+            ..Default::default()
+        })
     }
 
     #[test]
@@ -422,17 +417,25 @@ mod tests {
 
     #[test]
     fn reuse_and_fresh_agree_on_forced_win() {
-        // X: 0,1 — O: 3,4. X to move; 2 wins. Reuse must not change the
-        // conclusion.
+        // X: 0 — O: 3. X searches, plays 1 (threatening 2), O replies 4
+        // instead of blocking, and X searches again from the warm tree:
+        // 2 wins. Reuse must not change the conclusion.
         let mut g = TicTacToe::new();
-        for a in [0u16, 3, 1, 4] {
+        for a in [0u16, 3] {
             g.apply(a);
         }
         let mut s = searcher(400);
-        let r = s.search(&g);
-        assert_eq!(r.best_action(), 2);
-        // Play it, opponent replies, search again from the warm tree.
-        s.advance(2);
+        let _ = s.search(&g);
+        for a in [1u16, 4] {
+            s.advance(a);
+            g.apply(a);
+        }
+        let warm = s.search(&g);
+        assert!(s.inherited_nodes > 0, "second search starts warm");
+        assert!(g.is_legal(warm.best_action()));
+        assert_eq!(warm.best_action(), 2, "visits {:?}", warm.visits);
+        let fresh = one_shot(400).search(&g);
+        assert_eq!(fresh.best_action(), 2, "visits {:?}", fresh.visits);
     }
 
     #[test]
@@ -497,5 +500,215 @@ mod tests {
             "hard bound held for the whole game: {} > {cap}",
             stats.high_water
         );
+    }
+
+    // -- one-shot (plain serial) searcher --------------------------------
+
+    #[test]
+    fn playout_budget_respected() {
+        let mut s = one_shot(128);
+        let r = s.search(&TicTacToe::new());
+        assert_eq!(r.stats.playouts, 128);
+        // Root children visit counts: every playout after the first goes
+        // through exactly one root child.
+        assert_eq!(r.visits.iter().sum::<u32>(), 127);
+        assert_eq!(s.name(), "serial");
+    }
+
+    #[test]
+    fn finds_immediate_win() {
+        // X: 0,1 — O: 3,4. X to move; 2 completes the top row.
+        let mut g = TicTacToe::new();
+        for a in [0u16, 3, 1, 4] {
+            g.apply(a);
+        }
+        let mut s = one_shot(400);
+        let r = s.search(&g);
+        assert_eq!(r.best_action(), 2, "visits {:?}", r.visits);
+        assert!(r.value > 0.5);
+    }
+
+    #[test]
+    fn blocks_immediate_loss() {
+        // X: 0,1 — O: 4. O to move; must block at 2.
+        let mut g = TicTacToe::new();
+        for a in [0u16, 4, 1] {
+            g.apply(a);
+        }
+        let mut s = one_shot(800);
+        let r = s.search(&g);
+        assert_eq!(r.best_action(), 2, "visits {:?}", r.visits);
+    }
+
+    #[test]
+    fn probabilities_match_visits() {
+        let mut s = one_shot(64);
+        let r = s.search(&TicTacToe::new());
+        let total: u32 = r.visits.iter().sum();
+        for (p, &v) in r.probs.iter().zip(&r.visits) {
+            assert!((p - v as f32 / total as f32).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn deterministic_given_same_inputs() {
+        let mut a = one_shot(100);
+        let mut b = one_shot(100);
+        let g = TicTacToe::new();
+        let ra = a.search(&g);
+        let rb = b.search(&g);
+        assert_eq!(ra.visits, rb.visits);
+    }
+
+    #[test]
+    fn search_from_mid_game_state() {
+        let mut g = TicTacToe::new();
+        g.apply(4);
+        let mut s = one_shot(50);
+        let r = s.search(&g);
+        assert_eq!(r.visits[4], 0, "occupied cell never visited");
+        assert_eq!(r.stats.playouts, 50);
+    }
+
+    #[test]
+    fn stats_are_populated() {
+        let mut s = one_shot(64);
+        let r = s.search(&TicTacToe::new());
+        assert!(r.stats.move_ns > 0);
+        assert!(r.stats.select_ns > 0);
+        assert!(r.stats.nodes > 1);
+    }
+
+    #[test]
+    fn time_budget_stops_search_early() {
+        // Uniform priors after a fixed sleep, to make playouts slow.
+        let slow = DelayedEvaluator::new(
+            UniformEvaluator::for_game(&TicTacToe::new()),
+            Duration::from_millis(2),
+        );
+        let mut s = SearchBuilder::new(Scheme::Serial)
+            .playouts(10_000)
+            .time_budget_ms(20)
+            .evaluator(Arc::new(slow))
+            .build::<TicTacToe>();
+        let t0 = std::time::Instant::now();
+        let r = s.search(&TicTacToe::new());
+        assert!(
+            r.stats.playouts < 10_000,
+            "budget must cut the search short"
+        );
+        assert!(r.stats.playouts > 0, "at least one playout completes");
+        assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn no_budget_runs_all_playouts() {
+        let mut s = one_shot(32);
+        let r = s.search(&TicTacToe::new());
+        assert_eq!(r.stats.playouts, 32);
+    }
+
+    #[test]
+    fn one_shot_ignores_advance_and_starts_every_search_cold() {
+        let mut s = ReusableSearch::one_shot(
+            MctsConfig {
+                playouts: 200,
+                ..Default::default()
+            },
+            Arc::new(UniformEvaluator::for_game(&TicTacToe::new())),
+        );
+        let mut g = TicTacToe::new();
+        let r1 = s.search(&g);
+        let a = r1.best_action();
+        s.advance(a);
+        g.apply(a);
+        assert_eq!(s.retained_nodes(), 0, "a one-shot searcher retains nothing");
+        let r2 = s.search(&g);
+        assert_eq!(s.inherited_nodes, 0);
+        assert_eq!(r2.stats.reclaimed, 0);
+        assert_eq!(r2.visits.iter().sum::<u32>(), 199, "bare root every move");
+        // The last tree stays readable until the next begin.
+        assert_eq!(s.tree_stats().unwrap().live as u64, r2.stats.nodes);
+    }
+
+    #[test]
+    fn one_shot_applies_per_run_memory_budgets() {
+        let mut s = one_shot(300);
+        s.begin(&TicTacToe::new(), Budget::default().with_max_nodes(120));
+        while s.step(64) == StepOutcome::Running {}
+        let r = s.partial_result();
+        assert_eq!(r.stats.playouts, 300);
+        assert!(
+            r.stats.nodes <= 120,
+            "per-run bound held: {}",
+            r.stats.nodes
+        );
+        // The next run builds a new tree, so the bound does not stick.
+        let r = s.search(&TicTacToe::new());
+        assert!(r.stats.nodes > 120);
+    }
+
+    #[test]
+    fn transpositions_skip_evaluations() {
+        let mk = |tt: bool| {
+            let eval = Arc::new(DelayedEvaluator::new(
+                UniformEvaluator::for_game(&TicTacToe::new()),
+                Duration::ZERO,
+            ));
+            let s = SearchBuilder::new(Scheme::Serial)
+                .config(MctsConfig {
+                    playouts: 300,
+                    transpositions: tt,
+                    ..Default::default()
+                })
+                .evaluator(Arc::clone(&eval) as _)
+                .build::<TicTacToe>();
+            (s, eval)
+        };
+        let (mut plain, e_plain) = mk(false);
+        let r_plain = plain.search(&TicTacToe::new());
+        assert_eq!(r_plain.stats.tt_hits, 0, "disabled index never hits");
+        let (mut with_tt, e_tt) = mk(true);
+        let r_tt = with_tt.search(&TicTacToe::new());
+        assert!(r_tt.stats.tt_hits > 0, "tictactoe transposes by depth 3");
+        assert!(
+            e_tt.calls() < e_plain.calls(),
+            "reused expansions must save evaluator calls: {} vs {}",
+            e_tt.calls(),
+            e_plain.calls()
+        );
+        assert_eq!(r_tt.stats.playouts, 300, "same compute budget");
+    }
+
+    #[test]
+    fn transpositions_preserve_forced_win() {
+        let mut g = TicTacToe::new();
+        for a in [0u16, 3, 1, 4] {
+            g.apply(a);
+        }
+        let mut s = one_shot_with(MctsConfig {
+            playouts: 400,
+            transpositions: true,
+            ..Default::default()
+        });
+        let r = s.search(&g);
+        assert_eq!(r.best_action(), 2, "visits {:?}", r.visits);
+        assert!(r.value > 0.5);
+    }
+
+    #[test]
+    fn self_play_with_serial_search_terminates() {
+        let mut g = TicTacToe::new();
+        let mut s = one_shot(64);
+        let mut moves = 0;
+        while g.status() == Status::Ongoing {
+            let r = s.search(&g);
+            g.apply(r.best_action());
+            moves += 1;
+            assert!(moves <= 9);
+        }
+        // Perfect-ish play from uniform priors usually draws; at minimum
+        // the game must end legally.
+        assert!(g.status().is_terminal());
     }
 }

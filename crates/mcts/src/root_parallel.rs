@@ -9,26 +9,19 @@
 use crate::budget::{Budget, RootSlot, RunGate, StepOutcome};
 use crate::config::MctsConfig;
 use crate::evaluator::BatchEvaluator;
-use crate::result::{SearchResult, SearchScheme, SearchStats};
-use crate::tree::{SelectOutcome, Tree};
+use crate::playout::{KeyedHook, Run};
+use crate::result::{SearchResult, SearchScheme};
+use crate::tree::Tree;
 use games::Game;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One worker's private tree and its share of the run budget.
+/// One worker's private tree, its share of the run budget and its
+/// serial leaf hook.
 struct WorkerSlot {
     tree: Tree,
-    stats: SearchStats,
-    done: u64,
-    target: u64,
-    encode_buf: Vec<f32>,
-}
-
-/// Resumable-run state of a root-parallel search.
-struct RootParRun {
-    slots: Vec<WorkerSlot>,
-    gate: RunGate,
-    action_space: usize,
+    run: Run,
+    hook: KeyedHook,
 }
 
 /// Independent-trees root parallelization.
@@ -36,7 +29,8 @@ pub struct RootParallelSearch {
     cfg: MctsConfig,
     evaluator: Arc<dyn BatchEvaluator>,
     root: RootSlot,
-    run: Option<RootParRun>,
+    /// The active run: one slot per worker plus the gate over their sum.
+    run: Option<(Vec<WorkerSlot>, RunGate)>,
 }
 
 impl RootParallelSearch {
@@ -49,41 +43,6 @@ impl RootParallelSearch {
             root: RootSlot::new(),
             run: None,
         }
-    }
-}
-
-/// Run up to `grant` serial playouts on one private tree, stopping at
-/// `deadline`.
-fn run_slot<G: Game>(
-    slot: &mut WorkerSlot,
-    root: &G,
-    evaluator: &dyn BatchEvaluator,
-    grant: u64,
-    deadline: Option<Instant>,
-) {
-    for _ in 0..grant {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return;
-        }
-        let mut game = root.clone();
-        let t0 = Instant::now();
-        let (leaf, outcome) = slot.tree.select(&mut game);
-        slot.stats.select_ns += t0.elapsed().as_nanos() as u64;
-        match outcome {
-            SelectOutcome::TerminalBackedUp => {}
-            SelectOutcome::NeedsEval => {
-                let t1 = Instant::now();
-                game.encode(&mut slot.encode_buf);
-                let o = evaluator.evaluate_one(&slot.encode_buf);
-                slot.stats.eval_ns += t1.elapsed().as_nanos() as u64;
-                let t2 = Instant::now();
-                slot.tree.expand_and_backup(leaf, &o.priors, o.value);
-                slot.stats.backup_ns += t2.elapsed().as_nanos() as u64;
-            }
-            SelectOutcome::Busy => unreachable!("private tree found a pending leaf"),
-        }
-        slot.done += 1;
-        slot.stats.playouts += 1;
     }
 }
 
@@ -102,50 +61,32 @@ impl<G: Game> SearchScheme<G> for RootParallelSearch {
         let slots: Vec<WorkerSlot> = (0..n)
             .map(|i| WorkerSlot {
                 tree: Tree::new(run_cfg),
-                stats: SearchStats::default(),
-                done: 0,
-                target: (per_worker + usize::from(i < remainder)) as u64,
-                encode_buf: vec![0.0; root.encoded_len()],
+                run: Run::new(
+                    gate.share((per_worker + usize::from(i < remainder)) as u64),
+                    root.action_space(),
+                ),
+                hook: KeyedHook::default(),
             })
             .collect();
-        gate = RunGate::new(
-            &MctsConfig {
-                playouts: slots
-                    .iter()
-                    .map(|s| s.target as usize)
-                    .sum::<usize>()
-                    .max(1),
-                ..self.cfg
-            },
-            &Budget {
-                playouts: None,
-                ..budget
-            },
-            root.status().is_terminal(),
-        );
+        gate.set_target(slots.iter().map(|s| s.run.gate.target()).sum());
         self.root.store(root);
-        self.run = Some(RootParRun {
-            slots,
-            gate,
-            action_space: root.action_space(),
-        });
+        self.run = Some((slots, gate));
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
-        let Some(mut run) = self.run.take() else {
+        let Some((slots, gate)) = &mut self.run else {
             return StepOutcome::Done;
         };
         let step_start = Instant::now();
-        if !run.gate.exhausted() {
+        if !gate.exhausted() {
             // Spread the quota over the slots that still owe playouts
             // (fair share each; the remainder goes to the first ones),
             // so progress is guaranteed even for tiny quotas.
-            let unfinished = run.slots.iter().filter(|s| s.done < s.target).count();
+            let unfinished = slots.iter().filter(|s| s.run.gate.remaining() > 0).count();
             let per = quota / unfinished.max(1);
             let rem = quota % unfinished.max(1);
-            let deadline = run.gate.deadline();
             let root = self.root.get::<G>();
-            let evaluator = &self.evaluator;
+            let evaluator = self.evaluator.as_ref();
             // Scoped threads, not a persistent pool: each worker needs
             // `&mut` into its slot across the slice, which a `'static`
             // pool closure cannot borrow. The spawn/join cost is µs per
@@ -153,88 +94,77 @@ impl<G: Game> SearchScheme<G> for RootParallelSearch {
             // baseline, not the serving hot path.
             std::thread::scope(|s| {
                 let mut i = 0usize;
-                for slot in run.slots.iter_mut() {
-                    if slot.done >= slot.target {
+                for slot in slots.iter_mut() {
+                    if slot.run.gate.remaining() == 0 {
                         continue;
                     }
-                    let want = (per + usize::from(i < rem)) as u64;
+                    let grant = per + usize::from(i < rem);
                     i += 1;
-                    let grant = want.min(slot.target - slot.done);
                     if grant == 0 {
                         continue;
                     }
+                    // Serial playouts on the private tree; the slot's
+                    // gate stops them at its target or the deadline.
                     s.spawn(move || {
-                        run_slot(slot, root, evaluator.as_ref(), grant, deadline);
+                        let WorkerSlot { tree, run, hook } = slot;
+                        run.playouts(tree, root, grant, |leaf| hook.leaf(evaluator, leaf));
                     });
                 }
             });
-            run.gate.done = run.slots.iter().map(|s| s.done).sum();
+            gate.done = slots.iter().map(|s| s.run.gate.done).sum();
         }
-        run.gate.note_step(step_start);
-        let finished = run.gate.out_of_time() || run.slots.iter().all(|s| s.done >= s.target);
-        let outcome = if finished {
-            #[cfg(feature = "invariants")]
-            for slot in &run.slots {
-                slot.tree.check_invariants();
+        gate.note_step(step_start);
+        if gate.exhausted() {
+            for slot in slots.iter() {
+                slot.run.finish(&slot.tree);
             }
             StepOutcome::Done
         } else {
             StepOutcome::Running
-        };
-        self.run = Some(run);
-        outcome
+        }
     }
 
     fn partial_result(&self) -> SearchResult {
-        let Some(run) = &self.run else {
+        let Some((slots, gate)) = &self.run else {
             return SearchResult::default();
         };
         // Aggregate root statistics across the private trees.
-        let a = run.action_space;
-        let mut visits = vec![0u32; a];
-        let mut stats = SearchStats::default();
+        let mut total = SearchResult::default();
+        let mut part = SearchResult::default();
         let mut value_acc = 0.0f64;
-        let mut slot_visits = Vec::new();
-        let mut slot_probs = Vec::new();
-        for slot in &run.slots {
-            let value = slot
-                .tree
-                .action_prior_into(a, &mut slot_visits, &mut slot_probs);
-            for (tot, &v) in visits.iter_mut().zip(&slot_visits) {
+        for slot in slots {
+            slot.run.snapshot_into(&slot.tree, &mut part);
+            total.visits.resize(part.visits.len(), 0);
+            for (tot, &v) in total.visits.iter_mut().zip(&part.visits) {
                 *tot += v;
             }
-            value_acc += value as f64;
-            stats.playouts += slot.stats.playouts;
-            stats.select_ns += slot.stats.select_ns;
-            stats.backup_ns += slot.stats.backup_ns;
-            stats.eval_ns += slot.stats.eval_ns;
-            stats.collisions += slot.stats.collisions;
-            stats.nodes += slot.tree.len() as u64;
-            stats.reclaimed += slot.tree.stats().reclaimed_total;
+            value_acc += part.value as f64;
+            let (acc, s) = (&mut total.stats, &part.stats);
+            acc.playouts += s.playouts;
+            acc.select_ns += s.select_ns;
+            acc.backup_ns += s.backup_ns;
+            acc.eval_ns += s.eval_ns;
+            acc.nodes += s.nodes;
+            acc.reclaimed += s.reclaimed;
+            acc.tt_hits += s.tt_hits;
         }
-        let total: u32 = visits.iter().sum();
-        let probs = if total == 0 {
-            vec![0.0; a]
-        } else {
-            visits.iter().map(|&v| v as f32 / total as f32).collect()
-        };
-        stats.move_ns = run.gate.active_ns;
-        stats.seq = run.gate.seq();
-        SearchResult {
-            probs,
-            visits,
-            value: (value_acc / run.slots.len().max(1) as f64) as f32,
-            stats,
-        }
+        let sum: u32 = total.visits.iter().sum();
+        total.probs = total
+            .visits
+            .iter()
+            .map(|&v| if sum == 0 { 0.0 } else { v as f32 / sum as f32 })
+            .collect();
+        total.value = (value_acc / slots.len().max(1) as f64) as f32;
+        total.stats.move_ns = gate.active_ns;
+        total.stats.seq = gate.seq();
+        total
     }
 
     fn cancel(&mut self) {
-        if let Some(run) = self.run.take() {
-            #[cfg(feature = "invariants")]
-            for slot in &run.slots {
-                slot.tree.check_invariants();
+        if let Some((slots, _)) = self.run.take() {
+            for slot in &slots {
+                slot.run.finish(&slot.tree);
             }
-            let _ = run;
         }
     }
 

@@ -23,7 +23,7 @@ use crate::arena::{phase, AtomicColumns, W_SCALE};
 use crate::budget::{Budget, RootSlot, RunGate, StepOutcome};
 use crate::coalesce::CoalescingEvaluator;
 use crate::config::{LockKind, MctsConfig, VirtualLoss};
-use crate::evaluator::{BatchEvaluator, Evaluator, SingleSample};
+use crate::evaluator::BatchEvaluator;
 use crate::pool::WorkerPool;
 use crate::result::{SearchResult, SearchScheme, SearchStats};
 use games::Game;
@@ -109,7 +109,7 @@ impl SharedTree {
     pub fn rollout<G: Game>(
         &self,
         root_game: &G,
-        evaluator: &dyn Evaluator,
+        evaluator: &dyn BatchEvaluator,
         encode_buf: &mut Vec<f32>,
         eval_ns: &AtomicU64,
     ) -> bool {
@@ -158,10 +158,10 @@ impl SharedTree {
                     encode_buf.resize(game.encoded_len(), 0.0);
                     game.encode(encode_buf);
                     let t = Instant::now();
-                    let (priors, value) = evaluator.evaluate(encode_buf);
+                    let o = evaluator.evaluate_one(encode_buf);
                     eval_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    self.expand(cur, &game, &priors);
-                    self.backup(cur, value);
+                    self.expand(cur, &game, &o.priors);
+                    self.backup(cur, o.value);
                     return true;
                 }
                 other => unreachable!("invalid node phase {other}"),
@@ -405,15 +405,16 @@ struct SharedRun {
 /// Driver: persistent `N`-thread pool running `threadsafe_rollout` loops.
 ///
 /// Rollout workers need their leaf evaluated synchronously before the
-/// rollout can finish, so the batch-first evaluator is adapted to a
-/// synchronous view at construction: backends that profit from batching
-/// (`preferred_batch() > 1`) get a [`CoalescingEvaluator`] that merges
-/// the `N` workers' concurrent requests into shared batches; backends
-/// that already coalesce internally (the accelerator queue) or that gain
-/// nothing from batching are called single-sample.
+/// rollout can finish ([`BatchEvaluator::evaluate_one`]), so the
+/// evaluator is wrapped at construction where that pays: backends that
+/// profit from batching (`preferred_batch() > 1`) get a
+/// [`CoalescingEvaluator`] that merges the `N` workers' concurrent
+/// requests into shared batches; backends that already coalesce
+/// internally (the accelerator queue) or that gain nothing from
+/// batching are called single-sample as they are.
 pub struct SharedTreeSearch {
     cfg: MctsConfig,
-    sync_eval: Arc<dyn Evaluator>,
+    sync_eval: Arc<dyn BatchEvaluator>,
     pool: WorkerPool,
     root: RootSlot,
     run: Option<SharedRun>,
@@ -438,11 +439,11 @@ impl SharedTreeSearch {
     ) -> Self {
         cfg.validate();
         let batch = evaluator.preferred_batch().min(cfg.workers);
-        let sync_eval: Arc<dyn Evaluator> =
+        let sync_eval: Arc<dyn BatchEvaluator> =
             if batch > 1 && !window.is_zero() && !evaluator.coalesces_internally() {
                 Arc::new(CoalescingEvaluator::with_window(evaluator, batch, window))
             } else {
-                Arc::new(SingleSample(evaluator))
+                evaluator
             };
         SharedTreeSearch {
             pool: WorkerPool::new(cfg.workers),

@@ -17,11 +17,12 @@
 //! synchronization points) and amortize the main model's per-call cost —
 //! the same batching economics as the accelerator queue.
 
-use crate::budget::{Budget, RootSlot, RunGate, StepOutcome};
+use crate::budget::{Budget, RootSlot, StepOutcome};
 use crate::config::MctsConfig;
 use crate::evaluator::{BatchEvaluator, EvalOutput};
-use crate::result::{SearchResult, SearchScheme, SearchStats};
-use crate::tree::{mask_and_normalize, SelectOutcome, Tree};
+use crate::playout::Run;
+use crate::result::{SearchResult, SearchScheme};
+use crate::tree::{mask_and_normalize, Tree};
 use games::Game;
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,16 +32,6 @@ struct PendingCorrection {
     leaf: u32,
     encoded: Vec<f32>,
     spec_value: f32,
-}
-
-/// Resumable-run state of a speculative search. Pending corrections
-/// survive step boundaries; they are flushed when the run finishes.
-struct SpecRun {
-    tree: Tree,
-    stats: SearchStats,
-    gate: RunGate,
-    action_space: usize,
-    pending: Vec<PendingCorrection>,
 }
 
 /// Serial search with speculative expansion and deferred main-model
@@ -59,8 +50,41 @@ pub struct SpeculativeSearch {
     /// quality diagnostic; large values mean the cheap model misleads).
     pub correction_magnitude: f64,
     encode_buf: Vec<f32>,
+    /// Corrections awaiting the main model. They survive step
+    /// boundaries and are flushed when the run finishes.
+    pending: Vec<PendingCorrection>,
     root: RootSlot,
-    run: Option<SpecRun>,
+    run: Option<(Tree, Run)>,
+}
+
+/// Re-score `pending` with one batched main-model forward (the whole
+/// pipeline window) and apply the deltas to `tree`, counting them into
+/// the searcher's lifetime `corrections` / `magnitude` diagnostics.
+fn commit(
+    main: &dyn BatchEvaluator,
+    tree: &mut Tree,
+    pending: &mut Vec<PendingCorrection>,
+    corrections: &mut u64,
+    magnitude: &mut f64,
+) {
+    if pending.is_empty() {
+        return;
+    }
+    let inputs: Vec<&[f32]> = pending.iter().map(|p| p.encoded.as_slice()).collect();
+    let mut rescored = vec![EvalOutput::default(); pending.len()];
+    main.evaluate_batch(&inputs, &mut rescored);
+    for (p, o) in pending.drain(..).zip(rescored) {
+        let legal = tree.child_actions(p.leaf);
+        if legal.is_empty() {
+            // Terminal discovered before the correction landed.
+            continue;
+        }
+        let masked = mask_and_normalize(&o.priors, &legal);
+        let dv = o.value - p.spec_value;
+        tree.correct_expansion(p.leaf, &masked, dv);
+        *corrections += 1;
+        *magnitude += dv.abs() as f64;
+    }
 }
 
 impl SpeculativeSearch {
@@ -86,31 +110,9 @@ impl SpeculativeSearch {
             corrections: 0,
             correction_magnitude: 0.0,
             encode_buf: Vec::new(),
+            pending: Vec::with_capacity(commit_batch),
             root: RootSlot::new(),
             run: None,
-        }
-    }
-
-    fn commit(&mut self, tree: &mut Tree, pending: &mut Vec<PendingCorrection>) {
-        if pending.is_empty() {
-            return;
-        }
-        // One batched main-model forward re-scores the whole pipeline
-        // window.
-        let inputs: Vec<&[f32]> = pending.iter().map(|p| p.encoded.as_slice()).collect();
-        let mut rescored = vec![EvalOutput::default(); pending.len()];
-        self.main.evaluate_batch(&inputs, &mut rescored);
-        for (p, o) in pending.drain(..).zip(rescored) {
-            let legal = tree.child_actions(p.leaf);
-            if legal.is_empty() {
-                // Terminal discovered before the correction landed.
-                continue;
-            }
-            let masked = mask_and_normalize(&o.priors, &legal);
-            let dv = o.value - p.spec_value;
-            tree.correct_expansion(p.leaf, &masked, dv);
-            self.corrections += 1;
-            self.correction_magnitude += dv.abs() as f64;
         }
     }
 }
@@ -118,99 +120,60 @@ impl SpeculativeSearch {
 impl<G: Game> SearchScheme<G> for SpeculativeSearch {
     fn begin(&mut self, root: &G, budget: Budget) {
         SearchScheme::<G>::cancel(self);
-        let run_cfg = budget.apply_to(&self.cfg);
         self.root.store(root);
-        self.encode_buf.resize(root.encoded_len(), 0.0);
-        self.run = Some(SpecRun {
-            tree: Tree::new(run_cfg),
-            stats: SearchStats::default(),
-            gate: RunGate::new(&self.cfg, &budget, root.status().is_terminal()),
-            action_space: root.action_space(),
-            pending: Vec::with_capacity(self.commit_batch),
-        });
+        self.run = Some(Run::fresh(&self.cfg, &budget, root));
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
-        let Some(mut run) = self.run.take() else {
+        let Some((tree, run)) = &mut self.run else {
             return StepOutcome::Done;
         };
-        let step_start = Instant::now();
-        let mut used = 0usize;
-        while used < quota && !run.gate.exhausted() {
-            let mut game = self.root.get::<G>().clone();
-            let t0 = Instant::now();
-            let (leaf, outcome) = run.tree.select(&mut game);
-            run.stats.select_ns += t0.elapsed().as_nanos() as u64;
-            match outcome {
-                SelectOutcome::TerminalBackedUp => {}
-                SelectOutcome::NeedsEval => {
-                    let t1 = Instant::now();
-                    game.encode(&mut self.encode_buf);
-                    let o = self.spec.evaluate_one(&self.encode_buf);
-                    run.stats.eval_ns += t1.elapsed().as_nanos() as u64;
-                    let t2 = Instant::now();
-                    run.tree.expand_and_backup(leaf, &o.priors, o.value);
-                    run.stats.backup_ns += t2.elapsed().as_nanos() as u64;
-                    run.pending.push(PendingCorrection {
-                        leaf,
-                        encoded: self.encode_buf.clone(),
-                        spec_value: o.value,
-                    });
-                    if run.pending.len() >= self.commit_batch {
-                        let t3 = Instant::now();
-                        self.commit(&mut run.tree, &mut run.pending);
-                        run.stats.eval_ns += t3.elapsed().as_nanos() as u64;
-                    }
-                }
-                SelectOutcome::Busy => unreachable!("serial speculative search"),
+        let started = Instant::now();
+        let (main, spec, commit_batch) =
+            (self.main.as_ref(), self.spec.as_ref(), self.commit_batch);
+        let (encode_buf, pending) = (&mut self.encode_buf, &mut self.pending);
+        let (corrections, magnitude) = (&mut self.corrections, &mut self.correction_magnitude);
+        run.playouts(tree, self.root.get::<G>(), quota, |leaf| {
+            let o = leaf.evaluate(|_, game| {
+                encode_buf.resize(game.encoded_len(), 0.0);
+                game.encode(encode_buf);
+                spec.evaluate_one(encode_buf)
+            });
+            leaf.backup(|tree, id| tree.expand_and_backup(id, &o.priors, o.value));
+            pending.push(PendingCorrection {
+                leaf: leaf.id(),
+                encoded: encode_buf.clone(),
+                spec_value: o.value,
+            });
+            if pending.len() >= commit_batch {
+                leaf.evaluate(|tree, _| commit(main, tree, pending, corrections, magnitude));
             }
-            used += 1;
-            run.gate.done += 1;
-            run.stats.playouts += 1;
-        }
-        let outcome = if run.gate.exhausted() {
+        });
+        run.end_step(tree, started, |tree, run| {
             // Flush outstanding corrections so the final statistics
             // reflect the main model everywhere.
-            let t3 = Instant::now();
-            self.commit(&mut run.tree, &mut run.pending);
-            run.stats.eval_ns += t3.elapsed().as_nanos() as u64;
-            debug_assert_eq!(run.tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            run.tree.check_invariants();
-            StepOutcome::Done
-        } else {
-            StepOutcome::Running
-        };
-        run.gate.note_step(step_start);
-        self.run = Some(run);
-        outcome
+            let t = Instant::now();
+            commit(main, tree, pending, corrections, magnitude);
+            run.stats.eval_ns += t.elapsed().as_nanos() as u64;
+        })
     }
 
     fn partial_result(&self) -> SearchResult {
-        let Some(run) = &self.run else {
-            return SearchResult::default();
-        };
-        let (visits, probs, value) = run.tree.action_prior(run.action_space);
-        let mut stats = run.stats;
-        stats.move_ns = run.gate.active_ns;
-        stats.seq = run.gate.seq();
-        stats.nodes = run.tree.len() as u64;
-        SearchResult {
-            probs,
-            visits,
-            value,
-            stats,
-        }
+        Run::snapshot(self.run.as_ref().map(|(tree, run)| (tree, run)))
     }
 
     fn cancel(&mut self) {
-        if let Some(mut run) = self.run.take() {
+        if let Some((mut tree, run)) = self.run.take() {
             // Commit what the pipeline holds so the lifetime correction
             // counters stay meaningful, then drop the run's tree.
-            self.commit(&mut run.tree, &mut run.pending);
-            debug_assert_eq!(run.tree.outstanding_vl(), 0);
-            #[cfg(feature = "invariants")]
-            run.tree.check_invariants();
+            commit(
+                self.main.as_ref(),
+                &mut tree,
+                &mut self.pending,
+                &mut self.corrections,
+                &mut self.correction_magnitude,
+            );
+            run.finish(&tree);
         }
     }
 
@@ -222,8 +185,8 @@ impl<G: Game> SearchScheme<G> for SpeculativeSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{Evaluator, UniformEvaluator};
-    use crate::serial::SerialSearch;
+    use crate::evaluator::UniformEvaluator;
+    use crate::reuse::ReusableSearch;
     use games::tictactoe::TicTacToe;
 
     /// An evaluator with a fixed bias toward one action and a fixed value.
@@ -233,17 +196,19 @@ mod tests {
         hot: usize,
         value: f32,
     }
-    impl Evaluator for Biased {
+    impl BatchEvaluator for Biased {
         fn input_len(&self) -> usize {
             self.input_len
         }
         fn action_space(&self) -> usize {
             self.actions
         }
-        fn evaluate(&self, _input: &[f32]) -> (Vec<f32>, f32) {
-            let mut p = vec![0.05 / (self.actions as f32 - 1.0); self.actions];
-            p[self.hot] = 0.95;
-            (p, self.value)
+        fn evaluate_batch(&self, _inputs: &[&[f32]], out: &mut [EvalOutput]) {
+            for o in out {
+                o.priors = vec![0.05 / (self.actions as f32 - 1.0); self.actions];
+                o.priors[self.hot] = 0.95;
+                o.value = self.value;
+            }
         }
     }
 
@@ -258,7 +223,7 @@ mod tests {
             ..Default::default()
         };
         let mut spec = SpeculativeSearch::new(cfg, uniform(), uniform(), 4);
-        let mut serial = SerialSearch::new(cfg, uniform());
+        let mut serial = ReusableSearch::one_shot(cfg, uniform());
         let g = TicTacToe::new();
         let rs = SearchScheme::<TicTacToe>::search(&mut spec, &g);
         let rr = serial.search(&g);

@@ -53,12 +53,8 @@ pub struct TreeStats {
     /// the columns' reserved capacity for reuse).
     pub high_water: usize,
     /// Cumulative nodes reclaimed onto the free-list by re-rooting,
-    /// capacity eviction/pruning and in-place resets over this tree's
-    /// lifetime.
+    /// capacity eviction and in-place resets over this tree's lifetime.
     pub reclaimed_total: u64,
-    /// Cumulative nodes discarded by deepest-fringe capacity pruning
-    /// (subset of `reclaimed_total`).
-    pub pruned: u64,
     /// Cumulative nodes discarded by LRU capacity eviction (subset of
     /// `reclaimed_total`).
     pub evicted: u64,
@@ -76,10 +72,8 @@ pub struct Tree {
     /// Per-tree nonce mixed into the root-noise seed (refreshed on
     /// re-root: one logical tree per move).
     noise_nonce: u64,
-    /// Cumulative nodes reclaimed (re-root + evict/prune + reset).
+    /// Cumulative nodes reclaimed (re-root + evict + reset).
     reclaimed_total: u64,
-    /// Cumulative nodes discarded by deepest-fringe capacity pruning.
-    pruned_nodes: u64,
     /// Cumulative nodes discarded by LRU capacity eviction.
     evicted_nodes: u64,
     /// Running total of outstanding virtual losses (kept in sync by
@@ -93,12 +87,10 @@ pub struct Tree {
     priors_scratch: Vec<f32>,
     /// Scratch: DFS stack for reclaiming walks.
     walk_stack: Vec<u32>,
-    /// Scratch: (node, depth) stack for pruning/invariant walks.
-    depth_stack: Vec<(u32, u32)>,
     /// Optional transposition index: position hash → expanded node id
     /// ([`MctsConfig::transpositions`]). Cleared by every operation that
     /// returns node slots to the free-list (re-root, in-place reset,
-    /// capacity prune): a recycled slot may be re-expanded for a
+    /// capacity eviction): a recycled slot may be re-expanded for a
     /// *different* position, so ids must never outlive their allocation.
     tt: Option<std::collections::HashMap<u64, u32>>,
 }
@@ -107,7 +99,7 @@ impl Tree {
     /// Fresh tree containing only an unexpanded root. With
     /// [`MctsConfig::max_nodes`] or [`MctsConfig::arena_budget_bytes`]
     /// set, the arena never exceeds the derived slot bound (expansion
-    /// reclaims live subtrees per [`MctsConfig::eviction`] when full).
+    /// evicts the coldest live subtree when full).
     pub fn new(cfg: MctsConfig) -> Self {
         let mut a = NodeArena::new(1024, cfg.node_budget());
         let root = a
@@ -121,13 +113,11 @@ impl Tree {
             root: 0,
             noise_nonce: crate::noise::next_nonce(),
             reclaimed_total: 0,
-            pruned_nodes: 0,
             evicted_nodes: 0,
             vl_outstanding: 0,
             legal_scratch: Vec::new(),
             priors_scratch: Vec::new(),
             walk_stack: Vec::new(),
-            depth_stack: Vec::new(),
             tt: cfg.transpositions.then(std::collections::HashMap::new),
         }
     }
@@ -183,7 +173,7 @@ impl Tree {
     }
 
     /// Node accounting: live/free/high-water plus cumulative reclaim and
-    /// prune counters.
+    /// eviction counters.
     pub fn stats(&self) -> TreeStats {
         let ArenaStats {
             live,
@@ -195,7 +185,6 @@ impl Tree {
             free,
             high_water,
             reclaimed_total: self.reclaimed_total,
-            pruned: self.pruned_nodes,
             evicted: self.evicted_nodes,
             bytes: self.a.bytes(),
         }
@@ -364,8 +353,7 @@ impl Tree {
 
     /// Allocate the child block for a claimed leaf. At the capacity
     /// bound, escalate: defragment the free-list (coalesce adjacent
-    /// ranges), then reclaim a live subtree per [`MctsConfig::eviction`]
-    /// — the coldest (LRU) or the deepest fringe — until the block fits.
+    /// ranges), then evict the coldest live subtree until the block fits.
     fn claim_children(&mut self, leaf: u32, legal: &[Action]) {
         let count = legal.len();
         let mut coalesced = false;
@@ -381,12 +369,8 @@ impl Tree {
                     coalesced = true;
                 }
                 None => {
-                    let reclaimed = match self.cfg.eviction {
-                        crate::config::EvictionPolicy::Lru => self.evict_coldest(),
-                        crate::config::EvictionPolicy::DeepestFringe => self.prune_deepest(),
-                    };
                     assert!(
-                        reclaimed,
+                        self.evict_coldest(),
                         "arena at its bound ({} slots) with nothing evictable; raise the bound",
                         self.a.capacity_bound()
                     );
@@ -480,7 +464,7 @@ impl Tree {
 
     /// Expanded node currently indexed under position `hash`, if the
     /// transposition index is enabled and holds one. Entries reverted by
-    /// a capacity prune are filtered out by state.
+    /// a capacity eviction are filtered out by state.
     pub fn tt_lookup(&self, hash: u64) -> Option<u32> {
         let id = *self.tt.as_ref()?.get(&hash)?;
         (self.a.state[id as usize] == NodeState::Expanded).then_some(id)
@@ -713,74 +697,6 @@ impl Tree {
         freed
     }
 
-    /// Prune the deepest fringe subtree: the expanded node farthest from
-    /// the root all of whose children are leaves (and nothing in flight
-    /// through it) loses its child block and reverts to
-    /// [`NodeState::Unexpanded`], keeping its visit statistics. Returns
-    /// `false` when no candidate exists.
-    ///
-    /// Each call walks the live tree (`O(live)`): capacity pruning is a
-    /// memory backstop, not a steady-state mode — a bound sized well
-    /// below the search's natural tree turns every expansion into a
-    /// prune-and-rewalk (see the bound-sizing note on
-    /// [`MctsConfig::max_nodes`]).
-    fn prune_deepest(&mut self) -> bool {
-        let mut stack = std::mem::take(&mut self.depth_stack);
-        stack.clear();
-        stack.push((self.root, 0));
-        let mut best: Option<(u32, u32)> = None;
-        while let Some((id, d)) = stack.pop() {
-            let children = self.children(id);
-            if children.is_empty() {
-                continue;
-            }
-            let mut fringe = true;
-            for c in children.clone() {
-                if self.a.child_count[c as usize] > 0 {
-                    fringe = false;
-                    stack.push((c, d + 1));
-                } else if self.a.vl[c as usize] > 0 {
-                    // An in-flight selection path ends at this child
-                    // (e.g. the very claim that triggered the prune).
-                    fringe = false;
-                }
-            }
-            if fringe
-                && id != self.root
-                && self.a.state[id as usize] == NodeState::Expanded
-                && self.a.vl[id as usize] == 0
-                && best.is_none_or(|(_, bd)| d > bd)
-            {
-                best = Some((id, d));
-            }
-        }
-        self.depth_stack = stack;
-        let Some((id, _)) = best else {
-            return false;
-        };
-        if let Some(tt) = &mut self.tt {
-            // The freed child slots (and the reverted node itself) may be
-            // re-expanded for different positions; pruning is a rare
-            // memory backstop, so dropping the index wholesale is cheap.
-            tt.clear();
-        }
-        let children = self.children(id);
-        let count = children.len() as u64;
-        // Stats-preserving detach (see `evict_coldest` for the identity).
-        let child_sum: u32 = children.clone().map(|c| self.a.n[c as usize]).sum();
-        self.a.lru_unlink(id);
-        self.a.free_range(children.start, children.len() as u32);
-        self.a.first_child[id as usize] = NIL;
-        self.a.child_count[id as usize] = 0;
-        self.a.state[id as usize] = NodeState::Unexpanded;
-        self.a.n_detached[id as usize] = self.a.n_detached[id as usize]
-            .saturating_add(child_sum)
-            .saturating_add(1);
-        self.pruned_nodes += count;
-        self.reclaimed_total += count;
-        true
-    }
-
     /// Evict the coldest subtree: walk the intrusive LRU list from the
     /// tail and detach the first block owner that is neither the root
     /// nor on any in-flight path. The victim's **whole subtree** goes
@@ -815,7 +731,7 @@ impl Tree {
         if let Some(tt) = &mut self.tt {
             // Freed slots may be recycled for other positions; eviction
             // at the bound is the memory backstop, so dropping the index
-            // wholesale is the same policy as pruning and re-rooting.
+            // wholesale is the same policy as re-rooting.
             tt.clear();
         }
         let children = self.children(v);
@@ -971,8 +887,7 @@ impl Tree {
     /// `N == Σ N(children) + n_detached + (0|1)`, and for a detached
     /// node awaiting re-expansion `N == n_detached`. Stats-preserving
     /// detach records discarded-subtree visits in `n_detached`, so the
-    /// identity needs no relaxed mode once eviction or pruning has
-    /// occurred (the pre-LRU carve-out is gone).
+    /// identity needs no relaxed mode once eviction has occurred.
     ///
     /// Always compiled; the `invariants` cargo feature additionally runs
     /// it at the end of every search in every scheme.
@@ -1451,38 +1366,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_prunes_instead_of_growing() {
-        let cap = 200usize;
-        let mut t = Tree::new(MctsConfig {
-            max_nodes: Some(cap),
-            eviction: crate::config::EvictionPolicy::DeepestFringe,
-            ..cfg(500)
-        });
-        let base = TicTacToe::new();
-        grow(&mut t, &base, 500);
-        let s = t.stats();
-        assert!(
-            s.high_water <= cap,
-            "hard bound respected: {} > {cap}",
-            s.high_water
-        );
-        assert!(s.pruned > 0, "bounded search must have pruned");
-        assert_eq!(s.evicted, 0, "fringe policy never LRU-evicts");
-        t.check_invariants();
-        // The search still produces a sane root distribution.
-        let (visits, probs, _) = t.action_prior(9);
-        assert_eq!(visits.iter().sum::<u32>(), 500 - 1);
-        assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn capacity_bound_evicts_coldest_by_default() {
         let cap = 200usize;
         let mut t = Tree::new(MctsConfig {
             max_nodes: Some(cap),
             ..cfg(500)
         });
-        assert_eq!(t.cfg.eviction, crate::config::EvictionPolicy::Lru);
         let base = TicTacToe::new();
         grow(&mut t, &base, 500);
         let s = t.stats();
@@ -1492,7 +1381,6 @@ mod tests {
             s.high_water
         );
         assert!(s.evicted > 0, "bounded search must have evicted");
-        assert_eq!(s.pruned, 0, "LRU policy never fringe-prunes");
         t.check_invariants();
         // Root statistics survive eviction untouched: every playout is
         // still accounted at the root, and the distribution is sane.

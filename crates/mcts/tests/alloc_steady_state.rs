@@ -118,7 +118,7 @@ fn evaluate_batch_phase() {
 /// byte budget never touches the heap again.
 fn bounded_eviction_cycle_phase() {
     use games::tictactoe::TicTacToe;
-    use mcts::{EvictionPolicy, NodeArena};
+    use mcts::NodeArena;
 
     // Tight enough that every search cycle recycles nodes through the
     // LRU list, yet above the unevictable working set: the serial
@@ -131,7 +131,6 @@ fn bounded_eviction_cycle_phase() {
         MctsConfig {
             playouts: 300,
             arena_budget_bytes: Some(budget),
-            eviction: EvictionPolicy::Lru,
             ..Default::default()
         },
         Arc::new(NnEvaluator::new(net)),

@@ -16,10 +16,9 @@
 use games::synthetic::SyntheticGame;
 use games::tictactoe::TicTacToe;
 use games::Game;
-use mcts::serial::SerialSearch;
 use mcts::{
-    BatchEvaluator, CachedEvaluator, EvalCache, EvalCacheConfig, Evaluator, MctsConfig,
-    SearchScheme,
+    BatchEvaluator, CachedEvaluator, EvalCache, EvalCacheConfig, EvalOutput, MctsConfig,
+    ReusableSearch,
 };
 use std::sync::Arc;
 
@@ -40,23 +39,25 @@ impl DetEval {
     }
 }
 
-impl Evaluator for DetEval {
-    fn evaluate(&self, input: &[f32]) -> (Vec<f32>, f32) {
-        let mut h = 0x9e3779b97f4a7c15u64;
-        for (i, &x) in input.iter().enumerate() {
-            h = h
-                .wrapping_mul(31)
-                .wrapping_add(x.to_bits() as u64)
-                .wrapping_add(i as u64);
+impl BatchEvaluator for DetEval {
+    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        for (input, o) in inputs.iter().zip(out.iter_mut()) {
+            let mut h = 0x9e3779b97f4a7c15u64;
+            for (i, &x) in input.iter().enumerate() {
+                h = h
+                    .wrapping_mul(31)
+                    .wrapping_add(x.to_bits() as u64)
+                    .wrapping_add(i as u64);
+            }
+            o.priors.clear();
+            for a in 0..self.actions as u64 {
+                let v = h.wrapping_mul(a + 3).wrapping_add(a) % 97;
+                o.priors.push(v as f32 / 97.0 + 0.01);
+            }
+            let total: f32 = o.priors.iter().sum();
+            o.priors.iter_mut().for_each(|p| *p /= total);
+            o.value = ((h % 1001) as f32 / 1000.0) - 0.5;
         }
-        let mut priors = Vec::with_capacity(self.actions);
-        for a in 0..self.actions as u64 {
-            let v = h.wrapping_mul(a + 3).wrapping_add(a) % 97;
-            priors.push(v as f32 / 97.0 + 0.01);
-        }
-        let total: f32 = priors.iter().sum();
-        priors.iter_mut().for_each(|p| *p /= total);
-        (priors, ((h % 1001) as f32 / 1000.0) - 0.5)
     }
 
     fn action_space(&self) -> usize {
@@ -84,8 +85,8 @@ fn uncached_search_is_seed_for_seed_deterministic() {
         playouts: 300,
         ..Default::default()
     };
-    let mut a = SerialSearch::new(cfg, Arc::new(DetEval::for_game(&g)));
-    let mut b = SerialSearch::new(cfg, Arc::new(DetEval::for_game(&g)));
+    let mut a = ReusableSearch::one_shot(cfg, Arc::new(DetEval::for_game(&g)));
+    let mut b = ReusableSearch::one_shot(cfg, Arc::new(DetEval::for_game(&g)));
     let ra = a.search(&g);
     let rb = b.search(&g);
     assert_eq!(ra.visits, rb.visits);
@@ -108,8 +109,8 @@ fn cold_cache_is_bitwise_identical_on_transposition_free_game() {
         let cache = cache_for(inner.as_ref());
         Arc::new(CachedEvaluator::new(inner, cache))
     };
-    let mut a = SerialSearch::new(cfg, plain);
-    let mut b = SerialSearch::new(cfg, cached);
+    let mut a = ReusableSearch::one_shot(cfg, plain);
+    let mut b = ReusableSearch::one_shot(cfg, cached);
     let ra = a.search(&g);
     let rb = b.search(&g);
     assert_eq!(ra.visits, rb.visits, "all-miss cache must be transparent");
@@ -127,8 +128,10 @@ fn cache_hits_return_bitwise_value_and_quantized_priors() {
     let cached = CachedEvaluator::new(Arc::clone(&inner), cache);
     let mut buf = vec![0.0; g.encoded_len()];
     g.encode(&mut buf);
-    let miss = cached.evaluate_one_keyed(g.hash(), &buf);
-    let hit = cached.evaluate_one_keyed(g.hash(), &buf);
+    let (mut miss, mut hit) = ([EvalOutput::default()], [EvalOutput::default()]);
+    cached.evaluate_batch_keyed(&[g.hash()], &[&buf], &mut miss);
+    cached.evaluate_batch_keyed(&[g.hash()], &[&buf], &mut hit);
+    let ([miss], [hit]) = (miss, hit);
     // Value round-trips exactly (stored as f32, not quantized).
     assert_eq!(miss.value.to_bits(), hit.value.to_bits());
     // Priors round-trip within one u16 quantization step.
@@ -159,10 +162,10 @@ fn warm_cache_preserves_forced_win() {
     let inner: Arc<dyn BatchEvaluator> = Arc::new(DetEval::for_game(&g));
     let cache = cache_for(inner.as_ref());
     let cached: Arc<dyn BatchEvaluator> = Arc::new(CachedEvaluator::new(inner, Arc::clone(&cache)));
-    let mut s = SerialSearch::new(cfg, Arc::clone(&cached));
+    let mut s = ReusableSearch::one_shot(cfg, Arc::clone(&cached));
     let cold = s.search(&g);
     assert_eq!(cold.best_action(), 2, "cold visits {:?}", cold.visits);
-    let mut s2 = SerialSearch::new(cfg, cached);
+    let mut s2 = ReusableSearch::one_shot(cfg, cached);
     let warm = s2.search(&g);
     assert_eq!(warm.best_action(), 2, "warm visits {:?}", warm.visits);
     assert!(warm.value > 0.5);

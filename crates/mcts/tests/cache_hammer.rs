@@ -5,7 +5,7 @@
 //! and keep the counters coherent. Run with `--features invariants`.
 #![cfg(feature = "invariants")]
 
-use mcts::{BatchEvaluator, CachedEvaluator, EvalCache, EvalCacheConfig, EvalOutput, Evaluator};
+use mcts::{BatchEvaluator, CachedEvaluator, EvalCache, EvalCacheConfig, EvalOutput};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -118,10 +118,12 @@ fn concurrent_hammer_never_corrupts_entries_or_budget() {
 /// Deterministic single-sample evaluator for the wrapper hammer.
 struct DetEval;
 
-impl Evaluator for DetEval {
-    fn evaluate(&self, input: &[f32]) -> (Vec<f32>, f32) {
-        let k = input[0] as u64;
-        payload(k)
+impl BatchEvaluator for DetEval {
+    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        for (input, o) in inputs.iter().zip(out.iter_mut()) {
+            let (priors, value) = payload(input[0] as u64);
+            *o = EvalOutput { priors, value };
+        }
     }
     fn action_space(&self) -> usize {
         ACTIONS
@@ -146,7 +148,9 @@ fn concurrent_cached_evaluator_returns_consistent_outputs() {
             for round in 0..200u64 {
                 let key = (t + round) % 64;
                 let input = [key as f32];
-                let out = cached.evaluate_one_keyed(key, &input);
+                let mut out = [EvalOutput::default()];
+                cached.evaluate_batch_keyed(&[key], &[&input], &mut out);
+                let [out] = out;
                 let (want_p, want_v) = payload(key);
                 assert_eq!(out.value.to_bits(), want_v.to_bits());
                 for (got, want) in out.priors.iter().zip(&want_p) {

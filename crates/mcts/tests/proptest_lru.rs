@@ -1,7 +1,6 @@
 //! Differential property tests for LRU node recycling: a byte/slot
-//! bounded tree under [`mcts::EvictionPolicy::Lru`] must be playout-for
-//! playout identical to an unbounded arena until the moment of its
-//! first eviction (the LRU list is pure bookkeeping — touching never
+//! bounded tree must be playout-for-playout identical to an unbounded
+//! arena until the moment of its first eviction (the LRU list is pure bookkeeping — touching never
 //! changes selection), and after arbitrarily many evictions the tree
 //! must still pass the full internal invariants walk: reachability
 //! equals live accounting, the LRU list is exactly the block-owning
@@ -12,7 +11,7 @@ use games::tictactoe::TicTacToe;
 use games::{Game, Status};
 use mcts::analysis::principal_variation;
 use mcts::tree::{SelectOutcome, Tree};
-use mcts::{EvictionPolicy, MctsConfig, NodeState};
+use mcts::{MctsConfig, NodeState};
 use proptest::prelude::*;
 
 /// Deterministic fake evaluator: priors/value are a pure function of the
@@ -88,7 +87,6 @@ proptest! {
         let bounded_cfg = MctsConfig {
             playouts,
             max_nodes: Some(bound),
-            eviction: EvictionPolicy::Lru,
             ..Default::default()
         };
         let unbounded_cfg = MctsConfig { playouts, ..Default::default() };
@@ -138,7 +136,6 @@ proptest! {
         let cfg = MctsConfig {
             playouts,
             max_nodes: Some(bound),
-            eviction: EvictionPolicy::Lru,
             ..Default::default()
         };
         let mut tree = Tree::new(cfg);

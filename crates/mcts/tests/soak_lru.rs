@@ -18,7 +18,7 @@
 
 use games::tictactoe::TicTacToe;
 use games::{Game, Status};
-use mcts::{EvictionPolicy, MctsConfig, NodeArena, ReusableSearch, SearchResult, UniformEvaluator};
+use mcts::{MctsConfig, NodeArena, ReusableSearch, SearchResult, UniformEvaluator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -96,7 +96,6 @@ fn bounded_streaming_session_soaks_flat() {
         MctsConfig {
             playouts: 128,
             arena_budget_bytes: Some(budget),
-            eviction: EvictionPolicy::Lru,
             ..Default::default()
         },
         Arc::new(UniformEvaluator::for_game(&TicTacToe::new())),

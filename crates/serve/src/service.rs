@@ -101,7 +101,7 @@ pub struct ServeConfig {
     /// this, so a single unbounded analysis session cannot grow its
     /// arena without limit on a shared worker pool — past the ceiling
     /// the search recycles cold subtrees in place (see
-    /// [`mcts::EvictionPolicy`]). `None` (the default) leaves session
+    /// [`mcts::MctsConfig::max_nodes`]). `None` (the default) leaves session
     /// configs untouched.
     pub session_arena_bytes: Option<usize>,
 }

@@ -143,12 +143,12 @@ pub fn play_match<G: Game, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use games::tictactoe::TicTacToe;
-    use mcts::{serial::SerialSearch, MctsConfig, UniformEvaluator};
+    use mcts::{MctsConfig, ReusableSearch, UniformEvaluator};
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn agent(playouts: usize) -> SerialSearch {
-        SerialSearch::new(
+    fn agent(playouts: usize) -> ReusableSearch {
+        ReusableSearch::one_shot(
             MctsConfig {
                 playouts,
                 ..Default::default()

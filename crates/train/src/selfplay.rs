@@ -94,12 +94,12 @@ fn accumulate(total: &mut SearchStats, s: &SearchStats) {
 mod tests {
     use super::*;
     use games::tictactoe::TicTacToe;
-    use mcts::{evaluator::UniformEvaluator, serial::SerialSearch, MctsConfig};
+    use mcts::{evaluator::UniformEvaluator, MctsConfig, ReusableSearch};
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn searcher(playouts: usize) -> SerialSearch {
-        SerialSearch::new(
+    fn searcher(playouts: usize) -> ReusableSearch {
+        ReusableSearch::one_shot(
             MctsConfig {
                 playouts,
                 ..Default::default()
@@ -170,7 +170,6 @@ mod tests {
 
     #[test]
     fn reuse_episode_reports_reclaimed_nodes() {
-        use mcts::ReusableSearch;
         let mut s = ReusableSearch::new(
             MctsConfig {
                 playouts: 60,

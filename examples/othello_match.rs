@@ -37,11 +37,11 @@ fn main() {
         playouts: 96,
         ..Default::default()
     };
-    let mut agent_a = mcts::serial::SerialSearch::new(cfg, Arc::new(AccelEvaluator::new(device)));
+    let mut agent_a = mcts::ReusableSearch::one_shot(cfg, Arc::new(AccelEvaluator::new(device)));
 
     // Agent B: uniform priors (pure-MCTS strength floor).
     let mut agent_b =
-        mcts::serial::SerialSearch::new(cfg, Arc::new(UniformEvaluator::for_game(&game)));
+        mcts::ReusableSearch::one_shot(cfg, Arc::new(UniformEvaluator::for_game(&game)));
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     println!("playing 6 Othello games (6x6), alternating colors...");

@@ -8,7 +8,6 @@
 
 use adaptive_dnn_mcts::prelude::*;
 use mcts::reuse::ReusableSearch;
-use mcts::serial::SerialSearch;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,7 +20,7 @@ fn main() {
     };
 
     // Fresh tree every move (the paper's Algorithm 2 baseline).
-    let mut fresh = SerialSearch::new(cfg, Arc::new(NnEvaluator::new(Arc::clone(&net))));
+    let mut fresh = ReusableSearch::one_shot(cfg, Arc::new(NnEvaluator::new(Arc::clone(&net))));
     // Re-rooted tree (production AlphaZero behavior).
     let mut warm = ReusableSearch::new(cfg, Arc::new(NnEvaluator::new(net)));
 
@@ -57,8 +56,8 @@ fn main() {
     println!("nodes reclaimed per move : {reclaimed:?}");
     println!(
         "arena after {moves} moves    : {} live / {} free / {} high-water \
-         ({} reclaimed in total, {} pruned)",
-        stats.live, stats.free, stats.high_water, stats.reclaimed_total, stats.pruned
+         ({} reclaimed in total, {} evicted)",
+        stats.live, stats.free, stats.high_water, stats.reclaimed_total, stats.evicted
     );
     println!(
         "\nwith in-place reuse, every move after the first starts with a warm\n\

@@ -60,18 +60,22 @@
 //! the device queue natively with async tickets (§3.3), no thread per
 //! outstanding leaf.
 //!
-//! ## Migrating from the blocking single-sample API
+//! ## Writing an evaluator
 //!
-//! Pre-0.2 code passed `Arc<dyn Evaluator>` (blocking
-//! `evaluate(&[f32]) -> (Vec<f32>, f32)`) into per-scheme `new`
-//! constructors. The `Evaluator` trait still exists and still works
-//! everywhere — a blanket adapter lifts any `Evaluator` into the new
-//! [`mcts::BatchEvaluator`], so custom evaluators compile unchanged when
-//! passed as concrete `Arc<MyEval>`. Boxed `Arc<dyn Evaluator>` objects
-//! go through [`mcts::LegacyEvaluator`] or
-//! `SearchBuilder::legacy_evaluator`. `NnEvaluator` and `AccelEvaluator`
-//! are now natively batched: one forward pass (or one queue submission
-//! wave) per batch instead of per sample.
+//! [`mcts::BatchEvaluator`] is the only evaluator contract: implement
+//! `input_len`, `action_space` and `evaluate_batch(&[&[f32]], &mut
+//! [EvalOutput])`. A backend with nothing to amortize across a batch
+//! writes `evaluate_batch` as a loop over its samples and leaves
+//! `preferred_batch()` at its default of 1, so schemes dispatch it
+//! single-sample; `NnEvaluator` and `AccelEvaluator` batch natively (one
+//! forward pass, or one queue submission wave, per batch). The blocking
+//! single-sample `Evaluator` trait of 0.1, its blanket adapter and the
+//! wrapper types around it are gone — port an old
+//! `evaluate(&[f32]) -> (Vec<f32>, f32)` by moving its body into that
+//! loop. The serial searcher is
+//! [`mcts::ReusableSearch`]: `SearchBuilder::new(Scheme::Serial)` builds
+//! it one-shot (a bare root every move), `.reuse(true)` keeps the played
+//! subtree between moves.
 
 pub use accel;
 pub use games;
@@ -95,9 +99,9 @@ pub mod prelude {
     pub use mcts::{
         AccelEvaluator, AdaptiveSearch, BatchEvaluator, Budget, CacheStats, CachedEvaluator,
         CoalescingEvaluator, Completion, EvalCache, EvalCacheConfig, EvalClient, EvalOutput,
-        Evaluator, EvictionPolicy, LegacyEvaluator, LockKind, MctsConfig, NnEvaluator,
-        ReusableSearch, RootNoise, Scheme, SearchBuilder, SearchResult, SearchScheme, SearchStats,
-        SpeculativeSearch, Ticket, TreeStats, UniformEvaluator, VirtualLoss,
+        LockKind, MctsConfig, NnEvaluator, ReusableSearch, RootNoise, Scheme, SearchBuilder,
+        SearchResult, SearchScheme, SearchStats, SpeculativeSearch, Ticket, TreeStats,
+        UniformEvaluator, VirtualLoss,
     };
     pub use nn::resnet::{ResNetConfig, ResNetPolicyValueNet};
     pub use nn::{NetConfig, PolicyValueNet};

@@ -23,20 +23,25 @@ fn probe_inputs(n: usize) -> Vec<Vec<f32>> {
 }
 
 /// The pre-redesign inference path, byte for byte: one blocking
-/// single-sample network call per `evaluate`.
-struct LegacySingleSample(Arc<PolicyValueNet>);
+/// single-sample network call per sample, batches run as a loop.
+struct OneAtATime(Arc<PolicyValueNet>);
 
-impl Evaluator for LegacySingleSample {
+impl BatchEvaluator for OneAtATime {
     fn input_len(&self) -> usize {
         36
     }
     fn action_space(&self) -> usize {
         9
     }
-    fn evaluate(&self, input: &[f32]) -> (Vec<f32>, f32) {
-        let x = tensor::Tensor::from_vec(input.to_vec(), &[1, 4, 3, 3]);
-        let (pi, v) = self.0.predict(&x);
-        (pi.into_vec(), v.data()[0])
+    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        for (input, o) in inputs.iter().zip(out.iter_mut()) {
+            let x = tensor::Tensor::from_vec(input.to_vec(), &[1, 4, 3, 3]);
+            let (pi, v) = self.0.predict(&x);
+            *o = EvalOutput {
+                priors: pi.into_vec(),
+                value: v.data()[0],
+            };
+        }
     }
 }
 
@@ -52,10 +57,10 @@ fn batched_legacy_and_device_paths_agree() {
     nn.evaluate_batch(&refs, &mut batched);
     assert_eq!(nn.forward_calls(), 1, "7 samples must be ONE forward pass");
 
-    // Path 2: the legacy single-sample trait through the blanket adapter.
-    let legacy = LegacySingleSample(Arc::clone(&net));
+    // Path 2: a single-sample backend looping over the batch.
+    let legacy = OneAtATime(Arc::clone(&net));
     let mut adapted = vec![EvalOutput::default(); 7];
-    BatchEvaluator::evaluate_batch(&legacy, &refs, &mut adapted);
+    legacy.evaluate_batch(&refs, &mut adapted);
 
     // Path 3: the accelerator queue (batch threshold 4 → two device
     // batches for 7 requests, submitted from this one thread).
@@ -126,8 +131,8 @@ fn builder_matches_direct_constructors_seed_for_seed() {
     use mcts::leaf_parallel::LeafParallelSearch;
     use mcts::local::LocalTreeSearch;
     use mcts::root_parallel::RootParallelSearch;
-    use mcts::serial::SerialSearch;
     use mcts::shared::SharedTreeSearch;
+    use mcts::ReusableSearch;
 
     let g = TicTacToe::new();
     // One worker everywhere: every scheme is then deterministic, so
@@ -147,7 +152,7 @@ fn builder_matches_direct_constructors_seed_for_seed() {
             .search(&g);
         let direct = match scheme {
             Scheme::Serial => {
-                SearchScheme::<TicTacToe>::search(&mut SerialSearch::new(cfg, eval()), &g)
+                SearchScheme::<TicTacToe>::search(&mut ReusableSearch::one_shot(cfg, eval()), &g)
             }
             Scheme::SharedTree => {
                 SearchScheme::<TicTacToe>::search(&mut SharedTreeSearch::new(cfg, eval()), &g)
@@ -179,7 +184,7 @@ fn builder_matches_direct_constructors_seed_for_seed() {
 
 #[test]
 fn builder_with_network_matches_direct_serial_search() {
-    use mcts::serial::SerialSearch;
+    use mcts::ReusableSearch;
     let net = tiny_net(43);
     let g = TicTacToe::new();
     let cfg = MctsConfig {
@@ -193,7 +198,7 @@ fn builder_with_network_matches_direct_serial_search() {
         .build::<TicTacToe>()
         .search(&g);
     let direct = SearchScheme::<TicTacToe>::search(
-        &mut SerialSearch::new(cfg, Arc::new(NnEvaluator::new(net))),
+        &mut ReusableSearch::one_shot(cfg, Arc::new(NnEvaluator::new(net))),
         &g,
     );
     assert_eq!(built.visits, direct.visits);
@@ -219,7 +224,7 @@ fn all_schemes_search_identically_through_every_eval_route() {
         .as_mut());
     let legacy = run(SearchBuilder::new(Scheme::Serial)
         .config(cfg)
-        .legacy_evaluator(Arc::new(LegacySingleSample(Arc::clone(&net))))
+        .evaluator(Arc::new(OneAtATime(Arc::clone(&net))))
         .build::<TicTacToe>()
         .as_mut());
     let device = run(SearchBuilder::new(Scheme::Serial)
@@ -227,6 +232,6 @@ fn all_schemes_search_identically_through_every_eval_route() {
         .device(Arc::new(Device::new(net, DeviceConfig::instant(1))))
         .build::<TicTacToe>()
         .as_mut());
-    assert_eq!(cpu, legacy, "legacy adapter altered the search");
+    assert_eq!(cpu, legacy, "single-sample backend altered the search");
     assert_eq!(cpu, device, "device route altered the search");
 }

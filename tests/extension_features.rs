@@ -6,7 +6,6 @@
 
 use adaptive_dnn_mcts::prelude::*;
 use mcts::reuse::ReusableSearch;
-use mcts::serial::SerialSearch;
 use mcts::speculative::SpeculativeSearch;
 use std::sync::Arc;
 
@@ -38,7 +37,7 @@ fn othello_selfplay_episode_handles_passes() {
         playouts: 32,
         ..Default::default()
     };
-    let mut search = SerialSearch::new(cfg, Arc::new(UniformEvaluator::for_game(&game)));
+    let mut search = ReusableSearch::one_shot(cfg, Arc::new(UniformEvaluator::for_game(&game)));
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
     let out = play_episode(&game, &mut search, 2, 64, &mut rng);
     assert!(out.status.is_terminal(), "4x4 Othello must finish");
@@ -163,8 +162,9 @@ fn deeper_search_earns_higher_elo() {
         playouts: 2,
         ..Default::default()
     };
-    let mut strong = SerialSearch::new(cfg_strong, Arc::new(UniformEvaluator::for_game(&game)));
-    let mut weak = SerialSearch::new(cfg_weak, Arc::new(UniformEvaluator::for_game(&game)));
+    let mut strong =
+        ReusableSearch::one_shot(cfg_strong, Arc::new(UniformEvaluator::for_game(&game)));
+    let mut weak = ReusableSearch::one_shot(cfg_weak, Arc::new(UniformEvaluator::for_game(&game)));
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
     let result = play_match(&game, &mut strong, &mut weak, 6, 0.5, 2, 20, &mut rng);
 

@@ -67,7 +67,7 @@ fn staleness_accounting_is_bounded_by_episodes() {
 fn time_budgeted_search_inside_episode() {
     // A wall-clock move budget composes with the pipeline: episodes finish
     // and samples are produced even with a tiny budget.
-    use mcts::serial::SerialSearch;
+    use mcts::ReusableSearch;
     use train::play_episode;
     let game = TicTacToe::new();
     let cfg = MctsConfig {
@@ -75,7 +75,7 @@ fn time_budgeted_search_inside_episode() {
         time_budget_ms: Some(5),
         ..Default::default()
     };
-    let mut s = SerialSearch::new(cfg, Arc::new(UniformEvaluator::for_game(&game)));
+    let mut s = ReusableSearch::one_shot(cfg, Arc::new(UniformEvaluator::for_game(&game)));
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
     let t0 = std::time::Instant::now();
     let out = play_episode(&game, &mut s, 2, 20, &mut rng);

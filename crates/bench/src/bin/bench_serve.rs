@@ -82,7 +82,6 @@ fn serve_cfg(workers: usize) -> ServeConfig {
         coalesce_window: Duration::from_millis(2),
         // Measurement-driven batching: seed each backend's forward-time
         // curve at registration so the tuner steers from the first burst.
-        coalesce_auto: true,
         calibrate_on_register: true,
         ..Default::default()
     }

@@ -54,7 +54,9 @@ use std::sync::Arc;
 /// resident between searches.
 pub struct ReusableSearch {
     cfg: MctsConfig,
-    evaluator: Arc<dyn BatchEvaluator>,
+    /// `None` only between [`ReusableSearch::park`] and the next
+    /// [`ReusableSearch::reconfigure`].
+    evaluator: Option<Arc<dyn BatchEvaluator>>,
     /// Keep the tree across runs and re-root it on `advance`.
     reuse: bool,
     tree: Option<Tree>,
@@ -77,7 +79,7 @@ impl ReusableSearch {
         cfg.validate();
         ReusableSearch {
             cfg,
-            evaluator,
+            evaluator: Some(evaluator),
             reuse: true,
             tree: None,
             hook: KeyedHook::default(),
@@ -105,7 +107,7 @@ impl ReusableSearch {
         cfg.validate();
         self.run = None;
         self.cfg = cfg;
-        self.evaluator = evaluator;
+        self.evaluator = Some(evaluator);
         if let Some(t) = &mut self.tree {
             t.set_config(cfg);
         }
@@ -126,6 +128,16 @@ impl ReusableSearch {
             t.reset_in_place();
         }
         self.inherited_nodes = 0;
+    }
+
+    /// [`ReusableSearch::reset`], and let go of the evaluator as well: a
+    /// parked searcher keeps only its warmed arena and buffers, so a pool
+    /// of them keeps no model alive. It must be given its next evaluator
+    /// by [`ReusableSearch::reconfigure`] before it searches again.
+    pub fn park(&mut self) {
+        self.reset();
+        self.run = None; // `reset` leaves a one-shot searcher's run alone
+        self.evaluator = None;
     }
 
     /// Report that `action` was played from the state last searched (or
@@ -224,7 +236,11 @@ impl<G: Game> SearchScheme<G> for ReusableSearch {
         let (Some(tree), Some(run)) = (&mut self.tree, &mut self.run) else {
             return StepOutcome::Done;
         };
-        let (hook, evaluator) = (&mut self.hook, self.evaluator.as_ref());
+        let evaluator = self
+            .evaluator
+            .as_deref()
+            .expect("a parked searcher is reconfigured before it searches");
+        let hook = &mut self.hook;
         run.step(tree, self.root.get::<G>(), quota, |leaf| {
             hook.leaf(evaluator, leaf)
         })
@@ -295,6 +311,25 @@ mod tests {
             playouts,
             ..Default::default()
         })
+    }
+
+    #[test]
+    fn a_parked_searcher_lets_go_of_its_evaluator_and_keeps_its_arena() {
+        let g = TicTacToe::new();
+        let eval: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::for_game(&g));
+        let cfg = MctsConfig {
+            playouts: 64,
+            ..Default::default()
+        };
+        let mut s = ReusableSearch::new(cfg, Arc::clone(&eval));
+        s.search(&g);
+        let warmed = s.tree_stats().unwrap().high_water;
+        s.park();
+        assert_eq!(Arc::strong_count(&eval), 1, "parked: no evaluator held");
+        assert_eq!(s.retained_nodes(), 0);
+        s.reconfigure(cfg, eval);
+        assert_eq!(s.search(&g).stats.playouts, 64);
+        assert_eq!(s.tree_stats().unwrap().high_water, warmed, "same arena");
     }
 
     #[test]

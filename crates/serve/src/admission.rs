@@ -36,7 +36,7 @@
 //!     max_pending: 8,
 //!     ..Default::default()
 //! });
-//! let model_key = 7; // cluster derives this from the evaluator identity
+//! let model_key = 7; // a cluster passes the model's backend-record id
 //! assert!(adm.try_admit(model_key, 512).is_ok()); // within the burst
 //! let shed = adm.try_admit(model_key, 512).unwrap_err(); // bucket drained
 //! assert_eq!(shed.reason, RejectReason::RateLimited);
@@ -45,10 +45,8 @@
 //! ```
 
 use crate::jittered;
-use mcts::BatchEvaluator;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Per-model admission limits (see module docs). The same limits apply
@@ -205,15 +203,6 @@ impl std::error::Error for Rejection {}
 /// Token-bucket + pending-count state of one model.
 struct ModelState {
     key: usize,
-    /// Backend liveness probe (entries registered via
-    /// [`AdmissionController::try_admit_backend`]). Holding the `Weak`
-    /// pins the `Arc` allocation, so a freed evaluator's address cannot
-    /// be reused by a new model and silently inherit this bucket; once
-    /// every strong reference is gone (and no session is pending) the
-    /// entry is evicted. `None` for raw integer keys
-    /// ([`AdmissionController::try_admit`]), whose lifecycle the caller
-    /// owns.
-    handle: Option<Weak<dyn BatchEvaluator>>,
     tokens: f64,
     last_refill: Instant,
     pending: usize,
@@ -259,13 +248,12 @@ impl AdmissionController {
     /// must [`release`](AdmissionController::release) the slot when the
     /// session finishes. `Err` sheds the request without queueing it.
     ///
-    /// The caller owns the `key` space and its lifecycle (entries for
-    /// raw keys are never evicted); a cluster routing by evaluator
-    /// identity should use
-    /// [`try_admit_backend`](AdmissionController::try_admit_backend)
-    /// instead, which also handles eviction and address reuse.
+    /// The caller owns the `key` space; an entry stays for as long as
+    /// the controller does. (A [`crate::ServeCluster`] keys models by
+    /// their backend-record id, which is never reused, and drops a
+    /// model's entry when its record is evicted.)
     pub fn try_admit(&self, key: usize, cost: u64) -> Result<(), Rejection> {
-        self.admit_at(key, None, cost, 0)
+        self.try_admit_costed(key, cost, 0)
     }
 
     /// [`try_admit`](AdmissionController::try_admit) that also reserves
@@ -274,44 +262,6 @@ impl AdmissionController {
     /// [`release_bytes`](AdmissionController::release_bytes) passing the
     /// same `bytes`.
     pub fn try_admit_costed(&self, key: usize, cost: u64, bytes: u64) -> Result<(), Rejection> {
-        self.admit_at(key, None, cost, bytes)
-    }
-
-    /// [`try_admit`](AdmissionController::try_admit) keyed by the
-    /// backend's identity (the `Arc` address). The controller holds a
-    /// `Weak` to the backend: dead models' entries (no strong refs, no
-    /// pending sessions) are evicted on later admissions, so a
-    /// long-lived cluster seeing per-request backends neither grows
-    /// without bound nor hands a reused address a stale bucket.
-    pub fn try_admit_backend(
-        &self,
-        backend: &Arc<dyn BatchEvaluator>,
-        cost: u64,
-    ) -> Result<(), Rejection> {
-        let key = Arc::as_ptr(backend) as *const () as usize;
-        self.admit_at(key, Some(Arc::downgrade(backend)), cost, 0)
-    }
-
-    /// [`try_admit_backend`](AdmissionController::try_admit_backend)
-    /// that also reserves `bytes` against the byte gates (see
-    /// [`try_admit_costed`](AdmissionController::try_admit_costed)).
-    pub fn try_admit_backend_costed(
-        &self,
-        backend: &Arc<dyn BatchEvaluator>,
-        cost: u64,
-        bytes: u64,
-    ) -> Result<(), Rejection> {
-        let key = Arc::as_ptr(backend) as *const () as usize;
-        self.admit_at(key, Some(Arc::downgrade(backend)), cost, bytes)
-    }
-
-    fn admit_at(
-        &self,
-        key: usize,
-        handle: Option<Weak<dyn BatchEvaluator>>,
-        cost: u64,
-        bytes: u64,
-    ) -> Result<(), Rejection> {
         let cost_f = cost.max(1) as f64;
         if cost.max(1) > self.cfg.burst_playouts {
             // A full bucket could never cover this: reject terminally
@@ -330,15 +280,11 @@ impl AdmissionController {
             });
         }
         let mut models = self.models.lock();
-        // Evict models nothing references anymore (their `Weak` pins
-        // the address until this point, so no aliasing window exists).
-        models.retain(|m| m.pending > 0 || m.handle.as_ref().is_none_or(|h| h.strong_count() > 0));
         let m = match models.iter_mut().position(|m| m.key == key) {
             Some(i) => &mut models[i],
             None => {
                 models.push(ModelState {
                     key,
-                    handle,
                     tokens: self.cfg.burst_playouts as f64,
                     last_refill: Instant::now(),
                     pending: 0,
@@ -396,8 +342,7 @@ impl AdmissionController {
     /// `bytes` to the model's byte gauge. Must be passed the same byte
     /// reservation the admission made — the gauge is a strict
     /// reserve/return pair, so every
-    /// [`try_admit_costed`](AdmissionController::try_admit_costed) /
-    /// [`try_admit_backend_costed`](AdmissionController::try_admit_backend_costed)
+    /// [`try_admit_costed`](AdmissionController::try_admit_costed)
     /// admission balances to zero when its session finishes (completed,
     /// failed, cancelled, or disconnected).
     pub fn release_bytes(&self, key: usize, bytes: u64) {
@@ -408,10 +353,15 @@ impl AdmissionController {
         }
     }
 
-    /// Models currently tracked (live backends, raw keys, and dead
-    /// backends still draining pending sessions). Backend entries are
-    /// evicted once dead and drained, so this stays bounded by the live
-    /// model count.
+    /// Drop model `key`'s entry. For keys that will never be admitted
+    /// again: the backend registry calls this when it evicts a record,
+    /// which it does only once no session of that model is left.
+    pub(crate) fn forget(&self, key: usize) {
+        self.models.lock().retain(|m| m.key != key);
+    }
+
+    /// Models currently tracked: every key admitted so far, less those a
+    /// cluster dropped along with their evicted backend records.
     pub fn tracked_models(&self) -> usize {
         self.models.lock().len()
     }
@@ -607,23 +557,5 @@ mod tests {
         // Zero-byte admissions (the legacy entry points) always fit.
         assert!(adm.try_admit(1, 10).is_ok());
         assert_eq!(adm.total_admitted_bytes(), 0);
-    }
-
-    #[test]
-    fn dead_backend_entries_are_evicted_once_drained() {
-        use mcts::{BatchEvaluator, UniformEvaluator};
-        let adm = ctl(1e6, 1_000_000, 8);
-        let e1: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let key1 = Arc::as_ptr(&e1) as *const () as usize;
-        adm.try_admit_backend(&e1, 10).unwrap();
-        drop(e1);
-        // Still pending: the entry must survive (release comes later).
-        let e2: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        adm.try_admit_backend(&e2, 10).unwrap();
-        assert_eq!(adm.tracked_models(), 2, "pending entry is kept alive");
-        adm.release(key1);
-        // Dead and drained: the next admission sweeps it out.
-        adm.try_admit_backend(&e2, 10).unwrap();
-        assert_eq!(adm.tracked_models(), 1, "dead drained entry evicted");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A single [`SearchService`] scales to one worker pool's worth of
 //! traffic; past that the shared scheduler lock and one coalescing
-//! registry become the ceiling. [`ServeCluster`] owns several
+//! layer per model become the ceiling. [`ServeCluster`] owns several
 //! independent services ("shards" — one per backend/model or CPU slice)
 //! and routes each incoming request through three stages:
 //!
@@ -47,8 +47,8 @@
 //! ```
 
 use crate::admission::{AdmissionConfig, AdmissionController, RejectReason, Rejection};
-use crate::evalcache::CacheRegistry;
-use crate::health::{BreakerState, HealthRegistry};
+use crate::backend::BackendRegistry;
+use crate::health::BreakerState;
 use crate::service::{SearchService, ServeConfig, ServiceStats};
 use crate::session::{SearchTicket, SessionShared};
 use crate::{jittered, session_cost, SearchRequest};
@@ -184,7 +184,7 @@ pub struct ClusterStats {
     /// sessions, summed over all models. Balances back to zero once a
     /// drain fully unwinds; with admission disabled this is always 0.
     pub admitted_bytes: u64,
-    /// Cluster-wide evaluation-cache counters. The cache registry is
+    /// Cluster-wide evaluation-cache counters. A model's cache is
     /// shared across every shard (a position evaluated on one shard is
     /// a hit on all of them), so its counters live here rather than in
     /// any single shard's [`ServiceStats`]. All zeros when
@@ -194,8 +194,8 @@ pub struct ClusterStats {
     pub per_shard: Vec<ServiceStats>,
     /// One report per live (shard, backend) tuner: the measured
     /// forward-time-vs-batch-size curve and the operating point
-    /// currently steering that backend's batching. Empty with
-    /// [`ServeConfig::coalesce_auto`] off. `shard` is filled in.
+    /// currently steering that backend's batching. `shard` is filled
+    /// in.
     pub autotune: Vec<AutotuneReport>,
 }
 
@@ -211,8 +211,8 @@ impl ClusterStats {
     }
 
     /// All shards' counters folded together, including the shared
-    /// cache's (shard entries report zero cache counters — the
-    /// registry spans shards, so it is folded in exactly once here).
+    /// cache's (shard entries report zero cache counters — the caches
+    /// span shards, so they are folded in exactly once here).
     pub fn total(&self) -> ServiceStats {
         let mut out = ServiceStats::default();
         for s in &self.per_shard {
@@ -319,10 +319,6 @@ impl std::ops::Deref for ClusterTicket {
     }
 }
 
-/// One backend's home-shard record: key (the evaluator `Arc` address),
-/// a liveness/anti-aliasing handle, and the shard index.
-type AffinityEntry = (usize, Weak<dyn BatchEvaluator>, usize);
-
 /// The sharded dispatch front door (see module docs). Dropping the
 /// cluster drops every shard: outstanding sessions resolve as cancelled.
 pub struct ServeCluster {
@@ -333,19 +329,12 @@ pub struct ServeCluster {
     /// clamp each session's arena to this, so admission byte costing
     /// must price the clamped footprint, not the requested one.
     session_arena_bytes: Option<usize>,
-    /// One evaluation-cache registry shared by every shard, so a
-    /// position evaluated anywhere is a hit everywhere (`None` ⇒
-    /// caching disabled).
-    cache: Option<Arc<CacheRegistry>>,
-    /// One health registry shared by every shard, so a backend's
-    /// failure history (and its circuit breaker) is cluster-wide:
-    /// admission sheds for an unhealthy model no matter which shard
-    /// tripped it.
-    health: Arc<HealthRegistry>,
-    /// Backend key (evaluator `Arc` address) → home shard. The `Weak`
-    /// pins the address against reuse and marks dead backends; entries
-    /// with no strong references left are evicted on the next submit.
-    affinity: Mutex<Vec<AffinityEntry>>,
+    /// The per-model records, shared by every shard: a model's cache
+    /// and circuit breaker are cluster-wide (a position evaluated
+    /// anywhere is a hit everywhere; admission sheds for an unhealthy
+    /// model no matter which shard tripped it), and its record
+    /// remembers its home shard.
+    backends: Arc<BackendRegistry>,
     /// Weak handles to every admitted session, pruned of finished ones
     /// on submit and during [`ServeCluster::drain`]'s in-flight probe.
     live: Mutex<Vec<Weak<SessionShared>>>,
@@ -374,27 +363,20 @@ impl ServeCluster {
     /// Spin up the cluster with a custom [`PlacementPolicy`].
     pub fn with_placement(cfg: ClusterConfig, placement: Box<dyn PlacementPolicy>) -> Self {
         assert!(cfg.shards >= 1, "cluster needs at least one shard");
-        let cache = cfg
-            .shard
-            .eval_cache_bytes
-            .map(|b| Arc::new(CacheRegistry::new(b, cfg.shard.eval_cache_ttl)));
-        let health = Arc::new(HealthRegistry::new(cfg.shard.health_config()));
+        let admission = cfg.admission.map(|a| Arc::new(AdmissionController::new(a)));
+        let backends = Arc::new(BackendRegistry::new(
+            cfg.shard.clone(),
+            cfg.shards,
+            admission.clone(),
+        ));
         ServeCluster {
             shards: (0..cfg.shards)
-                .map(|_| {
-                    SearchService::with_registries(
-                        cfg.shard.clone(),
-                        cache.clone(),
-                        Some(Arc::clone(&health)),
-                    )
-                })
+                .map(|i| SearchService::on_shard(cfg.shard.clone(), Arc::clone(&backends), i))
                 .collect(),
             placement,
-            admission: cfg.admission.map(|a| Arc::new(AdmissionController::new(a))),
+            admission,
             session_arena_bytes: cfg.shard.session_arena_bytes,
-            cache,
-            health,
-            affinity: Mutex::new(Vec::new()),
+            backends,
             live: Mutex::new(Vec::new()),
             draining: AtomicBool::new(false),
             admitted: AtomicU64::new(0),
@@ -425,7 +407,7 @@ impl ServeCluster {
                 retry_after: Duration::ZERO,
             });
         }
-        let key = Arc::as_ptr(&req.evaluator) as *const () as usize;
+        let backend = self.backends.lookup(&req.evaluator);
         let cost = session_cost(&req.budget, &req.config);
         // The session's worst-case arena footprint: the capacity its
         // resolved config would provision, in bytes. This is what the
@@ -442,7 +424,7 @@ impl ServeCluster {
         // breaker is shed before it spends admission tokens. The check
         // admits once the breaker is probe-eligible, so the session
         // that carries the recovery probe still gets through.
-        if let Err(remaining) = self.health.breaker_for(&req.evaluator).check() {
+        if let Err(remaining) = backend.breaker().check() {
             self.shed_unhealthy.fetch_add(1, Ordering::Relaxed);
             let salt = self.jitter_seq.fetch_add(1, Ordering::Relaxed);
             return Err(Rejection {
@@ -451,7 +433,7 @@ impl ServeCluster {
             });
         }
         if let Some(adm) = &self.admission {
-            if let Err(rej) = adm.try_admit_backend_costed(&req.evaluator, cost, bytes) {
+            if let Err(rej) = adm.try_admit_costed(backend.id(), cost, bytes) {
                 let counter = match rej.reason {
                     RejectReason::RateLimited => &self.shed_rate_limited,
                     RejectReason::QueueFull => &self.shed_queue_full,
@@ -469,25 +451,12 @@ impl ServeCluster {
             .iter()
             .map(|s| s.outstanding_playouts())
             .collect();
-        let affinity = {
-            let mut aff = self.affinity.lock();
-            // Evict homes of dead backends so a long-lived cluster with
-            // per-request models neither grows this table without bound
-            // nor matches a reused address to a stale home shard.
-            aff.retain(|(_, handle, _)| handle.strong_count() > 0);
-            aff.iter().find(|(k, _, _)| *k == key).map(|&(_, _, s)| s)
-        };
-        let shard = self.placement.place(&loads, affinity, cost).min(
+        let shard = self.placement.place(&loads, backend.home(), cost).min(
             self.shards.len() - 1, // policy bug must not become an OOB panic
         );
-        {
-            let mut aff = self.affinity.lock();
-            match aff.iter_mut().find(|(k, _, _)| *k == key) {
-                Some(entry) => entry.2 = shard,
-                None => aff.push((key, Arc::downgrade(&req.evaluator), shard)),
-            }
-        }
-        let ticket = self.shards[shard].submit(req);
+        backend.set_home(shard);
+        let key = backend.id();
+        let ticket = self.shards[shard].submit_on(backend, req);
         if let Some(adm) = &self.admission {
             let adm = Arc::clone(adm);
             ticket
@@ -537,8 +506,8 @@ impl ServeCluster {
                 .admission
                 .as_ref()
                 .map_or(0, |a| a.total_admitted_bytes()),
-            cache: self.cache.as_ref().map(|r| r.stats()).unwrap_or_default(),
-            per_shard: self.shards.iter().map(|s| s.stats()).collect(),
+            cache: self.backends.cache_stats().unwrap_or_default(),
+            per_shard: self.shards.iter().map(|s| s.shard_stats()).collect(),
             autotune: self
                 .shards
                 .iter()
@@ -554,19 +523,32 @@ impl ServeCluster {
     }
 
     /// Circuit-breaker state of `backend` across the whole cluster
-    /// (every shard shares one health registry). `Closed` for a
-    /// backend that has never failed.
+    /// (every shard evaluates it through one breaker). `Closed` for a
+    /// backend the cluster holds no record of.
     pub fn backend_health(&self, backend: &Arc<dyn BatchEvaluator>) -> BreakerState {
-        self.health.breaker_for(backend).state()
+        self.backends.health(backend)
     }
 
     /// Invalidate every cached evaluation on every shard at once (an
     /// epoch bump per backend, no scan). For in-place model-weight
     /// swaps behind a backend `Arc` that keeps its identity.
     pub fn invalidate_eval_cache(&self) {
-        if let Some(reg) = &self.cache {
-            reg.invalidate_all();
-        }
+        self.backends.invalidate_caches();
+    }
+
+    /// Models the cluster currently keeps a backend record for (breaker,
+    /// cache, coalescing layers): those with a session in flight or an
+    /// evaluator `Arc` still held by a caller, plus any let go of since
+    /// the last submit — a submit evicts those first.
+    pub fn tracked_backends(&self) -> usize {
+        self.backends.len()
+    }
+
+    /// Models with an admission bucket
+    /// ([`AdmissionController::tracked_models`]); a model's bucket goes
+    /// when its backend record is evicted. Zero with admission disabled.
+    pub fn tracked_models(&self) -> usize {
+        self.admission.as_ref().map_or(0, |a| a.tracked_models())
     }
 
     /// True once [`ServeCluster::drain`] (or

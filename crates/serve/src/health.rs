@@ -1,8 +1,8 @@
-//! Backend health: retry with backoff, circuit breaking, and the
-//! registry that shares both across a cluster's shards.
+//! Backend health: retry with backoff and circuit breaking.
 //!
-//! Every session's evaluator is wrapped in a [`ResilientEvaluator`]
-//! before it reaches the coalescing/caching layers. The wrapper calls
+//! Every backend is wrapped once in a [`ResilientEvaluator`] (held by
+//! its `serve::backend` record and shared by every shard) underneath
+//! the coalescing/caching layers. The wrapper calls
 //! the fallible [`BatchEvaluator::try_evaluate_batch`] entry point,
 //! retries *transient* failures with capped exponential backoff plus
 //! deterministic jitter, and feeds every attempt's outcome to the
@@ -16,11 +16,11 @@
 //! Fault-free cost: one atomic load per batch on the happy path — no
 //! locks, no allocation, bit-identical results.
 
-use crate::jittered;
+use crate::{jittered, ServeConfig};
 use mcts::{BatchEvaluator, EvalError, EvalOutput, SearchError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Public state of a backend's circuit breaker.
@@ -181,70 +181,11 @@ impl CircuitBreaker {
     }
 }
 
-/// Retry/backoff/breaker knobs shared by every backend of a service (or
-/// of a whole cluster, via the shared [`HealthRegistry`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HealthConfig {
-    pub retry_budget: u32,
-    pub backoff_base: Duration,
-    pub breaker_threshold: u32,
-    pub breaker_cooldown: Duration,
-}
-
-/// One breaker per live backend, keyed by the backend `Arc`'s address
-/// with a `Weak` liveness handle (same scheme as the cache registry and
-/// admission table: dead entries are evicted on later lookups, and a
-/// reused address gets a **fresh** breaker, never a dead model's
-/// failure history).
-/// One registry row: backend key (the evaluator `Arc` address), a
-/// liveness/anti-aliasing handle, and that backend's breaker.
-type HealthEntry = (usize, Weak<dyn BatchEvaluator>, Arc<CircuitBreaker>);
-
-pub(crate) struct HealthRegistry {
-    cfg: HealthConfig,
-    entries: Mutex<Vec<HealthEntry>>,
-}
-
-impl HealthRegistry {
-    pub(crate) fn new(cfg: HealthConfig) -> Self {
-        HealthRegistry {
-            cfg,
-            entries: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The breaker guarding `backend`, created on first sight.
-    pub(crate) fn breaker_for(&self, backend: &Arc<dyn BatchEvaluator>) -> Arc<CircuitBreaker> {
-        let key = Arc::as_ptr(backend) as *const () as usize;
-        let mut entries = self.entries.lock();
-        entries.retain(|(_, w, _)| w.strong_count() > 0);
-        if let Some((_, _, b)) = entries.iter().find(|(k, _, _)| *k == key) {
-            return Arc::clone(b);
-        }
-        let b = Arc::new(CircuitBreaker::new(
-            self.cfg.breaker_threshold,
-            self.cfg.breaker_cooldown,
-        ));
-        entries.push((key, Arc::downgrade(backend), Arc::clone(&b)));
-        b
-    }
-
-    /// Wrap `backend` in a [`ResilientEvaluator`] sharing its breaker.
-    pub(crate) fn resilient(&self, backend: Arc<dyn BatchEvaluator>) -> Arc<dyn BatchEvaluator> {
-        let breaker = self.breaker_for(&backend);
-        Arc::new(ResilientEvaluator {
-            inner: backend,
-            breaker,
-            retry_budget: self.cfg.retry_budget,
-            backoff_base: self.cfg.backoff_base,
-            attempt_seq: AtomicU64::new(0),
-        })
-    }
-}
-
-/// The retry/breaker wrapper installed around every session's backend
-/// (under the coalescing layer, so one retry re-runs the whole shared
-/// batch and one breaker verdict covers all coalesced sessions).
+/// The retry/breaker wrapper around a backend (under the coalescing
+/// layer, so one retry re-runs the whole shared batch and one breaker
+/// verdict covers all coalesced sessions). There is one per backend:
+/// every session of the model, on every shard, fails and backs off
+/// through the same breaker and the same jitter sequence.
 ///
 /// Failure protocol: typed faults leave `evaluate_batch` as
 /// [`SearchError`] panic payloads ([`std::panic::panic_any`]) — the
@@ -253,7 +194,7 @@ impl HealthRegistry {
 /// these paths.
 pub(crate) struct ResilientEvaluator {
     inner: Arc<dyn BatchEvaluator>,
-    breaker: Arc<CircuitBreaker>,
+    breaker: CircuitBreaker,
     retry_budget: u32,
     backoff_base: Duration,
     /// Jitter salt: decorrelates concurrent sessions' backoff sleeps.
@@ -261,6 +202,28 @@ pub(crate) struct ResilientEvaluator {
 }
 
 impl ResilientEvaluator {
+    /// Wrap `backend` behind a fresh (closed) breaker, with `cfg`'s
+    /// retry and breaker knobs.
+    pub(crate) fn new(backend: Arc<dyn BatchEvaluator>, cfg: &ServeConfig) -> Self {
+        ResilientEvaluator {
+            inner: backend,
+            breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+            retry_budget: cfg.retry_budget,
+            backoff_base: cfg.backoff_base,
+            attempt_seq: AtomicU64::new(0),
+        }
+    }
+
+    /// The raw backend underneath.
+    pub(crate) fn backend(&self) -> &Arc<dyn BatchEvaluator> {
+        &self.inner
+    }
+
+    /// The backend's breaker.
+    pub(crate) fn breaker(&self) -> &CircuitBreaker {
+        &self.breaker
+    }
+
     fn run(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) -> Result<(), SearchError> {
         let mut last: Option<EvalError> = None;
         for attempt in 0..=self.retry_budget {
@@ -345,7 +308,6 @@ impl BatchEvaluator for ResilientEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcts::UniformEvaluator;
 
     fn breaker(threshold: u32, cooldown_ms: u64) -> CircuitBreaker {
         CircuitBreaker::new(threshold, Duration::from_millis(cooldown_ms))
@@ -397,29 +359,14 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed, "streak was broken");
     }
 
-    #[test]
-    fn registry_gives_fresh_breakers_per_backend_and_evicts_dead() {
-        let reg = HealthRegistry::new(HealthConfig {
-            retry_budget: 1,
-            backoff_base: Duration::from_millis(1),
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(60),
-        });
-        let a: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let b: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let ba = reg.breaker_for(&a);
-        ba.record_failure();
-        assert_eq!(reg.breaker_for(&a).state(), BreakerState::Open);
-        assert_eq!(
-            reg.breaker_for(&b).state(),
-            BreakerState::Closed,
-            "independent backends, independent breakers"
-        );
-        drop(a);
-        // Dead entry evicted on the next lookup; a new backend landing
-        // on the same address (not forced here) would get a fresh one.
-        let _ = reg.breaker_for(&b);
-        assert_eq!(reg.entries.lock().len(), 1);
+    fn knobs(retry_budget: u32, breaker_threshold: u32, cooldown_ms: u64) -> ServeConfig {
+        ServeConfig {
+            retry_budget,
+            backoff_base: Duration::from_micros(100),
+            breaker_threshold,
+            breaker_cooldown: Duration::from_millis(cooldown_ms),
+            ..Default::default()
+        }
     }
 
     struct FlakyEvaluator {
@@ -455,16 +402,10 @@ mod tests {
 
     #[test]
     fn transient_failures_are_retried_within_budget() {
-        let reg = HealthRegistry::new(HealthConfig {
-            retry_budget: 2,
-            backoff_base: Duration::from_micros(100),
-            breaker_threshold: 10,
-            breaker_cooldown: Duration::from_millis(50),
-        });
         let flaky: Arc<dyn BatchEvaluator> = Arc::new(FlakyEvaluator {
             fail_first: AtomicU32::new(2),
         });
-        let resilient = reg.resilient(Arc::clone(&flaky));
+        let resilient = ResilientEvaluator::new(flaky, &knobs(2, 10, 50));
         let input = [0.0f32; 4];
         let mut out = [EvalOutput::default()];
         // 2 failures then success — inside the 2-retry budget.
@@ -473,7 +414,7 @@ mod tests {
             .expect("retries must absorb the transient failures");
         assert_eq!(out[0].priors, vec![0.5, 0.5]);
         assert_eq!(
-            reg.breaker_for(&flaky).state(),
+            resilient.breaker().state(),
             BreakerState::Closed,
             "success closed the streak"
         );
@@ -481,16 +422,10 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fail_typed_and_feed_the_breaker() {
-        let reg = HealthRegistry::new(HealthConfig {
-            retry_budget: 1,
-            backoff_base: Duration::from_micros(100),
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_secs(60),
-        });
         let dead: Arc<dyn BatchEvaluator> = Arc::new(FlakyEvaluator {
             fail_first: AtomicU32::new(u32::MAX),
         });
-        let resilient = reg.resilient(Arc::clone(&dead));
+        let resilient = ResilientEvaluator::new(dead, &knobs(1, 2, 60_000));
         let input = [0.0f32; 4];
         let mut out = [EvalOutput::default()];
         let err = resilient
@@ -499,7 +434,7 @@ mod tests {
         assert!(err.reason.contains("flaky"));
         // 2 attempts (1 + 1 retry) ≥ threshold 2: breaker is open and
         // the next call fails fast as BackendUnavailable.
-        assert_eq!(reg.breaker_for(&dead).state(), BreakerState::Open);
+        assert_eq!(resilient.breaker().state(), BreakerState::Open);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             resilient.evaluate_batch(&[&input], &mut out)
         }))

@@ -32,6 +32,19 @@
 //!   sessions fill each other's inference batches — cross-session
 //!   batching, the serving analogue of the paper's §3.3 request queue.
 //!
+//! # Backend records
+//!
+//! What the sessions of one model share lives in one crate-private
+//! record per model, found by the identity of the evaluator `Arc` a
+//! request carries: the retry/breaker wrapper around the backend, its
+//! evaluation cache, its home shard, and per shard the coalescing layer
+//! and the assembled evaluator stack (cache → coalescer → retry/breaker
+//! → backend), built once per backend. A cluster's shards share the
+//! records, so a model's cache and breaker are cluster-wide. A record
+//! lasts while a session runs on it or a caller still holds the
+//! evaluator `Arc`; the first submit after that evicts it, folding its
+//! counters into the service totals (which therefore never decrease).
+//!
 //! # Layer 2: [`ServeCluster`] — many services, one front door
 //!
 //! A [`ServeCluster`] owns N service shards and adds what a single
@@ -45,7 +58,7 @@
 //!   `retry_after` hint instead of a spot in an unbounded queue;
 //! * **placement** ([`PlacementPolicy`]): least-loaded routing by
 //!   outstanding playout budget, with backend affinity so same-model
-//!   sessions land where that model's coalescing layer already lives.
+//!   sessions land where that model's coalescing layer already runs.
 //!
 //! # Quickstart
 //!
@@ -113,8 +126,8 @@
 //! ```
 
 mod admission;
+mod backend;
 mod cluster;
-mod evalcache;
 mod health;
 mod scheduler;
 mod service;

@@ -24,6 +24,7 @@
 //! number of classes a dispatch is one O(#classes) scan plus one
 //! per-class heap pop: O(log n) total, no global re-sort.
 
+use crate::backend::BackendRecord;
 use crate::session::{AnySession, SessionShared};
 use crate::Priority;
 use std::collections::BinaryHeap;
@@ -47,6 +48,9 @@ pub(crate) struct SessionEntry {
     pub cost: u64,
     pub session: Box<dyn AnySession>,
     pub shared: Arc<SessionShared>,
+    /// The model's record, held so that it (and the counters behind the
+    /// evaluator stack `session` runs on) outlives the session.
+    pub _backend: Arc<BackendRecord>,
 }
 
 impl PartialEq for SessionEntry {

@@ -3,16 +3,16 @@
 //! and `serve::supervisor` for the fault-containment layer around the
 //! workers).
 
-use crate::evalcache::CacheRegistry;
-use crate::health::{BreakerState, HealthConfig, HealthRegistry};
+use crate::backend::{BackendRecord, BackendRegistry};
+use crate::health::BreakerState;
 use crate::scheduler::{FairScheduler, SessionEntry};
 use crate::session::{Engine, SearchTicket, SessionShared, TicketStatus, TypedSession};
 use crate::supervisor;
 use crate::{session_cost, Priority, SearchRequest};
 use games::Game;
 use mcts::{
-    AutotuneReport, BatchEvaluator, BatchTuner, CacheStats, CachedEvaluator, CoalesceStats,
-    CoalescingEvaluator, ReusableSearch, Scheme, SearchBuilder, SearchError, SearchResult,
+    AutotuneReport, BatchEvaluator, CacheStats, ReusableSearch, Scheme, SearchBuilder, SearchError,
+    SearchResult,
 };
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,26 +33,20 @@ pub struct ServeConfig {
     /// Warmed [`ReusableSearch`] instances kept for reuse across
     /// `Serial`-scheme sessions.
     pub max_pooled: usize,
-    /// Collection window of the shared per-backend coalescing layer
-    /// (how long the first evaluator of a round waits for peers from
-    /// other sessions). See [`CoalescingEvaluator::with_window`]. With
-    /// [`ServeConfig::coalesce_auto`] on, this is the *ceiling*: the
-    /// tuner derives the actual window from measured forward times.
+    /// Ceiling on the collection window of the shared per-backend
+    /// coalescing layer (how long the first evaluator of a round waits
+    /// for peers from other sessions; see
+    /// [`mcts::CoalescingEvaluator::with_window`]). Every layer carries
+    /// a [`mcts::BatchTuner`] that derives the actual window and target
+    /// batch from the backend's measured forward-time curve; until it
+    /// has measurements it behaves exactly like this fixed window.
     pub coalesce_window: Duration,
-    /// Measurement-driven batching: attach a [`BatchTuner`] to every
-    /// shared coalescing layer, so target batch size and collection
-    /// window come from the backend's measured forward-time curve
-    /// instead of the static `preferred_batch`/`coalesce_window` pair.
-    /// An unseeded tuner behaves exactly like the fixed configuration,
-    /// so turning this on is safe before any traffic. Default `true`.
-    pub coalesce_auto: bool,
     /// Seed each backend's tuner with a one-shot calibration pass at
     /// registration (times a zero-input forward at every power-of-two
     /// batch size, against the raw backend — never through breakers or
     /// caches). Adds a few forwards of latency to the backend's first
-    /// submit. Defaults to the `SERVE_CALIBRATE` environment variable
-    /// (`1`/`true` to enable); off otherwise. Only read when
-    /// [`ServeConfig::coalesce_auto`] is set.
+    /// submit on each shard. Defaults to the `SERVE_CALIBRATE`
+    /// environment variable (`1`/`true` to enable); off otherwise.
     pub calibrate_on_register: bool,
     /// Weighted-fair share of scheduling slices per [`Priority`] class,
     /// indexed `[Low, Normal, High]`. Over any busy window each class
@@ -67,10 +61,6 @@ pub struct ServeConfig {
     /// default) disables caching — every search is then seed-for-seed
     /// identical to a cache-free build.
     pub eval_cache_bytes: Option<usize>,
-    /// Entry time-to-live for the evaluation cache; `None` keeps
-    /// entries until evicted by capacity or epoch bump. Only read when
-    /// [`ServeConfig::eval_cache_bytes`] is set.
-    pub eval_cache_ttl: Option<Duration>,
     /// Retries after a *transient* backend failure
     /// ([`mcts::EvalError::transient`]) before the session fails with
     /// [`SearchError::EvaluatorFailed`]. Each attempt (initial plus
@@ -117,30 +107,17 @@ impl Default for ServeConfig {
             step_quota: 64,
             max_pooled: 2 * workers,
             coalesce_window: mcts::coalesce::DEFAULT_COALESCE_WINDOW,
-            coalesce_auto: true,
             calibrate_on_register: std::env::var("SERVE_CALIBRATE")
                 .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
                 .unwrap_or(false),
             class_weights: [1, 4, 16],
             eval_cache_bytes: None,
-            eval_cache_ttl: None,
             retry_budget: 2,
             backoff_base: Duration::from_millis(1),
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_millis(250),
             watchdog_grace: Some(Duration::from_secs(2)),
             session_arena_bytes: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    pub(crate) fn health_config(&self) -> HealthConfig {
-        HealthConfig {
-            retry_budget: self.retry_budget,
-            backoff_base: self.backoff_base,
-            breaker_threshold: self.breaker_threshold,
-            breaker_cooldown: self.breaker_cooldown,
         }
     }
 }
@@ -215,13 +192,6 @@ impl ServiceStats {
     }
 }
 
-/// One backend's shared batching state: coalescing layer + tuner.
-pub(crate) struct CoalesceEntry {
-    key: usize,
-    layer: Arc<CoalescingEvaluator>,
-    tuner: Option<Arc<BatchTuner>>,
-}
-
 #[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) sessions_completed: AtomicU64,
@@ -243,29 +213,11 @@ pub(crate) struct Inner {
     outstanding: AtomicU64,
     /// Warmed searchers awaiting the next `Serial` session.
     pool: Mutex<Vec<ReusableSearch>>,
-    /// One shared coalescing layer per distinct evaluator backend,
-    /// keyed by the **original** backend `Arc`'s address (captured
-    /// before the resilience wrap, so every session of a backend lands
-    /// in the same layer), plus that backend's batch tuner when
-    /// [`ServeConfig::coalesce_auto`] is on. Entries no live session
-    /// references are evicted on the next submit (their batch-fill
-    /// counters fold into `retired_eval`).
-    coalescers: Mutex<Vec<CoalesceEntry>>,
-    /// Batch-fill counters of evicted coalescing layers, so
-    /// [`SearchService::stats`] stays monotone across evictions.
-    retired_eval: Mutex<CoalesceStats>,
-    /// Per-backend evaluation caches (`None` ⇒ caching disabled). May
-    /// be shared across shards by a [`crate::ServeCluster`].
-    cache: Option<Arc<CacheRegistry>>,
-    /// Whether this service owns `cache` and should report its counters
-    /// in [`SearchService::stats`]. Cluster shards share one registry
-    /// and report zeros here — the cluster reports the shared totals
-    /// once, so folding shard stats never double counts.
-    cache_owned: bool,
-    /// Per-backend circuit breakers + retry policy. Cluster shards
-    /// share one registry so a backend's failure history is
-    /// cluster-wide, not per shard.
-    pub(crate) health: Arc<HealthRegistry>,
+    /// The per-model records (breaker, cache, coalescing layers,
+    /// evaluator stacks). A [`crate::ServeCluster`]'s shards share one
+    /// registry; `shard` is this service's slot in each record.
+    backends: Arc<BackendRegistry>,
+    shard: usize,
     /// Live workers' supervision slots, keyed by worker id (the
     /// watchdog sweeps these).
     pub(crate) slots: Mutex<Vec<(u64, Arc<supervisor::WorkerSlot>)>>,
@@ -277,70 +229,10 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Funnel a session's evaluator through the service-wide coalescing
-    /// layer for its backend (creating it on first sight), so sessions
-    /// submitting the same evaluator share inference batches. `backend`
-    /// is the identity key (the caller's original `Arc`); `wrapped` is
-    /// what actually evaluates (the resilience wrapper around it).
-    /// Backends that gain nothing (`preferred_batch() == 1`) or that
-    /// already coalesce internally (accelerator queues) skip the layer.
-    fn shared_evaluator(
-        &self,
-        backend: &Arc<dyn BatchEvaluator>,
-        wrapped: Arc<dyn BatchEvaluator>,
-    ) -> Arc<dyn BatchEvaluator> {
-        if backend.preferred_batch() <= 1 || backend.coalesces_internally() {
-            return wrapped;
-        }
-        let key = Arc::as_ptr(backend) as *const () as usize;
-        let mut reg = self.coalescers.lock();
-        if let Some(e) = reg.iter().find(|e| e.key == key) {
-            return Arc::clone(&e.layer) as Arc<dyn BatchEvaluator>;
-        }
-        // Evict layers no live session holds (registry copy is the last
-        // one): a long-lived service seeing per-request backends must
-        // not pin every dead model's weights forever. Their counters
-        // carry over so service stats stay monotone.
-        reg.retain(|e| {
-            if Arc::strong_count(&e.layer) > 1 {
-                return true;
-            }
-            let s = e.layer.stats();
-            let mut retired = self.retired_eval.lock();
-            retired.batches += s.batches;
-            retired.samples += s.samples;
-            false
-        });
-        // The batch bound tracks the backend's capacity, not the worker
-        // count: offered concurrency (many sessions parked on one
-        // round) can exceed the stepper count, and capping at `workers`
-        // used to pin realized batch fill regardless of load.
-        let max_batch = backend.preferred_batch().max(1);
-        let mut c = CoalescingEvaluator::with_window(wrapped, max_batch, self.cfg.coalesce_window);
-        let tuner = self.cfg.coalesce_auto.then(|| {
-            let t = Arc::new(BatchTuner::new(max_batch, self.cfg.coalesce_window));
-            if self.cfg.calibrate_on_register {
-                // Against the raw backend: calibration must not trip
-                // breakers, warm caches, or count as coalesced traffic.
-                t.calibrate(backend.as_ref());
-            }
-            t
-        });
-        if let Some(t) = &tuner {
-            c = c.with_tuner(Arc::clone(t));
-        }
-        let c = Arc::new(c);
-        reg.push(CoalesceEntry {
-            key,
-            layer: Arc::clone(&c),
-            tuner,
-        });
-        c
-    }
-
     /// Finalize one session that ended cleanly (`Done`/`Cancelled`):
     /// publish the final result, update counters, release its
-    /// outstanding load, and return the warmed searcher to the pool.
+    /// outstanding load, and return the warmed searcher to the pool —
+    /// parked, so the pool keeps no finished session's model alive.
     pub(crate) fn finalize(&self, entry: SessionEntry, result: SearchResult, status: TicketStatus) {
         self.queue.lock().retire(entry.priority);
         let counter = match status {
@@ -354,7 +246,7 @@ impl Inner {
         self.outstanding.fetch_sub(entry.cost, Ordering::Relaxed);
         entry.shared.finalize(result, status);
         if let Some(mut searcher) = entry.session.reclaim() {
-            searcher.reset();
+            searcher.park();
             let mut pool = self.pool.lock();
             if pool.len() < self.cfg.max_pooled {
                 pool.push(searcher);
@@ -439,30 +331,15 @@ pub struct SearchService {
 impl SearchService {
     /// Spawn the worker pool.
     pub fn new(cfg: ServeConfig) -> Self {
-        Self::with_registries(cfg, None, None)
+        let backends = Arc::new(BackendRegistry::new(cfg.clone(), 1, None));
+        Self::on_shard(cfg, backends, 0)
     }
 
-    /// Spawn the worker pool, optionally plugging in cache/health
-    /// registries shared with other services (how a
-    /// [`crate::ServeCluster`] makes one backend's cache — and failure
-    /// history — span every shard). With `None`, the service builds its
-    /// own: a cache registry iff [`ServeConfig::eval_cache_bytes`] is
-    /// set, and always a health registry from this config's breaker
-    /// knobs.
-    pub(crate) fn with_registries(
-        cfg: ServeConfig,
-        shared_cache: Option<Arc<CacheRegistry>>,
-        shared_health: Option<Arc<HealthRegistry>>,
-    ) -> Self {
+    /// Spawn the worker pool of shard `shard` of a cluster, on the
+    /// cluster's backend registry.
+    pub(crate) fn on_shard(cfg: ServeConfig, backends: Arc<BackendRegistry>, shard: usize) -> Self {
         assert!(cfg.workers >= 1, "service needs at least one worker");
         assert!(cfg.step_quota >= 1, "step quota must be positive");
-        let cache_owned = shared_cache.is_none();
-        let cache = shared_cache.or_else(|| {
-            cfg.eval_cache_bytes
-                .map(|b| Arc::new(CacheRegistry::new(b, cfg.eval_cache_ttl)))
-        });
-        let health =
-            shared_health.unwrap_or_else(|| Arc::new(HealthRegistry::new(cfg.health_config())));
         let watchdog_enabled = cfg.watchdog_grace.is_some();
         let workers = cfg.workers;
         let inner = Arc::new(Inner {
@@ -474,11 +351,8 @@ impl SearchService {
             next_id: AtomicU64::new(0),
             outstanding: AtomicU64::new(0),
             pool: Mutex::new(Vec::new()),
-            coalescers: Mutex::new(Vec::new()),
-            retired_eval: Mutex::new(CoalesceStats::default()),
-            cache,
-            cache_owned,
-            health,
+            backends,
+            shard,
             slots: Mutex::new(Vec::new()),
             handles: Mutex::new(Vec::new()),
             next_worker: AtomicU64::new(workers as u64),
@@ -506,7 +380,18 @@ impl SearchService {
     /// Submit one request; returns immediately with a ticket handle.
     /// The session's run is opened on the calling thread (cheap), then
     /// queued for stepping.
-    pub fn submit<G: Game>(&self, mut req: SearchRequest<G>) -> SearchTicket {
+    pub fn submit<G: Game>(&self, req: SearchRequest<G>) -> SearchTicket {
+        let backend = self.inner.backends.lookup(&req.evaluator);
+        self.submit_on(backend, req)
+    }
+
+    /// [`SearchService::submit`] for a request whose backend record the
+    /// caller (the cluster's front door) has already looked up.
+    pub(crate) fn submit_on<G: Game>(
+        &self,
+        backend: Arc<BackendRecord>,
+        mut req: SearchRequest<G>,
+    ) -> SearchTicket {
         // Clamp the session's arena to the service ceiling — both the
         // config knob and any per-run byte budget, so neither path lets
         // one session outgrow its slice of the pool's memory.
@@ -518,22 +403,7 @@ impl SearchService {
             }
         }
         let cost = session_cost(&req.budget, &req.config);
-        // Caches, coalescers and breakers are all keyed by the
-        // *backend* identity, captured before any wrap replaces the
-        // Arc — so sessions share them whether or not their backend
-        // coalesces.
-        let backend = Arc::clone(&req.evaluator);
-        // Resilience wrap sits *inside* the coalescing layer: one retry
-        // re-runs the whole shared batch, and one breaker verdict
-        // covers every coalesced session.
-        let resilient = self.inner.health.resilient(Arc::clone(&backend));
-        let mut eval = self.inner.shared_evaluator(&backend, resilient);
-        if let Some(reg) = &self.inner.cache {
-            // Cache outside, coalescer inside: hits are answered from
-            // memory without waking the batch layer; only misses enter
-            // the shared cross-session batch.
-            eval = Arc::new(CachedEvaluator::new(eval, reg.cache_for(&backend)));
-        }
+        let eval = self.inner.backends.stack(&backend, self.inner.shard);
         let engine: Engine<G> = if req.scheme == Scheme::Serial {
             let pooled = self.inner.pool.lock().pop();
             let searcher = match pooled {
@@ -568,6 +438,7 @@ impl SearchService {
             cost,
             session: Box::new(session),
             shared: Arc::clone(&shared),
+            _backend: backend,
         };
         self.inner.outstanding.fetch_add(cost, Ordering::Relaxed);
         self.inner.queue.lock().enqueue_new(entry);
@@ -588,28 +459,33 @@ impl SearchService {
         self.inner.outstanding.load(Ordering::Relaxed)
     }
 
-    /// Circuit-breaker state of `backend` (matched by `Arc` identity,
-    /// like cache and coalescing registration). `Closed` for a backend
-    /// this service has never seen fail.
+    /// Circuit-breaker state of `backend` (matched by `Arc` identity).
+    /// `Closed` for a backend this service holds no record of.
     pub fn backend_health(&self, backend: &Arc<dyn BatchEvaluator>) -> BreakerState {
-        self.inner.health.breaker_for(backend).state()
+        self.inner.backends.health(backend)
     }
 
     /// Aggregate accounting, including the shared coalescing layers'
-    /// realized batch fill.
+    /// realized batch fill and the evaluation caches' counters. (A
+    /// cluster shard reached through [`crate::ServeCluster::shard`]
+    /// reports the cluster-wide cache here, as
+    /// [`SearchService::cache_stats`] does; [`crate::ClusterStats`]
+    /// counts that cache once, beside its per-shard entries.)
     pub fn stats(&self) -> ServiceStats {
-        let mut eval = *self.inner.retired_eval.lock();
-        for e in self.inner.coalescers.lock().iter() {
-            let s = e.layer.stats();
-            eval.batches += s.batches;
-            eval.samples += s.samples;
+        let cache = self.cache_stats().unwrap_or_default();
+        ServiceStats {
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            cache_bytes: cache.bytes,
+            ..self.shard_stats()
         }
-        let cache = if self.inner.cache_owned {
-            self.cache_stats().unwrap_or_default()
-        } else {
-            // Shared (cluster-owned) registry: the cluster reports it.
-            CacheStats::default()
-        };
+    }
+
+    /// [`SearchService::stats`] without the cache counters, which are
+    /// not any one shard's.
+    pub(crate) fn shard_stats(&self) -> ServiceStats {
+        let eval = self.inner.backends.eval_stats(self.inner.shard);
         ServiceStats {
             sessions_completed: self
                 .inner
@@ -626,42 +502,30 @@ impl SearchService {
             playouts: self.inner.counters.playouts.load(Ordering::Relaxed),
             eval_batches: eval.batches,
             eval_samples: eval.samples,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            cache_bytes: cache.bytes,
+            ..ServiceStats::default()
         }
     }
 
-    /// One [`AutotuneReport`] per live backend with a tuner attached
-    /// (empty when [`ServeConfig::coalesce_auto`] is off or no batching
-    /// backend registered yet): the measured forward-time curve and the
+    /// One [`AutotuneReport`] per live batching backend (empty until
+    /// one registers): the measured forward-time curve and the
     /// operating point currently steering that backend's batching.
     pub fn autotune_reports(&self) -> Vec<AutotuneReport> {
-        self.inner
-            .coalescers
-            .lock()
-            .iter()
-            .filter_map(|e| e.tuner.as_ref().map(|t| t.report()))
-            .collect()
+        self.inner.backends.autotune_reports(self.inner.shard)
     }
 
     /// Raw evaluation-cache counters across this service's per-backend
-    /// caches; `None` when caching is disabled. Reports the registry's
-    /// totals even when the registry is cluster-shared (unlike
-    /// [`SearchService::stats`], which then defers to the cluster).
+    /// caches (cluster-wide for a cluster shard); `None` when caching is
+    /// disabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.inner.cache.as_ref().map(|r| r.stats())
+        self.inner.backends.cache_stats()
     }
 
     /// Invalidate every cached evaluation (O(1) per backend: an epoch
     /// bump, no scan). Call after swapping model weights *in place*
-    /// behind a backend `Arc` that keeps its identity; backends
-    /// replaced by a *new* `Arc` are invalidated automatically.
+    /// behind a backend `Arc` that keeps its identity; a backend
+    /// replaced by a *new* `Arc` starts from a cold cache of its own.
     pub fn invalidate_eval_cache(&self) {
-        if let Some(reg) = &self.inner.cache {
-            reg.invalidate_all();
-        }
+        self.inner.backends.invalidate_caches();
     }
 }
 

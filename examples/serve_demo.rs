@@ -35,7 +35,6 @@ fn main() {
         // Measurement-driven batching: calibrate each backend's
         // forward-time curve at registration and let the tuner pick the
         // coalescing window and target batch from it.
-        coalesce_auto: true,
         calibrate_on_register: true,
         ..Default::default()
     });

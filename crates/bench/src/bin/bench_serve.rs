@@ -80,9 +80,6 @@ fn serve_cfg(workers: usize) -> ServeConfig {
         step_quota: 32,
         max_pooled: 2 * workers,
         coalesce_window: Duration::from_millis(2),
-        // Measurement-driven batching: seed each backend's forward-time
-        // curve at registration so the tuner steers from the first burst.
-        calibrate_on_register: true,
         ..Default::default()
     }
 }

@@ -21,8 +21,9 @@
 //!   `concurrent`, `requests_per_s`, `p50_ms`, `p99_ms`, again with
 //!   `p99_ms >= p50_ms`;
 //! * every `autotune[i]`: numeric `batch`, `window_us`,
-//!   `positions_per_sec`; non-empty `curve` array of objects with
-//!   numeric `batch`, `forward_ns`;
+//!   `positions_per_sec`, with `window_us == 0` whenever `batch == 1`
+//!   (singles side by side wait for nobody); non-empty `curve` array of
+//!   objects with numeric `batch`, `forward_ns`;
 //! * `shedding`: numeric `offered`, `admitted`, `shed`,
 //!   `mean_retry_after_ms`, `drain_ms`, with
 //!   `admitted + shed == offered`;
@@ -135,6 +136,12 @@ fn check(doc: &Json) -> Result<String, String> {
         for (i, row) in rows.iter().enumerate() {
             let path = format!("$.autotune[{i}]");
             let m = obj(row, &path)?;
+            let window_us = num(m, &path, "window_us")?;
+            if num(m, &path, "batch")? == 1.0 && window_us != 0.0 {
+                return Err(format!(
+                    "{path}: batch 1 runs singles side by side, window_us must be 0 (got {window_us})"
+                ));
+            }
             match field(m, &path, "calibrated")? {
                 Json::Bool(_) => {}
                 _ => return Err(format!("{path}.calibrated: expected bool")),
@@ -379,6 +386,19 @@ mod tests {
         );
         let err = check(&parse(&broken).unwrap()).unwrap_err();
         assert!(err.contains("curve"), "{err}");
+    }
+
+    #[test]
+    fn batch_one_with_a_window_fails() {
+        let direct = GOOD.replace(
+            "\"batch\": 8, \"window_us\": 850",
+            "\"batch\": 1, \"window_us\": 0",
+        );
+        assert_ne!(direct, GOOD);
+        check(&parse(&direct).unwrap()).unwrap();
+        let broken = GOOD.replace("\"batch\": 8, \"window_us\"", "\"batch\": 1, \"window_us\"");
+        let err = check(&parse(&broken).unwrap()).unwrap_err();
+        assert!(err.contains("window_us must be 0"), "{err}");
     }
 
     #[test]

@@ -2,27 +2,31 @@
 //! curve per backend, and the operating point (target batch + coalescing
 //! window) that maximizes positions per second.
 //!
-//! The serving layer historically batched with two constants: a fixed
-//! `coalesce_window` and the backend's static `preferred_batch` hint.
-//! [`BatchTuner`] replaces both with measurement. At backend registration a
-//! one-shot calibration times a zero-input forward at each power-of-two
-//! batch size, seeding the curve; every observed production forward then
-//! refines its bucket by EWMA (7/8 old, 1/8 new — the same blend the
-//! coalescer's window heuristic uses). The operating point re-derives from
-//! the curve on demand:
+//! [`BatchTuner`] keeps one EWMA forward time per power-of-two batch size
+//! (7/8 old, 1/8 new — the same blend the coalescer's window heuristic
+//! uses). [`BatchTuner::calibrate`] seeds every bucket when the backend is
+//! registered; every production forward then refines its bucket. The
+//! operating point re-derives from the curve on demand by **one rule**:
+//! a round of `b` callers sharing one forward delivers `b / t(b)`
+//! positions per second (the paper's Eq. 4 shape: one queue, sublinear
+//! batch latency); the same callers each running their own single-sample
+//! forward deliver `p / t(1)`, where `p` is how many of them the host can
+//! run at once (Eq. 3 shape: every worker pays `T_DNN` in parallel). The
+//! best-scoring option wins:
 //!
-//! * **target batch** — the bucket maximizing `batch / t(batch)`
-//!   (positions/s), i.e. keep growing the batch while the forward stays
-//!   sublinear, stop where it turns linear;
-//! * **window** — the chosen bucket's forward time (while one batch is in
-//!   flight, arrivals have exactly that long to fill the next round),
-//!   clamped to the configured ceiling.
+//! * **batch `b ≥ 2`** — form rounds of about `b`, and wait at most the
+//!   chosen bucket's forward time for one to fill (while one batch is in
+//!   flight, arrivals have exactly that long to fill the next), clamped
+//!   to the configured ceiling;
+//! * **batch 1** — a batch does not pay: callers run their singles side by
+//!   side, nobody waits for anybody, so the window is **zero**.
 //!
 //! All state is atomic; `record` is wait-free and called from every
-//! coalescing leader, `operating_point`/`curve` are read-side only. The
-//! curve and chosen point export through `ClusterStats` as an
+//! forward of the coalescing layer, `operating_point`/`curve` are read-side
+//! only. The curve and chosen point export through `ClusterStats` as an
 //! [`AutotuneReport`] so the feedback loop is observable from the outside.
 
+use crate::error::EvalError;
 use crate::evaluator::{BatchEvaluator, EvalOutput};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,8 +35,15 @@ use std::time::{Duration, Instant};
 /// EWMA blend: `new = (old * 7 + sample) / 8`.
 const EWMA_OLD_WEIGHT: u64 = 7;
 
-/// Floor for the derived window (matches the coalescer's floor).
+/// The most one sample may read, in multiples of its bucket's EWMA.
+const OUTLIER_CAP: u64 = 2;
+
+/// Floor for the derived window of a round (matches the coalescer's floor).
 const MIN_WINDOW: Duration = Duration::from_micros(2);
+
+/// Timed forwards per bucket during calibration; the fastest one seeds
+/// the bucket (the first at a new size also grows the backend's scratch).
+const CALIBRATION_REPEATS: usize = 3;
 
 /// An online forward-time-vs-batch-size curve for one backend.
 #[derive(Debug)]
@@ -44,12 +55,16 @@ pub struct BatchTuner {
     ewma_ns: Vec<AtomicU64>,
     /// Ceiling for the derived coalescing window.
     window_cap: Duration,
+    /// Single-sample forwards the host can run at the same time (`p` in
+    /// the module docs).
+    singles: usize,
     /// Whether a calibration pass seeded the curve.
     calibrated: AtomicBool,
 }
 
 /// The tuner's current choice: assemble batches of about `batch`, waiting
-/// at most `window` for them to fill.
+/// at most `window` for them to fill. `batch == 1` always comes with
+/// `window == 0`: run each caller's single on its own, wait for nobody.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OperatingPoint {
     pub batch: usize,
@@ -64,11 +79,12 @@ pub struct AutotuneReport {
     pub shard: usize,
     /// Whether the curve was seeded by a calibration pass.
     pub calibrated: bool,
-    /// Chosen target batch size.
+    /// Chosen target batch size; 1 = singles side by side, no rounds.
     pub batch: usize,
-    /// Chosen coalescing window, microseconds.
+    /// Chosen coalescing window, microseconds; 0 whenever `batch` is 1.
     pub window_us: u64,
-    /// Estimated throughput at the operating point, positions per second.
+    /// Estimated throughput at the operating point, positions per second:
+    /// `batch / t(batch)` for a round, `p / t(1)` for side-by-side singles.
     pub positions_per_sec: f64,
     /// The measured curve: `(batch_size, ewma_forward_ns)` for every
     /// bucket with at least one observation.
@@ -77,7 +93,8 @@ pub struct AutotuneReport {
 
 impl BatchTuner {
     /// A tuner for a backend whose hard batch cap is `max_batch`, deriving
-    /// windows no longer than `window_cap`.
+    /// windows no longer than `window_cap`. Singles are scored as if one
+    /// runs at a time; see [`BatchTuner::side_by_side`].
     pub fn new(max_batch: usize, window_cap: Duration) -> Self {
         let max_batch = max_batch.max(1);
         let mut sizes = Vec::new();
@@ -92,8 +109,18 @@ impl BatchTuner {
             sizes,
             ewma_ns,
             window_cap,
+            singles: 1,
             calibrated: AtomicBool::new(false),
         }
+    }
+
+    /// Score bucket 1 as `p` single-sample forwards running side by side
+    /// (`p / t(1)`): `p` is how many callers can be inside the backend at
+    /// once — the smaller of the threads that call it and the cores that
+    /// can run them.
+    pub fn side_by_side(mut self, p: usize) -> Self {
+        self.singles = p.max(1);
+        self
     }
 
     /// Largest batch the tuner will ever choose.
@@ -110,9 +137,25 @@ impl BatchTuner {
             .unwrap_or(self.sizes.len() - 1)
     }
 
+    /// Positions in flight while one forward of bucket `size` runs.
+    fn in_flight(&self, size: usize) -> usize {
+        if size == 1 {
+            self.singles
+        } else {
+            size
+        }
+    }
+
     /// Fold one observed forward (`batch` positions in `elapsed`) into the
     /// curve. Wait-free; races between concurrent recorders lose at most
     /// one sample.
+    ///
+    /// A sample counts for at most twice its bucket's current time: a
+    /// forward whose thread was descheduled for a millisecond says nothing
+    /// about the backend, and on a busy host one in a hundred is — enough,
+    /// unclipped, to throw a 100 µs bucket across any verdict every few
+    /// hundred calls. A cost that really rose still gets there, an eighth
+    /// of the way per forward.
     pub fn record(&self, batch: usize, elapsed: Duration) {
         if batch == 0 {
             return;
@@ -123,38 +166,46 @@ impl BatchTuner {
         let blended = if old == 0 {
             ns
         } else {
-            (old * EWMA_OLD_WEIGHT + ns) / (EWMA_OLD_WEIGHT + 1)
+            (old * EWMA_OLD_WEIGHT + ns.min(old * OUTLIER_CAP)) / (EWMA_OLD_WEIGHT + 1)
         };
         slot.store(blended, Ordering::Relaxed);
     }
 
-    /// One-shot calibration: time a zero-input forward at every bucket
-    /// size, seeding the curve so the first operating point is informed
-    /// rather than default. Runs against `backend` directly — call it with
-    /// the *raw* backend (not a resilience wrapper) so calibration cannot
-    /// trip breakers or count as production traffic. A panicking backend
-    /// aborts calibration silently; the curve then fills from production
-    /// EWMA alone.
+    /// Calibration: after one warm-up forward, time a zero-input forward
+    /// three times at every bucket size and seed each bucket with the
+    /// fastest, so the operating point compares the whole batch range from
+    /// the first request on. Runs against `backend`
+    /// directly — call it with the *raw* backend (not a resilience
+    /// wrapper) so calibration cannot trip breakers or count as production
+    /// traffic. A backend that returns an error or panics aborts the pass
+    /// quietly and leaves the tuner as it was: uncalibrated, with whatever
+    /// curve production traffic gives it.
     pub fn calibrate(&self, backend: &dyn BatchEvaluator) {
         let input_len = backend.input_len();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Warm up caches/pools so the seed measures steady state.
-            let warm = vec![0.0f32; input_len];
-            let mut out = vec![EvalOutput::default(); 1];
-            backend.evaluate_batch(&[&warm], &mut out);
-            for (i, &size) in self.sizes.iter().enumerate() {
-                let flat = vec![0.0f32; input_len * size];
-                let inputs: Vec<&[f32]> = (0..size)
-                    .map(|s| &flat[s * input_len..(s + 1) * input_len])
-                    .collect();
-                let mut out = vec![EvalOutput::default(); size];
-                let start = Instant::now();
-                backend.evaluate_batch(&inputs, &mut out);
-                let ns = (start.elapsed().as_nanos() as u64).max(1);
-                self.ewma_ns[i].store(ns, Ordering::Relaxed);
+        let top = self.max_batch();
+        let flat = vec![0.0f32; input_len * top];
+        let inputs: Vec<&[f32]> = (0..top)
+            .map(|s| &flat[s * input_len..(s + 1) * input_len])
+            .collect();
+        let mut out = vec![EvalOutput::default(); top];
+        let seeds = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<u64>, EvalError> {
+            backend.try_evaluate_batch(&inputs[..1], &mut out[..1])?;
+            let mut seeds = Vec::with_capacity(self.sizes.len());
+            for &size in &self.sizes {
+                let mut fastest = u64::MAX;
+                for _ in 0..CALIBRATION_REPEATS {
+                    let start = Instant::now();
+                    backend.try_evaluate_batch(&inputs[..size], &mut out[..size])?;
+                    fastest = fastest.min((start.elapsed().as_nanos() as u64).max(1));
+                }
+                seeds.push(fastest);
             }
+            Ok(seeds)
         }));
-        if result.is_ok() {
+        if let Ok(Ok(seeds)) = seeds {
+            for (slot, ns) in self.ewma_ns.iter().zip(seeds) {
+                slot.store(ns, Ordering::Relaxed);
+            }
             self.calibrated.store(true, Ordering::Relaxed);
         }
     }
@@ -167,17 +218,18 @@ impl BatchTuner {
     /// True when every bucket has at least one observation — the curve
     /// covers the full batch range, so the operating point compares all
     /// the options rather than just the sizes traffic happened to
-    /// produce. Consumers that *steer* batch sizes by the operating
-    /// point should require this (a partial curve self-reinforces: a
-    /// tuner targeting bucket `b` only ever observes batches ≤ `b` and
-    /// would never discover that larger ones amortize better).
+    /// produce. Consumers that *steer* by the operating point should
+    /// require this (a partial curve self-reinforces: a tuner targeting
+    /// bucket `b` only ever observes batches ≤ `b` and would never
+    /// discover that larger ones amortize better).
     pub fn fully_observed(&self) -> bool {
         self.ewma_ns.iter().all(|ns| ns.load(Ordering::Relaxed) > 0)
     }
 
-    /// The current operating point. With an empty curve (no calibration,
-    /// no traffic yet) this falls back to the max batch and the window
-    /// ceiling — the pre-tuner behavior.
+    /// The current operating point: the best-scoring observed bucket by
+    /// the one rule of the module docs. With an empty curve (no
+    /// calibration, no traffic yet) this falls back to the max batch and
+    /// the window ceiling — the pre-tuner behavior.
     pub fn operating_point(&self) -> OperatingPoint {
         let mut best: Option<(usize, u64, f64)> = None;
         for (i, &size) in self.sizes.iter().enumerate() {
@@ -185,7 +237,7 @@ impl BatchTuner {
             if ns == 0 {
                 continue;
             }
-            let rate = size as f64 / ns as f64;
+            let rate = self.in_flight(size) as f64 / ns as f64;
             // Strictly-greater keeps the smallest batch among equal rates:
             // same throughput at lower latency.
             if best.is_none_or(|(_, _, r)| rate > r) {
@@ -193,6 +245,10 @@ impl BatchTuner {
             }
         }
         match best {
+            Some((1, _, _)) => OperatingPoint {
+                batch: 1,
+                window: Duration::ZERO,
+            },
             Some((batch, ns, _)) => OperatingPoint {
                 batch,
                 window: Duration::from_nanos(ns).clamp(MIN_WINDOW, self.window_cap),
@@ -223,7 +279,7 @@ impl BatchTuner {
         let positions_per_sec = curve
             .iter()
             .find(|&&(s, _)| s == op.batch)
-            .map_or(0.0, |&(s, ns)| s as f64 / (ns as f64 / 1e9));
+            .map_or(0.0, |&(s, ns)| self.in_flight(s) as f64 / (ns as f64 / 1e9));
         AutotuneReport {
             shard: 0,
             calibrated: self.is_calibrated(),
@@ -261,17 +317,72 @@ mod tests {
 
     #[test]
     fn picks_the_knee_of_a_sublinear_curve() {
-        let t = BatchTuner::new(16, Duration::from_millis(10));
-        // Sublinear up to 8 (batching amortizes), linear after: 8 wins.
-        t.record(1, Duration::from_micros(100));
-        t.record(2, Duration::from_micros(120));
-        t.record(4, Duration::from_micros(160));
-        t.record(8, Duration::from_micros(240));
-        t.record(16, Duration::from_micros(520));
+        for p in [1, 2] {
+            let t = BatchTuner::new(16, Duration::from_millis(10)).side_by_side(p);
+            // Sublinear up to 8 (batching amortizes), linear after: 8 wins,
+            // also against two singles side by side (2/100 < 8/240).
+            t.record(1, Duration::from_micros(100));
+            t.record(2, Duration::from_micros(120));
+            t.record(4, Duration::from_micros(160));
+            t.record(8, Duration::from_micros(240));
+            t.record(16, Duration::from_micros(520));
+            let op = t.operating_point();
+            assert_eq!(op.batch, 8, "p = {p}");
+            // Window tracks the chosen bucket's forward time.
+            assert_eq!(op.window, Duration::from_micros(240));
+        }
+    }
+
+    #[test]
+    fn linear_curve_runs_singles_side_by_side_with_no_window() {
+        // The int8 serving net on the reference host: a batch of b costs
+        // b singles, so two cores do better with one single each.
+        let t = BatchTuner::new(8, Duration::from_micros(150)).side_by_side(2);
+        t.record(1, Duration::from_micros(89));
+        t.record(2, Duration::from_micros(177));
+        t.record(4, Duration::from_micros(335));
+        t.record(8, Duration::from_micros(773));
+        assert_eq!(
+            t.operating_point(),
+            OperatingPoint {
+                batch: 1,
+                window: Duration::ZERO
+            }
+        );
+        let r = t.report();
+        assert_eq!((r.batch, r.window_us), (1, 0));
+        let expect = 2.0 / 89e-6;
+        assert!((r.positions_per_sec - expect).abs() / expect < 1e-9);
+        // Contention between the singles is priced in: once a single
+        // costs more than its share of a round, rounds win again.
+        for _ in 0..60 {
+            t.record(1, Duration::from_micros(200));
+        }
+        assert_eq!(t.operating_point().batch, 4, "2/200 < 4/335");
+    }
+
+    #[test]
+    fn one_descheduled_forward_does_not_move_the_verdict() {
+        let t = BatchTuner::new(8, Duration::from_micros(150)).side_by_side(2);
+        for (b, us) in [(1, 100), (2, 180), (4, 340), (8, 700)] {
+            t.record(b, Duration::from_micros(us));
+        }
+        // 4 ms on a 100 µs bucket counts as 200 µs: (7·100 + 200) / 8.
+        t.record(1, Duration::from_millis(4));
+        assert_eq!(t.curve()[0], (1, 112_500));
+        assert_eq!(t.operating_point().batch, 1);
+    }
+
+    #[test]
+    fn recorded_serving_curve_keeps_its_knee_beside_two_singles() {
+        // BENCH_serve.json's tuner curve: 2/284 < 4/413 µs.
+        let t = BatchTuner::new(8, Duration::from_millis(2)).side_by_side(2);
+        for (b, us) in [(1, 284), (2, 358), (4, 413), (8, 1190)] {
+            t.record(b, Duration::from_micros(us));
+        }
         let op = t.operating_point();
-        assert_eq!(op.batch, 8);
-        // Window tracks the chosen bucket's forward time.
-        assert_eq!(op.window, Duration::from_micros(240));
+        assert_eq!(op.batch, 4);
+        assert_eq!(op.window, Duration::from_micros(413));
     }
 
     #[test]
@@ -320,11 +431,92 @@ mod tests {
         let t = BatchTuner::new(8, Duration::from_millis(1));
         t.calibrate(&eval);
         assert!(t.is_calibrated());
+        assert!(t.fully_observed());
         assert_eq!(t.curve().len(), 4, "buckets 1,2,4,8");
         let report = t.report();
         assert!(report.calibrated);
         assert!(report.batch >= 1);
         assert!(report.positions_per_sec > 0.0);
+    }
+
+    /// Sleeps 20 ms on the first forward at each batch size, 1 ms on the
+    /// repeats; fails or panics from the `fail_from`-th forward on.
+    struct ColdThenWarm {
+        seen: parking_lot::Mutex<Vec<usize>>,
+        fail_from: usize,
+        panic: bool,
+    }
+
+    impl ColdThenWarm {
+        fn new(fail_from: usize, panic: bool) -> Self {
+            ColdThenWarm {
+                seen: parking_lot::Mutex::new(Vec::new()),
+                fail_from,
+                panic,
+            }
+        }
+    }
+
+    impl BatchEvaluator for ColdThenWarm {
+        fn input_len(&self) -> usize {
+            4
+        }
+        fn action_space(&self) -> usize {
+            2
+        }
+        fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+            self.try_evaluate_batch(inputs, out).unwrap();
+        }
+        fn try_evaluate_batch(
+            &self,
+            inputs: &[&[f32]],
+            _out: &mut [EvalOutput],
+        ) -> Result<(), EvalError> {
+            let cold = {
+                let mut seen = self.seen.lock();
+                if seen.len() >= self.fail_from {
+                    if self.panic {
+                        panic!("device lost");
+                    }
+                    return Err(EvalError::transient("device busy"));
+                }
+                let cold = !seen.contains(&inputs.len());
+                seen.push(inputs.len());
+                cold
+            };
+            std::thread::sleep(Duration::from_millis(if cold { 20 } else { 1 }));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn calibration_keeps_the_fastest_of_three_warm_repeats() {
+        let eval = ColdThenWarm::new(usize::MAX, false);
+        let t = BatchTuner::new(4, Duration::from_millis(1));
+        t.calibrate(&eval);
+        assert!(t.is_calibrated());
+        // One warm-up single, then three forwards per bucket.
+        assert_eq!(*eval.seen.lock(), vec![1, 1, 1, 1, 2, 2, 2, 4, 4, 4]);
+        for (b, ns) in t.curve() {
+            assert!(
+                (1_000_000..10_000_000).contains(&ns),
+                "bucket {b} seeded with a cold forward: {ns} ns"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failing_backend_leaves_the_tuner_uncalibrated() {
+        for panic in [false, true] {
+            // Healthy for the warm-up and bucket 1, down in bucket 2.
+            let eval = ColdThenWarm::new(5, panic);
+            let t = BatchTuner::new(4, Duration::from_micros(150));
+            t.calibrate(&eval);
+            assert!(!t.is_calibrated(), "panic = {panic}");
+            assert!(t.curve().is_empty(), "no half-seeded curve");
+            assert!(!t.fully_observed());
+            assert_eq!(t.operating_point().batch, 4, "pre-tuner fallback");
+        }
     }
 
     #[test]

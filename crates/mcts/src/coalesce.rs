@@ -12,8 +12,17 @@
 //! (§3.3) for backends that have no queue of their own (batched CPU
 //! inference): `N` rollout workers produce one `[N, C, H, W]` forward
 //! pass instead of `N` single-sample passes.
+//!
+//! A round only pays where a batch costs less than its samples one by
+//! one. With a [`BatchTuner`] attached whose complete curve says singles
+//! side by side deliver more (operating point batch 1), the layer steps
+//! aside: every call goes **direct** — straight into the inner evaluator
+//! on the caller's own thread, concurrently with other callers, with no
+//! lock, copy, wait or allocation of the layer's own — and is still
+//! timed into the tuner, so the verdict follows the backend if its curve
+//! changes.
 
-use crate::autotune::BatchTuner;
+use crate::autotune::{BatchTuner, OperatingPoint};
 use crate::error::SearchError;
 use crate::evaluator::{BatchEvaluator, EvalOutput};
 use parking_lot::{Condvar, Mutex};
@@ -62,9 +71,10 @@ struct Round {
 /// cross-session) batching.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoalesceStats {
-    /// Rounds executed (one `evaluate_batch` call each).
+    /// Calls into the inner evaluator: one per round, one per direct
+    /// call (a round of one caller).
     pub batches: u64,
-    /// Samples served across all rounds.
+    /// Samples served across all of them.
     pub samples: u64,
 }
 
@@ -80,16 +90,19 @@ impl CoalesceStats {
 }
 
 /// Turns concurrent single-sample [`BatchEvaluator::evaluate_one`] calls
-/// into shared batches (see module docs). The blocking join *is* its
-/// `evaluate_one`; `evaluate_batch` joins once per sample, and
-/// `preferred_batch()` stays 1 so no caller assembles batches on top.
+/// into shared batches, or passes them straight through when the
+/// attached tuner finds that batches do not pay (see module docs). While
+/// rounds form, the blocking join *is* its `evaluate_one` and
+/// `evaluate_batch` joins once per sample; `preferred_batch()` stays 1
+/// so no caller assembles batches on top.
 pub struct CoalescingEvaluator {
     inner: Arc<dyn BatchEvaluator>,
     max_batch: usize,
     window: Duration,
     /// Measurement-driven override for target batch and window. When set,
-    /// each round aims for the tuner's operating point (never above
-    /// `max_batch`) and every sealed batch is recorded back into it.
+    /// every forward is recorded into it, and once its curve is complete
+    /// its operating point decides: batch 1 sends calls direct, a larger
+    /// one is what each round aims for (never above `max_batch`).
     tuner: Option<Arc<BatchTuner>>,
     /// EMA of per-sample inference time, ns (0 = not yet measured).
     ema_sample_ns: AtomicU64,
@@ -140,11 +153,12 @@ impl CoalescingEvaluator {
         }
     }
 
-    /// Attach a [`BatchTuner`]: rounds target the tuner's operating point
-    /// (batch and window, both capped by the constructor arguments) and
-    /// every sealed batch is recorded back into the curve. Typically the
-    /// tuner is shared with the stats exporter so the feedback loop is
-    /// observable.
+    /// Attach a [`BatchTuner`]: every forward is recorded into its curve,
+    /// and once the curve covers every bucket its operating point steers
+    /// the layer — direct calls at batch 1, otherwise rounds of that batch
+    /// and window (both capped by the constructor arguments). Typically
+    /// the tuner is shared with the stats exporter so the feedback loop
+    /// is observable.
     pub fn with_tuner(mut self, tuner: Arc<BatchTuner>) -> Self {
         self.tuner = Some(tuner);
         self
@@ -155,17 +169,27 @@ impl CoalescingEvaluator {
         self.max_batch
     }
 
-    /// The batch size the next round aims for: the tuner's operating
-    /// point when one is attached *and* its curve covers every bucket
-    /// (never above the hard `max_batch`), else `max_batch` itself. A
-    /// partial curve must not steer the target — a tuner aiming at
-    /// bucket `b` only ever observes batches ≤ `b`, so steering by an
-    /// incomplete curve locks in whatever size showed up first.
+    /// The attached tuner's operating point, once its curve covers every
+    /// bucket. A partial curve steers nothing — a tuner aiming at bucket
+    /// `b` only ever observes batches ≤ `b`, so steering by an incomplete
+    /// curve locks in whatever size showed up first.
+    fn steering(&self) -> Option<OperatingPoint> {
+        let tuner = self.tuner.as_ref()?;
+        tuner.fully_observed().then(|| tuner.operating_point())
+    }
+
+    /// True while calls bypass rounds: the tuner's complete curve says
+    /// the callers' singles side by side beat any shared batch.
+    pub fn runs_direct(&self) -> bool {
+        self.steering().is_some_and(|op| op.batch == 1)
+    }
+
+    /// The batch size the next round aims for: the steering operating
+    /// point's (never above the hard `max_batch`), else `max_batch`.
     pub fn target_batch(&self) -> usize {
-        let cap = match &self.tuner {
-            Some(t) if t.fully_observed() => t.operating_point().batch.clamp(1, self.max_batch),
-            _ => self.max_batch,
-        };
+        let cap = self
+            .steering()
+            .map_or(self.max_batch, |op| op.batch.clamp(1, self.max_batch));
         // Don't wait for a fill the current caller population has never
         // delivered: cap by the fill high-water mark, except on periodic
         // probe rounds (every 16th) which aim at the full target so the
@@ -193,17 +217,14 @@ impl CoalescingEvaluator {
         }
     }
 
-    /// The wait the next leader will actually use. With a tuner attached
-    /// this is the operating point's window (the chosen batch's forward
-    /// time: while one batch is in flight, arrivals have exactly that
-    /// long to fill the next round). Otherwise it adapts to the measured
-    /// per-sample forward time. Never above the configured window.
+    /// The wait the next leader will actually use: the steering operating
+    /// point's window (the chosen batch's forward time: while one batch is
+    /// in flight, arrivals have exactly that long to fill the next round),
+    /// else one adapted to the measured per-sample forward time. Never
+    /// above the configured window.
     pub fn effective_window(&self) -> Duration {
-        if let Some(t) = &self.tuner {
-            let op = t.operating_point();
-            if !t.curve().is_empty() {
-                return op.window.clamp(MIN_COALESCE_WINDOW, self.window);
-            }
+        if let Some(op) = self.steering() {
+            return op.window.clamp(MIN_COALESCE_WINDOW, self.window);
         }
         let ema = self.ema_sample_ns.load(Ordering::Relaxed);
         if ema == 0 {
@@ -214,9 +235,11 @@ impl CoalescingEvaluator {
         }
     }
 
-    /// Fold one measured batch into the per-sample EMA (and the attached
-    /// tuner's curve, when there is one).
+    /// Account one finished call into the inner evaluator: the counters,
+    /// the per-sample EMA and the attached tuner's curve.
     fn record_batch(&self, elapsed: Duration, samples: usize) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.samples.fetch_add(samples as u64, Ordering::Relaxed);
         if let Some(t) = &self.tuner {
             t.record(samples, elapsed);
         }
@@ -228,6 +251,17 @@ impl CoalescingEvaluator {
             (old * 7 + per_sample) / 8
         };
         self.ema_sample_ns.store(new, Ordering::Relaxed);
+    }
+
+    /// The direct path: the caller's own forward on its own thread, its
+    /// results written where the caller wants them. Timed into the curve
+    /// (bucket 1 thereby prices in what side-by-side singles cost each
+    /// other) and counted as a round of its own. A backend panic unwinds
+    /// through here to this caller alone.
+    fn evaluate_direct(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        let t0 = Instant::now();
+        self.inner.evaluate_batch(inputs, out);
+        self.record_batch(t0.elapsed(), inputs.len());
     }
 }
 
@@ -242,12 +276,25 @@ impl BatchEvaluator for CoalescingEvaluator {
 
     fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
         debug_assert_eq!(inputs.len(), out.len());
+        if inputs.is_empty() {
+            return;
+        }
+        if self.runs_direct() {
+            // A caller-assembled batch stays one backend call.
+            return self.evaluate_direct(inputs, out);
+        }
         for (x, o) in inputs.iter().zip(out.iter_mut()) {
             *o = self.evaluate_one(x);
         }
     }
 
     fn evaluate_one(&self, input: &[f32]) -> EvalOutput {
+        if self.runs_direct() {
+            let mut out = [EvalOutput::default()];
+            self.evaluate_direct(&[input], &mut out);
+            let [o] = out;
+            return o;
+        }
         let mut st = self.state.lock();
         // A full round that its leader hasn't sealed yet must not grow
         // past max_batch; wait for the seal to open the next epoch. While
@@ -322,9 +369,6 @@ impl BatchEvaluator for CoalescingEvaluator {
             }));
             if outcome.is_ok() {
                 self.record_batch(t0.elapsed(), followers + 1);
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                self.samples
-                    .fetch_add(followers as u64 + 1, Ordering::Relaxed);
             }
 
             let mut st = self.state.lock();
@@ -513,27 +557,28 @@ mod tests {
         assert_eq!(c.rounds_pending(), 0, "poisoned round must be reclaimed");
     }
 
+    /// Raises a typed SearchError on every batch, the way the serve
+    /// layer's resilience wrapper does after exhausting retries.
+    struct TypedFailure;
+    impl BatchEvaluator for TypedFailure {
+        fn input_len(&self) -> usize {
+            4
+        }
+        fn action_space(&self) -> usize {
+            2
+        }
+        fn evaluate_batch(&self, _inputs: &[&[f32]], _out: &mut [EvalOutput]) {
+            std::panic::panic_any(SearchError::EvaluatorFailed {
+                reason: "device reset".into(),
+            });
+        }
+        fn preferred_batch(&self) -> usize {
+            4
+        }
+    }
+
     #[test]
     fn typed_leader_errors_reach_followers_typed() {
-        /// Raises a typed SearchError on every batch, the way the serve
-        /// layer's resilience wrapper does after exhausting retries.
-        struct TypedFailure;
-        impl BatchEvaluator for TypedFailure {
-            fn input_len(&self) -> usize {
-                4
-            }
-            fn action_space(&self) -> usize {
-                2
-            }
-            fn evaluate_batch(&self, _inputs: &[&[f32]], _out: &mut [EvalOutput]) {
-                std::panic::panic_any(SearchError::EvaluatorFailed {
-                    reason: "device reset".into(),
-                });
-            }
-            fn preferred_batch(&self) -> usize {
-                4
-            }
-        }
         let c = Arc::new(CoalescingEvaluator::with_window(
             Arc::new(TypedFailure),
             4,
@@ -600,6 +645,161 @@ mod tests {
         let c2 = CoalescingEvaluator::with_window(inner2, 8, Duration::from_millis(20))
             .with_tuner(seeded);
         assert_eq!(c2.target_batch(), 2);
+    }
+
+    /// A tuner whose complete curve is linear in the batch size, scored
+    /// for two callers: its operating point is batch 1.
+    fn linear_tuner(max_batch: usize) -> Arc<BatchTuner> {
+        let tuner = BatchTuner::new(max_batch, Duration::from_millis(1)).side_by_side(2);
+        let mut b = 1;
+        while b < max_batch {
+            tuner.record(b, Duration::from_micros(100 * b as u64));
+            b *= 2;
+        }
+        tuner.record(max_batch, Duration::from_micros(100 * max_batch as u64));
+        Arc::new(tuner)
+    }
+
+    /// Uniform outputs; counts calls and samples, and tracks how many
+    /// callers were inside `evaluate_batch` at once.
+    #[derive(Default)]
+    struct CountingBackend {
+        calls: AtomicU64,
+        samples: AtomicU64,
+        inside: AtomicU64,
+        /// Callers each call waits for (bounded) before it returns.
+        rendezvous: u64,
+    }
+
+    impl BatchEvaluator for CountingBackend {
+        fn input_len(&self) -> usize {
+            4
+        }
+        fn action_space(&self) -> usize {
+            3
+        }
+        fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            self.samples
+                .fetch_add(inputs.len() as u64, Ordering::SeqCst);
+            self.inside.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.inside.load(Ordering::SeqCst) < self.rendezvous {
+                assert!(Instant::now() < deadline, "callers were serialized");
+                std::thread::yield_now();
+            }
+            for o in out.iter_mut() {
+                o.priors.clear();
+                o.priors.resize(3, 1.0 / 3.0);
+                o.value = 0.5;
+            }
+        }
+        fn preferred_batch(&self) -> usize {
+            8
+        }
+    }
+
+    #[test]
+    fn direct_path_hands_a_caller_assembled_batch_over_as_one_call() {
+        let backend = Arc::new(CountingBackend::default());
+        let tuner = linear_tuner(8);
+        let c = CoalescingEvaluator::with_window(
+            Arc::clone(&backend) as Arc<dyn BatchEvaluator>,
+            8,
+            Duration::from_millis(20),
+        )
+        .with_tuner(Arc::clone(&tuner));
+        assert!(c.runs_direct());
+        let inputs = [[0.0f32; 4]; 4];
+        let refs: Vec<&[f32]> = inputs.iter().map(|x| x.as_slice()).collect();
+        let mut out = vec![EvalOutput::default(); 4];
+        let before = tuner.curve();
+        c.evaluate_batch(&refs, &mut out);
+        assert_eq!(backend.calls.load(Ordering::SeqCst), 1);
+        assert_eq!(backend.samples.load(Ordering::SeqCst), 4);
+        assert!(out.iter().all(|o| o.priors.len() == 3 && o.value == 0.5));
+        assert_eq!(
+            c.stats(),
+            CoalesceStats {
+                batches: 1,
+                samples: 4
+            }
+        );
+        // Timed into bucket 4 and nowhere else.
+        let after = tuner.curve();
+        for (b, a) in before.iter().zip(&after) {
+            assert_eq!(b.1 != a.1, b.0 == 4, "bucket {}", b.0);
+        }
+        // A single sample is a round of one.
+        assert_eq!(c.evaluate_one(&[0.0; 4]).value, 0.5);
+        assert_eq!(
+            c.stats(),
+            CoalesceStats {
+                batches: 2,
+                samples: 5
+            }
+        );
+        assert_eq!(c.rounds_pending(), 0);
+    }
+
+    #[test]
+    fn direct_callers_run_side_by_side() {
+        // Each forward returns only once both callers are inside the
+        // backend: a layer that still serialized them would time out.
+        let backend = Arc::new(CountingBackend {
+            rendezvous: 2,
+            ..Default::default()
+        });
+        let c = Arc::new(
+            CoalescingEvaluator::with_window(
+                Arc::clone(&backend) as Arc<dyn BatchEvaluator>,
+                8,
+                Duration::from_secs(5),
+            )
+            .with_tuner(linear_tuner(8)),
+        );
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let c = Arc::clone(&c);
+                s.spawn(move || assert_eq!(c.evaluate_one(&[0.0; 4]).value, 0.5));
+            }
+        });
+        assert_eq!(backend.calls.load(Ordering::SeqCst), 2, "no shared batch");
+        assert_eq!(c.stats().mean_batch(), 1.0);
+    }
+
+    #[test]
+    fn direct_path_panics_reach_their_own_caller_typed() {
+        let c = CoalescingEvaluator::new(Arc::new(TypedFailure), 4).with_tuner(linear_tuner(4));
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.evaluate_one(&[0.0; 4])))
+                .expect_err("the failure must surface");
+        assert_eq!(
+            payload.downcast_ref::<SearchError>(),
+            Some(&SearchError::EvaluatorFailed {
+                reason: "device reset".into()
+            })
+        );
+        assert_eq!(
+            c.stats(),
+            CoalesceStats::default(),
+            "failures are not rounds"
+        );
+    }
+
+    #[test]
+    fn a_partial_curve_steers_nothing() {
+        let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
+        let tuner = Arc::new(BatchTuner::new(8, Duration::from_millis(1)).side_by_side(2));
+        // Only bucket 1 seen: the tuner says batch 1, but it has nothing
+        // to compare it with.
+        tuner.record(1, Duration::from_micros(100));
+        assert_eq!(tuner.operating_point().batch, 1);
+        let c =
+            CoalescingEvaluator::with_window(inner, 8, Duration::from_micros(50)).with_tuner(tuner);
+        assert!(!c.runs_direct());
+        assert_eq!(c.target_batch(), 8);
+        assert_eq!(c.effective_window(), Duration::from_micros(50));
     }
 
     #[test]

@@ -16,16 +16,24 @@
 //!    the retained stack, coalescing reuses its scratch, and the arena
 //!    columns never grow past the bound.
 //!
-//! This file holds exactly one test (with three tracked phases) so the
+//! 4. **Direct dispatch** — a `CoalescingEvaluator` whose tuner runs
+//!    singles side by side adds nothing to (1): no input copy, no result
+//!    vector, no round bookkeeping per call.
+//!
+//! This file holds exactly one test (with four tracked phases) so the
 //! counting global allocator sees no traffic from concurrently running
 //! tests.
 
 use games::Game;
-use mcts::{BatchEvaluator, EvalOutput, MctsConfig, NnEvaluator, ReusableSearch, SearchResult};
+use mcts::{
+    BatchEvaluator, BatchTuner, CoalescingEvaluator, EvalOutput, MctsConfig, NnEvaluator,
+    ReusableSearch, SearchResult,
+};
 use nn::{NetConfig, PolicyValueNet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 static TRACK: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -75,6 +83,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 #[test]
 fn steady_state_allocates_nothing() {
     evaluate_batch_phase();
+    direct_dispatch_phase();
     search_advance_cycle_phase();
     bounded_eviction_cycle_phase();
 }
@@ -109,6 +118,39 @@ fn evaluate_batch_phase() {
         assert_eq!(w.priors, o.priors);
         assert_eq!(w.value, o.value);
     }
+}
+
+/// The serving coalescer on its direct path, as a session's playout calls
+/// it: one sample in, one caller-owned output slot reused call after call.
+fn direct_dispatch_phase() {
+    let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 5, 5, 25), 7));
+    // A complete curve on which a batch costs its samples one by one.
+    let tuner = BatchTuner::new(4, Duration::from_millis(1)).side_by_side(2);
+    for b in [1, 2, 4] {
+        tuner.record(b, Duration::from_millis(b as u64));
+    }
+    let layer =
+        CoalescingEvaluator::new(Arc::new(NnEvaluator::new(net)), 4).with_tuner(Arc::new(tuner));
+    assert!(layer.runs_direct());
+    let input: Vec<f32> = (0..100).map(|j| (j % 11) as f32 / 11.0).collect();
+    let mut out = [EvalOutput::default()];
+    for _ in 0..3 {
+        layer.evaluate_batch(&[&input], &mut out);
+    }
+    let warm = out.clone();
+
+    let allocs = count_allocs(|| layer.evaluate_batch(&[&input], &mut out));
+    assert_eq!(
+        allocs, 0,
+        "a direct call must not touch the heap ({allocs} allocations observed)"
+    );
+    assert!(
+        layer.runs_direct(),
+        "three fast forwards do not change the verdict"
+    );
+    assert_eq!(layer.stats().batches, 4);
+    assert_eq!(warm[0].priors, out[0].priors);
+    assert_eq!(warm[0].value, out[0].value);
 }
 
 /// A bounded arena in steady-state eviction: once the LRU list, the

@@ -47,8 +47,9 @@ const NO_HOME: usize = usize::MAX;
 /// One shard's share of a record, built when the model's first session
 /// lands on that shard.
 struct ShardStack {
-    /// Cross-session batching and the tuner steering it. `None` for
-    /// backends that gain nothing from it (`preferred_batch() == 1`) or
+    /// Cross-session batching and the tuner steering it (into shared
+    /// rounds, or past them when singles side by side do better). `None`
+    /// for backends that ask for no batches (`preferred_batch() == 1`) or
     /// that already coalesce internally (accelerator queues).
     batching: Option<(Arc<CoalescingEvaluator>, Arc<BatchTuner>)>,
     /// What sessions evaluate through: cache → coalescer → resilient →
@@ -216,12 +217,22 @@ impl BackendRegistry {
             // the steppers.
             let max_batch = backend.preferred_batch();
             if max_batch > 1 && !backend.coalesces_internally() {
-                let tuner = Arc::new(BatchTuner::new(max_batch, self.cfg.coalesce_window));
-                if self.cfg.calibrate_on_register {
-                    // Against the raw backend: calibration must not trip
-                    // breakers, warm caches, or count as coalesced traffic.
-                    tuner.calibrate(backend.as_ref());
-                }
+                // Callers that can be inside the backend at once: this
+                // shard's workers, as far as there are cores to run them.
+                let side_by_side = self.cfg.workers.min(tensor::pool::parallelism());
+                let tuner = Arc::new(
+                    BatchTuner::new(max_batch, self.cfg.coalesce_window).side_by_side(side_by_side),
+                );
+                // The tuner weighs every batch size against singles side by
+                // side, so it needs the whole curve before the first
+                // request. Against the raw backend: calibration must not
+                // trip breakers, warm caches, or count as coalesced traffic.
+                // On a thread of its own: backends keep their forward
+                // scratch per thread, and the one sized for the largest
+                // batch should not outlive the calibration.
+                std::thread::scope(|s| {
+                    s.spawn(|| tuner.calibrate(backend.as_ref()));
+                });
                 let layer = Arc::new(
                     CoalescingEvaluator::with_window(stack, max_batch, self.cfg.coalesce_window)
                         .with_tuner(Arc::clone(&tuner)),
@@ -243,8 +254,8 @@ impl BackendRegistry {
         self.records.lock().live.len()
     }
 
-    /// Inference rounds and samples of `shard`'s coalescing layers, live
-    /// and evicted.
+    /// Backend calls (rounds, and direct calls as rounds of one) and
+    /// samples of `shard`'s coalescing layers, live and evicted.
     pub(crate) fn eval_stats(&self, shard: usize) -> CoalesceStats {
         let records = self.records.lock();
         let mut out = records.retired.eval[shard];

@@ -30,7 +30,11 @@
 //! * every session's leaf evaluations are funneled through **one shared
 //!   [`mcts::CoalescingEvaluator`] per distinct backend**, so concurrent
 //!   sessions fill each other's inference batches — cross-session
-//!   batching, the serving analogue of the paper's §3.3 request queue.
+//!   batching, the serving analogue of the paper's §3.3 request queue —
+//!   wherever the backend's measured forward-time curve says a shared
+//!   batch beats the workers' single-sample forwards side by side; where
+//!   it does not, the layer passes each worker's call straight through
+//!   (see [`mcts::BatchTuner`]).
 //!
 //! # Backend records
 //!

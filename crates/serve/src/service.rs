@@ -24,7 +24,10 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Stepper threads. Each steps one session at a time, so this is
-    /// also the maximum cross-session batch an evaluator can see.
+    /// how many evaluations can be in flight at once: the most callers a
+    /// shared inference round can gather, and — capped by the host's
+    /// cores — how many single-sample forwards run side by side when a
+    /// backend's batches do not pay (see `coalesce_window`).
     pub workers: usize,
     /// Playouts per scheduling slice. Smaller slices interleave sessions
     /// more fairly (and honor priorities/cancellation sooner) at the
@@ -37,17 +40,15 @@ pub struct ServeConfig {
     /// coalescing layer (how long the first evaluator of a round waits
     /// for peers from other sessions; see
     /// [`mcts::CoalescingEvaluator::with_window`]). Every layer carries
-    /// a [`mcts::BatchTuner`] that derives the actual window and target
-    /// batch from the backend's measured forward-time curve; until it
-    /// has measurements it behaves exactly like this fixed window.
+    /// a [`mcts::BatchTuner`], calibrated against the backend when its
+    /// first session arrives (a few forwards at each batch size, while
+    /// that `submit` waits), that derives the actual window and target
+    /// batch from the measured forward-time curve — or, where that curve
+    /// says a batch costs as much as its samples one by one, drops rounds
+    /// and the window altogether and lets each worker run its own
+    /// evaluations. Only a backend that fails while being calibrated
+    /// starts out on this fixed window.
     pub coalesce_window: Duration,
-    /// Seed each backend's tuner with a one-shot calibration pass at
-    /// registration (times a zero-input forward at every power-of-two
-    /// batch size, against the raw backend — never through breakers or
-    /// caches). Adds a few forwards of latency to the backend's first
-    /// submit on each shard. Defaults to the `SERVE_CALIBRATE`
-    /// environment variable (`1`/`true` to enable); off otherwise.
-    pub calibrate_on_register: bool,
     /// Weighted-fair share of scheduling slices per [`Priority`] class,
     /// indexed `[Low, Normal, High]`. Over any busy window each class
     /// receives slices (≈ playouts) in proportion to its weight — higher
@@ -107,9 +108,6 @@ impl Default for ServeConfig {
             step_quota: 64,
             max_pooled: 2 * workers,
             coalesce_window: mcts::coalesce::DEFAULT_COALESCE_WINDOW,
-            calibrate_on_register: std::env::var("SERVE_CALIBRATE")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false),
             class_weights: [1, 4, 16],
             eval_cache_bytes: None,
             retry_budget: 2,
@@ -139,9 +137,11 @@ pub struct ServiceStats {
     pub steps: u64,
     /// Playouts across all finalized sessions.
     pub playouts: u64,
-    /// Inference rounds run by the shared coalescing layers.
+    /// Backend calls made by the shared coalescing layers: one per
+    /// inference round, and one per direct call where a backend's tuner
+    /// runs singles side by side (a round of one).
     pub eval_batches: u64,
-    /// Samples served across those rounds.
+    /// Samples served across those calls.
     pub eval_samples: u64,
     /// Evaluation-cache hits: leaf evaluations answered from memory
     /// instead of the backend (0 when caching is disabled).
@@ -155,8 +155,8 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Mean samples per inference round across all shared backends
-    /// (1.0 = no cross-session coalescing happened; 0.0 = no rounds).
+    /// Mean samples per backend call across all shared backends
+    /// (1.0 = no cross-session coalescing happened; 0.0 = no calls).
     pub fn mean_eval_batch(&self) -> f64 {
         if self.eval_batches == 0 {
             0.0
@@ -230,9 +230,12 @@ pub(crate) struct Inner {
 
 impl Inner {
     /// Finalize one session that ended cleanly (`Done`/`Cancelled`):
-    /// publish the final result, update counters, release its
-    /// outstanding load, and return the warmed searcher to the pool —
-    /// parked, so the pool keeps no finished session's model alive.
+    /// update counters, release its outstanding load, return the warmed
+    /// searcher to the pool — parked, so the pool keeps no finished
+    /// session's model alive — and publish the final result. In that
+    /// order: a caller that submits its next request the moment it sees
+    /// this one's result must find the searcher in the pool, or every
+    /// such race grows the pool by one more arena, up to `max_pooled`.
     pub(crate) fn finalize(&self, entry: SessionEntry, result: SearchResult, status: TicketStatus) {
         self.queue.lock().retire(entry.priority);
         let counter = match status {
@@ -244,7 +247,6 @@ impl Inner {
             .playouts
             .fetch_add(result.stats.playouts, Ordering::Relaxed);
         self.outstanding.fetch_sub(entry.cost, Ordering::Relaxed);
-        entry.shared.finalize(result, status);
         if let Some(mut searcher) = entry.session.reclaim() {
             searcher.park();
             let mut pool = self.pool.lock();
@@ -252,6 +254,7 @@ impl Inner {
                 pool.push(searcher);
             }
         }
+        entry.shared.finalize(result, status);
     }
 
     /// Quarantine one failed session: fail its ticket with the typed
@@ -557,6 +560,33 @@ impl Drop for SearchService {
                     .inner
                     .fail(entry, SearchError::from_panic(payload.as_ref())),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use games::tictactoe::TicTacToe;
+    use mcts::{MctsConfig, UniformEvaluator};
+
+    #[test]
+    fn a_finished_sessions_searcher_is_pooled_before_its_result_shows() {
+        let s = SearchService::new(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let eval: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
+        let cfg = MctsConfig {
+            playouts: 8,
+            ..Default::default()
+        };
+        // A closed loop: each request is submitted the moment the last
+        // one's result is visible, and must find that one's searcher.
+        for i in 0..200 {
+            s.submit(SearchRequest::new(TicTacToe::new(), Arc::clone(&eval)).config(cfg))
+                .wait();
+            assert_eq!(s.inner.pool.lock().len(), 1, "request {i}");
         }
     }
 }

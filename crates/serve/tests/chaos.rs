@@ -31,8 +31,13 @@ use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(60);
 
-/// Uniform priors with a batch preference, so the chaos layer sits
-/// under the cluster's coalescing layer and injected faults hit shared
+/// What one [`BatchyUniform`] batch costs, at any size.
+const BATCH_COST: Duration = Duration::from_micros(50);
+
+/// Uniform priors with a batch preference and a fixed cost per batch
+/// whatever its size — the curve on which a shared round always beats
+/// singles side by side — so the chaos layer sits under a coalescing
+/// layer that keeps forming rounds and injected faults hit shared
 /// batches (the worst case for containment).
 struct BatchyUniform {
     input_len: usize,
@@ -57,6 +62,7 @@ impl BatchEvaluator for BatchyUniform {
         _inputs: &[&[f32]],
         out: &mut [EvalOutput],
     ) -> Result<(), EvalError> {
+        std::thread::sleep(BATCH_COST);
         let p = 1.0 / self.priors as f32;
         for o in out.iter_mut() {
             o.priors.clear();
@@ -204,6 +210,10 @@ fn cluster_soak_under_injected_faults_terminates_and_balances() {
     );
     assert_eq!(stats.admitted, tickets.len() as u64);
     assert_eq!(stats.shed(), shed);
+    assert!(
+        total.mean_eval_batch() > 1.0,
+        "the faults must have met shared batches"
+    );
     for (i, load) in cluster.shard_loads().iter().enumerate() {
         assert_eq!(*load, 0, "shard {i} outstanding load must drain to zero");
     }

@@ -529,7 +529,6 @@ fn cluster_stats_export_autotune_reports_and_metrics_json() {
         shard: ServeConfig {
             workers: 2,
             step_quota: 32,
-            calibrate_on_register: true,
             ..Default::default()
         },
         admission: None,

@@ -184,8 +184,14 @@ fn panicking_session_fails_typed_while_the_pool_keeps_serving() {
 #[test]
 fn exhausted_retries_surface_as_evaluator_failed() {
     let s = service(fast_faults());
-    let backend: Arc<dyn BatchEvaluator> = Arc::new(SwitchableEvaluator::failing(9, true));
-    let t = s.submit(SearchRequest::new(TicTacToe::new(), backend).config(cfg(128)));
+    let backend = Arc::new(SwitchableEvaluator::failing(9, true));
+    let t = s.submit(
+        SearchRequest::new(
+            TicTacToe::new(),
+            Arc::clone(&backend) as Arc<dyn BatchEvaluator>,
+        )
+        .config(cfg(128)),
+    );
     t.wait_timeout(WAIT);
     match t.error() {
         Some(SearchError::EvaluatorFailed { reason }) => {
@@ -197,6 +203,11 @@ fn exhausted_retries_surface_as_evaluator_failed() {
         other => panic!("expected EvaluatorFailed, got {other:?}"),
     }
     assert_eq!(s.stats().sessions_failed, 1);
+    // Calibration met the fault first and gave up at its first forward:
+    // the tuner stays uncalibrated (the layer keeps forming rounds), and
+    // the session still gets its own attempt plus `retry_budget` retries.
+    assert!(!s.autotune_reports()[0].calibrated);
+    assert_eq!(backend.calls.load(Ordering::Relaxed), 1 + 2);
 }
 
 #[test]

@@ -340,7 +340,6 @@ fn autotune_reports_cover_registered_batching_backends() {
         step_quota: 16,
         max_pooled: 4,
         coalesce_window: Duration::from_millis(5),
-        calibrate_on_register: true,
         ..Default::default()
     });
     assert!(s.autotune_reports().is_empty(), "no backend yet");

@@ -31,11 +31,10 @@ fn main() {
         workers,
         step_quota: 32,
         max_pooled: 2 * workers,
+        // A ceiling only: each backend's tuner measures its forward-time
+        // curve when the backend registers and picks the coalescing
+        // window and target batch from it.
         coalesce_window: Duration::from_millis(2),
-        // Measurement-driven batching: calibrate each backend's
-        // forward-time curve at registration and let the tuner pick the
-        // coalescing window and target batch from it.
-        calibrate_on_register: true,
         ..Default::default()
     });
     println!("service up: {workers} workers, 32-playout slices, auto-tuned batching\n");
@@ -146,8 +145,15 @@ fn main() {
     // What the batch auto-tuner learned about each batching backend:
     // the measured forward-time curve and the operating point it chose.
     for r in service.autotune_reports() {
+        // Batch 1 / window 0: a batch costs as much as its samples one by
+        // one here, so every worker runs its own evaluations.
+        let how = if r.batch == 1 {
+            "singles side by side"
+        } else {
+            "shared rounds"
+        };
         println!(
-            "\nauto-tuner (calibrated: {}): chose batch {} / window {} µs (~{:.0} positions/s)",
+            "\nauto-tuner (calibrated: {}): chose batch {} / window {} µs — {how} (~{:.0} positions/s)",
             r.calibrated, r.batch, r.window_us, r.positions_per_sec
         );
         println!("  measured forward-time curve:");

@@ -1,0 +1,183 @@
+//! Cost-curve dispatch in the serving stack: a backend whose batches cost
+//! as much as their samples one by one is served with every worker running
+//! its own single-sample forward (the paper's Eq. 3 shape), one whose
+//! batches come almost free keeps sharing rounds (Eq. 4 shape), and which
+//! of the two a backend is on never changes what a search returns.
+
+use adaptive_dnn_mcts::prelude::*;
+use serve::{SearchRequest, SearchService, ServeConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// The verdicts below are read off measured forward times: one test at a
+/// time, so they do not measure each other.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Uniform priors at a price: `per_batch` asleep plus `per_sample` of
+/// busy core for every sample of the batch. Counts its calls and samples.
+struct PricedUniform {
+    per_batch: Duration,
+    per_sample: Duration,
+    calls: AtomicU64,
+    samples: AtomicU64,
+}
+
+impl PricedUniform {
+    fn new(per_batch: Duration, per_sample: Duration) -> Arc<Self> {
+        Arc::new(PricedUniform {
+            per_batch,
+            per_sample,
+            calls: AtomicU64::new(0),
+            samples: AtomicU64::new(0),
+        })
+    }
+
+    fn counts(&self) -> (u64, u64) {
+        (
+            self.calls.load(Ordering::SeqCst),
+            self.samples.load(Ordering::SeqCst),
+        )
+    }
+}
+
+impl BatchEvaluator for PricedUniform {
+    fn input_len(&self) -> usize {
+        TicTacToe::new().encoded_len()
+    }
+
+    fn action_space(&self) -> usize {
+        9
+    }
+
+    fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.samples
+            .fetch_add(inputs.len() as u64, Ordering::SeqCst);
+        if !self.per_batch.is_zero() {
+            std::thread::sleep(self.per_batch);
+        }
+        let busy_until = Instant::now() + self.per_sample * inputs.len() as u32;
+        while Instant::now() < busy_until {
+            std::hint::spin_loop();
+        }
+        for o in out.iter_mut() {
+            o.priors.clear();
+            o.priors.resize(9, 1.0 / 9.0);
+            o.value = 0.0;
+        }
+    }
+
+    fn preferred_batch(&self) -> usize {
+        8
+    }
+}
+
+fn service(workers: usize) -> SearchService {
+    SearchService::new(ServeConfig {
+        workers,
+        step_quota: 16,
+        // A ceiling wide enough for the slow backend's forward time.
+        coalesce_window: Duration::from_millis(5),
+        ..Default::default()
+    })
+}
+
+fn playouts(n: usize) -> MctsConfig {
+    MctsConfig {
+        playouts: n,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn a_linear_cost_backend_is_served_with_singles_side_by_side() {
+    if tensor::pool::parallelism() < 2 {
+        // One core runs one single at a time: a tie with any batch.
+        return;
+    }
+    let _turn = one_at_a_time();
+    let backend = PricedUniform::new(Duration::ZERO, Duration::from_micros(40));
+    let eval = Arc::clone(&backend) as Arc<dyn BatchEvaluator>;
+    let s = service(2);
+    // The first session has the backend calibrated.
+    let request = || SearchRequest::new(TicTacToe::new(), Arc::clone(&eval)).config(playouts(200));
+    s.submit(request()).wait();
+    let report = &s.autotune_reports()[0];
+    assert!(report.calibrated);
+    assert_eq!((report.batch, report.window_us), (1, 0), "{report:?}");
+    let (calls, samples) = backend.counts();
+    let served = s.stats();
+
+    let pair = [s.submit(request()), s.submit(request())];
+    for t in pair {
+        assert_eq!(t.wait().stats.playouts, 200);
+    }
+    let report = &s.autotune_reports()[0];
+    assert_eq!((report.batch, report.window_us), (1, 0), "{report:?}");
+    let now = s.stats();
+    assert_eq!(now.mean_eval_batch(), 1.0);
+    // Every evaluation of the two concurrent sessions was a backend call
+    // of its own.
+    let (calls, samples) = (backend.counts().0 - calls, backend.counts().1 - samples);
+    assert!(samples > 200);
+    assert_eq!(calls, samples);
+    assert_eq!(now.eval_samples - served.eval_samples, samples);
+}
+
+#[test]
+fn a_flat_cost_backend_still_shares_rounds() {
+    let _turn = one_at_a_time();
+    let backend = PricedUniform::new(Duration::from_millis(1), Duration::ZERO);
+    let eval = Arc::clone(&backend) as Arc<dyn BatchEvaluator>;
+    let s = service(4);
+    let tickets: Vec<_> = (0..8)
+        .map(|_| {
+            s.submit(SearchRequest::new(TicTacToe::new(), Arc::clone(&eval)).config(playouts(64)))
+        })
+        .collect();
+    for t in tickets {
+        assert_eq!(t.wait().stats.playouts, 64);
+    }
+    let report = &s.autotune_reports()[0];
+    assert!(report.calibrated);
+    assert!(report.batch > 1 && report.window_us > 0, "{report:?}");
+    let mean = s.stats().mean_eval_batch();
+    assert!(mean > 1.5, "rounds must still form: mean batch {mean}");
+}
+
+#[test]
+fn concurrent_sessions_return_what_they_return_alone() {
+    let _turn = one_at_a_time();
+    let net = Arc::new(PolicyValueNet::new(NetConfig::for_board(4, 9, 9, 81), 7));
+    let eval: Arc<dyn BatchEvaluator> = Arc::new(NnEvaluator::new(net));
+    let roots: Vec<Gomoku> = [40, 30]
+        .iter()
+        .map(|&first| {
+            let mut g = Gomoku::new(9, 5);
+            g.apply(first);
+            g
+        })
+        .collect();
+    let request =
+        |g: &Gomoku| SearchRequest::new(g.clone(), Arc::clone(&eval)).config(playouts(96));
+
+    let alone = service(2);
+    let expected: Vec<SearchResult> = roots
+        .iter()
+        .map(|g| alone.submit(request(g)).wait())
+        .collect();
+
+    let together = service(2);
+    let tickets: Vec<_> = roots.iter().map(|g| together.submit(request(g))).collect();
+    for (t, want) in tickets.iter().zip(&expected) {
+        let got = t.wait();
+        assert_eq!(got.visits, want.visits);
+        assert_eq!(got.probs, want.probs);
+        assert_eq!(got.value.to_bits(), want.value.to_bits());
+    }
+}

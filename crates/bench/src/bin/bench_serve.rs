@@ -79,7 +79,6 @@ fn serve_cfg(workers: usize) -> ServeConfig {
         workers,
         step_quota: 32,
         max_pooled: 2 * workers,
-        coalesce_window: Duration::from_millis(2),
         ..Default::default()
     }
 }

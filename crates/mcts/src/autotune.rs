@@ -3,23 +3,28 @@
 //! window) that maximizes positions per second.
 //!
 //! [`BatchTuner`] keeps one EWMA forward time per power-of-two batch size
-//! (7/8 old, 1/8 new — the same blend the coalescer's window heuristic
-//! uses). [`BatchTuner::calibrate`] seeds every bucket when the backend is
-//! registered; every production forward then refines its bucket. The
-//! operating point re-derives from the curve on demand by **one rule**:
-//! a round of `b` callers sharing one forward delivers `b / t(b)`
-//! positions per second (the paper's Eq. 4 shape: one queue, sublinear
+//! (7/8 old, 1/8 new). [`BatchTuner::calibrate`] seeds every bucket when
+//! the backend is registered; every production forward then refines its
+//! bucket. The operating point re-derives from the curve on demand by
+//! **one rule**: a round of `b` callers sharing one forward delivers
+//! `b / t(b)` positions per second (the paper's Eq. 4 shape: one queue, sublinear
 //! batch latency); the same callers each running their own single-sample
 //! forward deliver `p / t(1)`, where `p` is how many of them the host can
 //! run at once (Eq. 3 shape: every worker pays `T_DNN` in parallel). The
 //! best-scoring option wins:
 //!
 //! * **batch `b ≥ 2`** — form rounds of about `b`, and wait at most the
-//!   chosen bucket's forward time for one to fill (while one batch is in
-//!   flight, arrivals have exactly that long to fill the next), clamped
-//!   to the configured ceiling;
+//!   chosen bucket's forward time `t(b)` for one to fill (while one batch
+//!   is in flight, arrivals have exactly that long to fill the next);
 //! * **batch 1** — a batch does not pay: callers run their singles side by
 //!   side, nobody waits for anybody, so the window is **zero**.
+//!
+//! The rule compares *all* the options or none: while any bucket is still
+//! unobserved (no calibration, and traffic has not produced that size
+//! yet) the point is the max batch and one fixed window. A partial curve
+//! would reinforce itself — a tuner aiming at bucket `b` only ever
+//! observes batches ≤ `b` and would never discover that larger ones
+//! amortize better.
 //!
 //! All state is atomic; `record` is wait-free and called from every
 //! forward of the coalescing layer, `operating_point`/`curve` are read-side
@@ -38,8 +43,9 @@ const EWMA_OLD_WEIGHT: u64 = 7;
 /// The most one sample may read, in multiples of its bucket's EWMA.
 const OUTLIER_CAP: u64 = 2;
 
-/// Floor for the derived window of a round (matches the coalescer's floor).
-const MIN_WINDOW: Duration = Duration::from_micros(2);
+/// How long a round waits to fill while the curve is incomplete and
+/// `t(b)` therefore unknown.
+const UNMEASURED_WINDOW: Duration = Duration::from_micros(150);
 
 /// Timed forwards per bucket during calibration; the fastest one seeds
 /// the bucket (the first at a new size also grows the backend's scratch).
@@ -53,8 +59,6 @@ pub struct BatchTuner {
     sizes: Vec<usize>,
     /// EWMA forward nanoseconds per bucket; 0 = no observation yet.
     ewma_ns: Vec<AtomicU64>,
-    /// Ceiling for the derived coalescing window.
-    window_cap: Duration,
     /// Single-sample forwards the host can run at the same time (`p` in
     /// the module docs).
     singles: usize,
@@ -92,10 +96,12 @@ pub struct AutotuneReport {
 }
 
 impl BatchTuner {
-    /// A tuner for a backend whose hard batch cap is `max_batch`, deriving
-    /// windows no longer than `window_cap`. Singles are scored as if one
-    /// runs at a time; see [`BatchTuner::side_by_side`].
-    pub fn new(max_batch: usize, window_cap: Duration) -> Self {
+    /// A tuner for a backend whose hard batch cap is `max_batch`. Bucket 1
+    /// is scored as `singles` single-sample forwards running side by side
+    /// (`p / t(1)`): how many callers can be inside the backend at once —
+    /// the smaller of the threads that call it and the cores that can run
+    /// them.
+    pub fn new(max_batch: usize, singles: usize) -> Self {
         let max_batch = max_batch.max(1);
         let mut sizes = Vec::new();
         let mut b = 1usize;
@@ -108,19 +114,9 @@ impl BatchTuner {
         BatchTuner {
             sizes,
             ewma_ns,
-            window_cap,
-            singles: 1,
+            singles: singles.max(1),
             calibrated: AtomicBool::new(false),
         }
-    }
-
-    /// Score bucket 1 as `p` single-sample forwards running side by side
-    /// (`p / t(1)`): `p` is how many callers can be inside the backend at
-    /// once — the smaller of the threads that call it and the cores that
-    /// can run them.
-    pub fn side_by_side(mut self, p: usize) -> Self {
-        self.singles = p.max(1);
-        self
     }
 
     /// Largest batch the tuner will ever choose.
@@ -215,48 +211,36 @@ impl BatchTuner {
         self.calibrated.load(Ordering::Relaxed)
     }
 
-    /// True when every bucket has at least one observation — the curve
-    /// covers the full batch range, so the operating point compares all
-    /// the options rather than just the sizes traffic happened to
-    /// produce. Consumers that *steer* by the operating point should
-    /// require this (a partial curve self-reinforces: a tuner targeting
-    /// bucket `b` only ever observes batches ≤ `b` and would never
-    /// discover that larger ones amortize better).
+    /// True when every bucket has at least one observation: the curve
+    /// covers the full batch range, so the operating point is read off it
+    /// (see the module docs).
     pub fn fully_observed(&self) -> bool {
         self.ewma_ns.iter().all(|ns| ns.load(Ordering::Relaxed) > 0)
     }
 
-    /// The current operating point: the best-scoring observed bucket by
-    /// the one rule of the module docs. With an empty curve (no
-    /// calibration, no traffic yet) this falls back to the max batch and
-    /// the window ceiling — the pre-tuner behavior.
+    /// The current operating point: the best-scoring bucket of a complete
+    /// curve by the one rule of the module docs, else the max batch and
+    /// the fixed window.
     pub fn operating_point(&self) -> OperatingPoint {
-        let mut best: Option<(usize, u64, f64)> = None;
-        for (i, &size) in self.sizes.iter().enumerate() {
-            let ns = self.ewma_ns[i].load(Ordering::Relaxed);
-            if ns == 0 {
-                continue;
-            }
-            let rate = self.in_flight(size) as f64 / ns as f64;
-            // Strictly-greater keeps the smallest batch among equal rates:
-            // same throughput at lower latency.
-            if best.is_none_or(|(_, _, r)| rate > r) {
-                best = Some((size, ns, rate));
+        let (mut batch, mut window) = (self.max_batch(), UNMEASURED_WINDOW);
+        if self.fully_observed() {
+            let mut best_rate = 0.0;
+            for (&size, slot) in self.sizes.iter().zip(&self.ewma_ns) {
+                let ns = slot.load(Ordering::Relaxed);
+                let rate = self.in_flight(size) as f64 / ns as f64;
+                // Strictly-greater keeps the smallest batch among equal
+                // rates: same throughput at lower latency.
+                if rate > best_rate {
+                    best_rate = rate;
+                    batch = size;
+                    window = Duration::from_nanos(ns);
+                }
             }
         }
-        match best {
-            Some((1, _, _)) => OperatingPoint {
-                batch: 1,
-                window: Duration::ZERO,
-            },
-            Some((batch, ns, _)) => OperatingPoint {
-                batch,
-                window: Duration::from_nanos(ns).clamp(MIN_WINDOW, self.window_cap),
-            },
-            None => OperatingPoint {
-                batch: self.max_batch(),
-                window: self.window_cap,
-            },
+        OperatingPoint {
+            batch,
+            // Nobody waits for a round of one.
+            window: if batch == 1 { Duration::ZERO } else { window },
         }
     }
 
@@ -298,27 +282,40 @@ mod tests {
 
     #[test]
     fn buckets_are_powers_of_two_plus_cap() {
-        let t = BatchTuner::new(24, Duration::from_millis(1));
+        let t = BatchTuner::new(24, 1);
         assert_eq!(t.sizes, vec![1, 2, 4, 8, 16, 24]);
         assert_eq!(t.max_batch(), 24);
-        let t1 = BatchTuner::new(1, Duration::from_millis(1));
+        let t1 = BatchTuner::new(1, 1);
         assert_eq!(t1.sizes, vec![1]);
     }
 
     #[test]
-    fn unseeded_tuner_falls_back_to_cap_and_window() {
-        let t = BatchTuner::new(16, Duration::from_micros(150));
-        let op = t.operating_point();
-        assert_eq!(op.batch, 16);
-        assert_eq!(op.window, Duration::from_micros(150));
+    fn an_incomplete_curve_means_max_batch_and_the_fixed_window() {
+        let t = BatchTuner::new(16, 2);
+        let unmeasured = OperatingPoint {
+            batch: 16,
+            window: UNMEASURED_WINDOW,
+        };
+        assert_eq!(t.operating_point(), unmeasured);
         assert!(t.curve().is_empty());
         assert!(!t.is_calibrated());
+        // Bucket 1 alone would win any comparison it is the only entry
+        // of; the rule waits for the whole curve.
+        for b in [1, 2, 4, 8] {
+            t.record(b, Duration::from_micros(10 * b as u64));
+            assert_eq!(t.operating_point(), unmeasured, "up to bucket {b}");
+        }
+        t.record(16, Duration::from_micros(160));
+        assert_eq!(t.operating_point().batch, 1);
+        // A bound of one has nothing to wait for either way.
+        let window = BatchTuner::new(1, 2).operating_point().window;
+        assert_eq!(window, Duration::ZERO);
     }
 
     #[test]
     fn picks_the_knee_of_a_sublinear_curve() {
         for p in [1, 2] {
-            let t = BatchTuner::new(16, Duration::from_millis(10)).side_by_side(p);
+            let t = BatchTuner::new(16, p);
             // Sublinear up to 8 (batching amortizes), linear after: 8 wins,
             // also against two singles side by side (2/100 < 8/240).
             t.record(1, Duration::from_micros(100));
@@ -337,7 +334,7 @@ mod tests {
     fn linear_curve_runs_singles_side_by_side_with_no_window() {
         // The int8 serving net on the reference host: a batch of b costs
         // b singles, so two cores do better with one single each.
-        let t = BatchTuner::new(8, Duration::from_micros(150)).side_by_side(2);
+        let t = BatchTuner::new(8, 2);
         t.record(1, Duration::from_micros(89));
         t.record(2, Duration::from_micros(177));
         t.record(4, Duration::from_micros(335));
@@ -363,7 +360,7 @@ mod tests {
 
     #[test]
     fn one_descheduled_forward_does_not_move_the_verdict() {
-        let t = BatchTuner::new(8, Duration::from_micros(150)).side_by_side(2);
+        let t = BatchTuner::new(8, 2);
         for (b, us) in [(1, 100), (2, 180), (4, 340), (8, 700)] {
             t.record(b, Duration::from_micros(us));
         }
@@ -376,7 +373,7 @@ mod tests {
     #[test]
     fn recorded_serving_curve_keeps_its_knee_beside_two_singles() {
         // BENCH_serve.json's tuner curve: 2/284 < 4/413 µs.
-        let t = BatchTuner::new(8, Duration::from_millis(2)).side_by_side(2);
+        let t = BatchTuner::new(8, 2);
         for (b, us) in [(1, 284), (2, 358), (4, 413), (8, 1190)] {
             t.record(b, Duration::from_micros(us));
         }
@@ -386,18 +383,27 @@ mod tests {
     }
 
     #[test]
-    fn window_respects_cap_and_floor() {
-        let t = BatchTuner::new(4, Duration::from_micros(150));
-        t.record(4, Duration::from_millis(5));
-        assert_eq!(t.operating_point().window, Duration::from_micros(150));
-        let t2 = BatchTuner::new(4, Duration::from_micros(150));
-        t2.record(4, Duration::from_nanos(10));
-        assert_eq!(t2.operating_point().window, MIN_WINDOW);
+    fn a_rounds_window_is_its_forward_time_however_long_or_short() {
+        // Flat curves: the largest batch wins, and waits t(4) — no
+        // ceiling over a slow backend, no floor under a fast one.
+        for t4 in [Duration::from_millis(5), Duration::from_nanos(10)] {
+            let t = BatchTuner::new(4, 2);
+            for b in [1, 2, 4] {
+                t.record(b, t4);
+            }
+            assert_eq!(
+                t.operating_point(),
+                OperatingPoint {
+                    batch: 4,
+                    window: t4
+                }
+            );
+        }
     }
 
     #[test]
     fn ewma_converges_toward_recent_samples() {
-        let t = BatchTuner::new(2, Duration::from_millis(1));
+        let t = BatchTuner::new(2, 1);
         t.record(2, Duration::from_micros(800));
         for _ in 0..60 {
             t.record(2, Duration::from_micros(100));
@@ -408,14 +414,14 @@ mod tests {
 
     #[test]
     fn oversized_observations_land_in_top_bucket() {
-        let t = BatchTuner::new(8, Duration::from_millis(1));
+        let t = BatchTuner::new(8, 1);
         t.record(64, Duration::from_micros(300));
         assert_eq!(t.curve(), vec![(8, 300_000)]);
     }
 
     #[test]
     fn fully_observed_requires_every_bucket() {
-        let t = BatchTuner::new(8, Duration::from_millis(1));
+        let t = BatchTuner::new(8, 1);
         assert!(!t.fully_observed());
         t.record(1, Duration::from_micros(50));
         t.record(2, Duration::from_micros(60));
@@ -428,7 +434,7 @@ mod tests {
     #[test]
     fn calibration_seeds_every_bucket() {
         let eval = UniformEvaluator::new(4, 9);
-        let t = BatchTuner::new(8, Duration::from_millis(1));
+        let t = BatchTuner::new(8, 1);
         t.calibrate(&eval);
         assert!(t.is_calibrated());
         assert!(t.fully_observed());
@@ -492,7 +498,7 @@ mod tests {
     #[test]
     fn calibration_keeps_the_fastest_of_three_warm_repeats() {
         let eval = ColdThenWarm::new(usize::MAX, false);
-        let t = BatchTuner::new(4, Duration::from_millis(1));
+        let t = BatchTuner::new(4, 1);
         t.calibrate(&eval);
         assert!(t.is_calibrated());
         // One warm-up single, then three forwards per bucket.
@@ -510,24 +516,25 @@ mod tests {
         for panic in [false, true] {
             // Healthy for the warm-up and bucket 1, down in bucket 2.
             let eval = ColdThenWarm::new(5, panic);
-            let t = BatchTuner::new(4, Duration::from_micros(150));
+            let t = BatchTuner::new(4, 1);
             t.calibrate(&eval);
             assert!(!t.is_calibrated(), "panic = {panic}");
             assert!(t.curve().is_empty(), "no half-seeded curve");
             assert!(!t.fully_observed());
-            assert_eq!(t.operating_point().batch, 4, "pre-tuner fallback");
+            assert_eq!(t.operating_point().batch, 4, "the incomplete-curve point");
         }
     }
 
     #[test]
     fn report_round_trips_operating_point() {
-        let t = BatchTuner::new(4, Duration::from_millis(1));
+        let t = BatchTuner::new(4, 1);
         t.record(1, Duration::from_micros(50));
+        t.record(2, Duration::from_micros(70));
         t.record(4, Duration::from_micros(80));
         let r = t.report();
         assert_eq!(r.batch, 4);
         assert_eq!(r.window_us, 80);
-        assert_eq!(r.curve, vec![(1, 50_000), (4, 80_000)]);
+        assert_eq!(r.curve, vec![(1, 50_000), (2, 70_000), (4, 80_000)]);
         assert!((r.positions_per_sec - 4.0 / 80e-6).abs() / (4.0 / 80e-6) < 1e-9);
     }
 }

@@ -1,4 +1,11 @@
-//! [`SearchBuilder`]: one construction path for every search scheme.
+//! [`Scheme`] and [`SearchBuilder`]: one construction path for every
+//! search scheme.
+//!
+//! The paper's program template takes a `flag_local` input (Algorithm 1)
+//! decided at compile time by the design-configuration workflow (§3.2).
+//! [`Scheme`] is that flag, generalized to all implemented schemes: build
+//! the one the performance model selected (see `perfmodel::configurator`)
+//! and call [`SearchScheme::search`] as usual.
 //!
 //! The schemes' direct constructors differ in shape (devices for the
 //! local scheme, a second model for speculation, statefulness for
@@ -21,7 +28,6 @@
 //! }
 //! ```
 
-use crate::adaptive::Scheme;
 use crate::budget::Budget;
 use crate::config::{LockKind, MctsConfig, VirtualLoss};
 use crate::evaluator::{AccelEvaluator, BatchEvaluator, UniformEvaluator};
@@ -35,7 +41,71 @@ use crate::shared::SharedTreeSearch;
 use crate::speculative::SpeculativeSearch;
 use accel::Device;
 use games::Game;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+/// Which parallel implementation to instantiate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Scheme {
+    /// Single-thread baseline.
+    Serial,
+    /// §3.1.1: `N` threads, one lock-protected tree.
+    SharedTree,
+    /// §3.1.2: master thread + `N` inference workers.
+    LocalTree,
+    /// Baseline: replicate evaluations at one leaf.
+    LeafParallel,
+    /// Baseline: independent trees merged at the root.
+    RootParallel,
+    /// Baseline (§2.2 \[7\], SpecMCTS-style): serial in-tree discipline with
+    /// cheap speculative expansion corrected by the main model. Built with
+    /// a uniform-prior speculative model; for a custom cheap model use
+    /// [`crate::speculative::SpeculativeSearch`] directly.
+    Speculative,
+}
+
+impl Scheme {
+    /// All schemes (for sweeps/benches).
+    pub const ALL: [Scheme; 6] = [
+        Scheme::Serial,
+        Scheme::SharedTree,
+        Scheme::LocalTree,
+        Scheme::LeafParallel,
+        Scheme::RootParallel,
+        Scheme::Speculative,
+    ];
+
+    /// Stable display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scheme::Serial => "serial",
+            Scheme::SharedTree => "shared-tree",
+            Scheme::LocalTree => "local-tree",
+            Scheme::LeafParallel => "leaf-parallel",
+            Scheme::RootParallel => "root-parallel",
+            Scheme::Speculative => "speculative",
+        }
+    }
+
+    /// Instantiate this scheme for game type `G` (one-liner convenience
+    /// over [`SearchBuilder`], which is the full API).
+    pub fn build<G: Game>(
+        self,
+        cfg: MctsConfig,
+        evaluator: Arc<dyn BatchEvaluator>,
+    ) -> Box<dyn SearchScheme<G>> {
+        SearchBuilder::new(self)
+            .config(cfg)
+            .evaluator(evaluator)
+            .build()
+    }
+}
+
+impl std::fmt::Display for Scheme {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Where a builder's evaluations come from.
 enum EvalSource {
@@ -53,7 +123,6 @@ pub struct SearchBuilder {
     eval: Option<EvalSource>,
     spec: Option<Arc<dyn BatchEvaluator>>,
     commit_batch: Option<usize>,
-    coalesce_window: Option<std::time::Duration>,
     reuse: bool,
 }
 
@@ -67,7 +136,6 @@ impl SearchBuilder {
             eval: None,
             spec: None,
             commit_batch: None,
-            coalesce_window: None,
             reuse: false,
         }
     }
@@ -164,16 +232,6 @@ impl SearchBuilder {
         self
     }
 
-    /// Shared-tree cross-worker batching window: how long the first
-    /// evaluator of a round waits for peers before running a partial
-    /// batch. `Duration::ZERO` disables coalescing. Tune toward the
-    /// evaluator's forward time; defaults to
-    /// [`crate::coalesce::DEFAULT_COALESCE_WINDOW`].
-    pub fn coalesce_window(mut self, window: std::time::Duration) -> Self {
-        self.coalesce_window = Some(window);
-        self
-    }
-
     /// Cheap model for the speculative scheme (defaults to uniform
     /// priors when unset).
     pub fn speculative_model(mut self, spec: Arc<dyn BatchEvaluator>) -> Self {
@@ -208,11 +266,6 @@ impl SearchBuilder {
         );
         // Scheme-specific knobs are rejected, not silently dropped.
         assert!(
-            self.coalesce_window.is_none() || self.scheme == Scheme::SharedTree,
-            "coalesce_window applies only to the shared-tree scheme (got {})",
-            self.scheme
-        );
-        assert!(
             (self.spec.is_none() && self.commit_batch.is_none())
                 || self.scheme == Scheme::Speculative,
             "speculative_model/commit_batch apply only to the speculative scheme (got {})",
@@ -238,10 +291,7 @@ impl SearchBuilder {
         match self.scheme {
             Scheme::Serial if self.reuse => Box::new(ReusableSearch::new(cfg, eval)),
             Scheme::Serial => Box::new(ReusableSearch::one_shot(cfg, eval)),
-            Scheme::SharedTree => match self.coalesce_window {
-                Some(w) => Box::new(SharedTreeSearch::with_coalesce_window(cfg, eval, w)),
-                None => Box::new(SharedTreeSearch::new(cfg, eval)),
-            },
+            Scheme::SharedTree => Box::new(SharedTreeSearch::new(cfg, eval)),
             Scheme::LeafParallel => Box::new(LeafParallelSearch::new(cfg, eval)),
             Scheme::RootParallel => Box::new(RootParallelSearch::new(cfg, eval)),
             Scheme::Speculative => {
@@ -268,8 +318,8 @@ impl SearchBuilder {
             "tree reuse requires the serial scheme"
         );
         assert!(
-            self.coalesce_window.is_none() && self.spec.is_none() && self.commit_batch.is_none(),
-            "shared-tree/speculative knobs do not apply to a reusable serial searcher"
+            self.spec.is_none() && self.commit_batch.is_none(),
+            "speculative knobs do not apply to a reusable serial searcher"
         );
         let eval: Arc<dyn BatchEvaluator> = match self
             .eval
@@ -303,6 +353,31 @@ mod tests {
             let r = s.search(&TicTacToe::new());
             assert!(r.stats.playouts >= 40, "{scheme}");
         }
+    }
+
+    #[test]
+    fn all_schemes_agree_on_forced_win() {
+        let mut g = TicTacToe::new();
+        for a in [0u16, 3, 1, 4] {
+            g.apply(a);
+        }
+        let cfg = MctsConfig {
+            playouts: 300,
+            workers: 4,
+            ..Default::default()
+        };
+        for scheme in Scheme::ALL {
+            let r = scheme.build(cfg, uniform()).search(&g);
+            assert_eq!(r.best_action(), 2, "{scheme} missed the win");
+        }
+    }
+
+    #[test]
+    fn scheme_names_unique() {
+        let mut names: Vec<_> = Scheme::ALL.iter().map(|s| s.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Scheme::ALL.len());
     }
 
     #[test]
@@ -340,15 +415,6 @@ mod tests {
         let r2 = s.search(&g);
         assert_eq!(r2.stats.playouts, 60);
         assert_eq!(s.name(), "serial+reuse");
-    }
-
-    #[test]
-    #[should_panic(expected = "shared-tree scheme")]
-    fn coalesce_window_rejected_off_shared_tree() {
-        let _ = SearchBuilder::new(Scheme::Serial)
-            .evaluator(uniform())
-            .coalesce_window(std::time::Duration::from_micros(50))
-            .build::<TicTacToe>();
     }
 
     #[test]

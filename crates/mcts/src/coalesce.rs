@@ -13,14 +13,18 @@
 //! inference): `N` rollout workers produce one `[N, C, H, W]` forward
 //! pass instead of `N` single-sample passes.
 //!
-//! A round only pays where a batch costs less than its samples one by
-//! one. With a [`BatchTuner`] attached whose complete curve says singles
-//! side by side deliver more (operating point batch 1), the layer steps
-//! aside: every call goes **direct** — straight into the inner evaluator
-//! on the caller's own thread, concurrently with other callers, with no
-//! lock, copy, wait or allocation of the layer's own — and is still
-//! timed into the tuner, so the verdict follows the backend if its curve
-//! changes.
+//! **One rule steers a round: the operating point of the layer's own
+//! [`BatchTuner`]**, which every forward of the layer is timed into.
+//! Batch `b ≥ 2`: the leader aims at `b` callers and waits at most the
+//! measured `t(b)` for them. Batch 1 — a round only pays where a batch
+//! costs less than its samples one by one, and here the complete curve
+//! says singles side by side deliver more — the layer steps aside: every
+//! call goes **direct**, straight into the inner evaluator on the
+//! caller's own thread, concurrently with other callers, with no lock,
+//! copy, wait or allocation of the layer's own; still timed, so the
+//! verdict follows the backend if its curve changes. Until the curve
+//! covers every batch size (a layer nobody calibrated fills it from its
+//! own rounds) the point is the batch bound and one fixed window.
 
 use crate::autotune::{BatchTuner, OperatingPoint};
 use crate::error::SearchError;
@@ -30,17 +34,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Upper bound on the leader's wait for peers to join a batch. The
-/// *effective* wait adapts to the backend's measured forward time (a
-/// window worth paying for a millisecond forward pass would dwarf a
-/// microsecond one), capped by this value — or by the explicit window
-/// passed to [`CoalescingEvaluator::with_window`].
-pub const DEFAULT_COALESCE_WINDOW: Duration = Duration::from_micros(150);
-
-/// Effective window = clamp(4 × measured per-sample forward time,
-/// `MIN_COALESCE_WINDOW`, configured window).
-pub const MIN_COALESCE_WINDOW: Duration = Duration::from_micros(2);
 
 /// A sealed round awaiting follower pickup.
 struct RoundDone {
@@ -90,31 +83,16 @@ impl CoalesceStats {
 }
 
 /// Turns concurrent single-sample [`BatchEvaluator::evaluate_one`] calls
-/// into shared batches, or passes them straight through when the
-/// attached tuner finds that batches do not pay (see module docs). While
-/// rounds form, the blocking join *is* its `evaluate_one` and
-/// `evaluate_batch` joins once per sample; `preferred_batch()` stays 1
-/// so no caller assembles batches on top.
+/// into shared batches, or passes them straight through when its tuner
+/// finds that batches do not pay (see module docs). While rounds form,
+/// the blocking join *is* its `evaluate_one` and `evaluate_batch` joins
+/// once per sample; `preferred_batch()` stays 1 so no caller assembles
+/// batches on top.
 pub struct CoalescingEvaluator {
     inner: Arc<dyn BatchEvaluator>,
-    max_batch: usize,
-    window: Duration,
-    /// Measurement-driven override for target batch and window. When set,
-    /// every forward is recorded into it, and once its curve is complete
-    /// its operating point decides: batch 1 sends calls direct, a larger
-    /// one is what each round aims for (never above `max_batch`).
-    tuner: Option<Arc<BatchTuner>>,
-    /// EMA of per-sample inference time, ns (0 = not yet measured).
-    ema_sample_ns: AtomicU64,
-    /// High-water mark of recent round fills (rises to any larger fill,
-    /// decays by one per smaller round). Rounds normally target no more
-    /// than this — waiting out the grace period for a fill the caller
-    /// population has never produced would tax every round — with a
-    /// periodic probe round aiming at the full tuner target so the mark
-    /// can climb when concurrency rises gently. (Sharp rises need no
-    /// probe: arrivals stacking up behind an in-flight forward overshoot
-    /// the target and lift the mark directly.)
-    fill_hwm: AtomicU64,
+    /// The measured forward-time curve of `inner` and the operating point
+    /// it implies: the one thing that steers this layer.
+    tuner: BatchTuner,
     /// Lifetime rounds executed.
     batches: AtomicU64,
     /// Lifetime samples served.
@@ -125,22 +103,15 @@ pub struct CoalescingEvaluator {
 }
 
 impl CoalescingEvaluator {
-    /// Coalesce into batches of at most `max_batch`, with the default
-    /// collection window.
-    pub fn new(inner: Arc<dyn BatchEvaluator>, max_batch: usize) -> Self {
-        Self::with_window(inner, max_batch, DEFAULT_COALESCE_WINDOW)
-    }
-
-    /// Full control over batch bound and leader wait window.
-    pub fn with_window(inner: Arc<dyn BatchEvaluator>, max_batch: usize, window: Duration) -> Self {
+    /// Coalesce into batches of at most `max_batch`. `callers` is how many
+    /// callers can be inside `inner` at once — the smaller of the threads
+    /// that call this layer and the cores that can run them: the width
+    /// singles side by side are scored at.
+    pub fn new(inner: Arc<dyn BatchEvaluator>, max_batch: usize, callers: usize) -> Self {
         assert!(max_batch >= 1, "batch bound must be positive");
         CoalescingEvaluator {
             inner,
-            max_batch,
-            window,
-            tuner: None,
-            ema_sample_ns: AtomicU64::new(0),
-            fill_hwm: AtomicU64::new(0),
+            tuner: BatchTuner::new(max_batch, callers),
             batches: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             state: Mutex::new(Round {
@@ -153,54 +124,16 @@ impl CoalescingEvaluator {
         }
     }
 
-    /// Attach a [`BatchTuner`]: every forward is recorded into its curve,
-    /// and once the curve covers every bucket its operating point steers
-    /// the layer — direct calls at batch 1, otherwise rounds of that batch
-    /// and window (both capped by the constructor arguments). Typically
-    /// the tuner is shared with the stats exporter so the feedback loop
-    /// is observable.
-    pub fn with_tuner(mut self, tuner: Arc<BatchTuner>) -> Self {
-        self.tuner = Some(tuner);
-        self
-    }
-
-    /// The configured batch bound.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The attached tuner's operating point, once its curve covers every
-    /// bucket. A partial curve steers nothing — a tuner aiming at bucket
-    /// `b` only ever observes batches ≤ `b`, so steering by an incomplete
-    /// curve locks in whatever size showed up first.
-    fn steering(&self) -> Option<OperatingPoint> {
-        let tuner = self.tuner.as_ref()?;
-        tuner.fully_observed().then(|| tuner.operating_point())
+    /// The layer's tuner: calibrate it against the raw backend before
+    /// traffic arrives, or read its curve and operating point.
+    pub fn tuner(&self) -> &BatchTuner {
+        &self.tuner
     }
 
     /// True while calls bypass rounds: the tuner's complete curve says
     /// the callers' singles side by side beat any shared batch.
     pub fn runs_direct(&self) -> bool {
-        self.steering().is_some_and(|op| op.batch == 1)
-    }
-
-    /// The batch size the next round aims for: the steering operating
-    /// point's (never above the hard `max_batch`), else `max_batch`.
-    pub fn target_batch(&self) -> usize {
-        let cap = self
-            .steering()
-            .map_or(self.max_batch, |op| op.batch.clamp(1, self.max_batch));
-        // Don't wait for a fill the current caller population has never
-        // delivered: cap by the fill high-water mark, except on periodic
-        // probe rounds (every 16th) which aim at the full target so the
-        // mark can climb with rising concurrency.
-        let hwm = self.fill_hwm.load(Ordering::Relaxed) as usize;
-        let probe = self.batches.load(Ordering::Relaxed).is_multiple_of(16);
-        if hwm == 0 || probe {
-            cap
-        } else {
-            cap.min(hwm)
-        }
+        self.tuner.operating_point().batch == 1
     }
 
     /// Finished rounds currently awaiting follower pickup (diagnostics;
@@ -217,40 +150,12 @@ impl CoalescingEvaluator {
         }
     }
 
-    /// The wait the next leader will actually use: the steering operating
-    /// point's window (the chosen batch's forward time: while one batch is
-    /// in flight, arrivals have exactly that long to fill the next round),
-    /// else one adapted to the measured per-sample forward time. Never
-    /// above the configured window.
-    pub fn effective_window(&self) -> Duration {
-        if let Some(op) = self.steering() {
-            return op.window.clamp(MIN_COALESCE_WINDOW, self.window);
-        }
-        let ema = self.ema_sample_ns.load(Ordering::Relaxed);
-        if ema == 0 {
-            // Nothing measured yet: pay the configured window once.
-            self.window
-        } else {
-            Duration::from_nanos(4 * ema).clamp(MIN_COALESCE_WINDOW, self.window)
-        }
-    }
-
-    /// Account one finished call into the inner evaluator: the counters,
-    /// the per-sample EMA and the attached tuner's curve.
+    /// Account one finished call into the inner evaluator: the counters
+    /// and the tuner's curve.
     fn record_batch(&self, elapsed: Duration, samples: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.samples.fetch_add(samples as u64, Ordering::Relaxed);
-        if let Some(t) = &self.tuner {
-            t.record(samples, elapsed);
-        }
-        let per_sample = (elapsed.as_nanos() as u64) / samples.max(1) as u64;
-        let old = self.ema_sample_ns.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            per_sample
-        } else {
-            (old * 7 + per_sample) / 8
-        };
-        self.ema_sample_ns.store(new, Ordering::Relaxed);
+        self.tuner.record(samples, elapsed);
     }
 
     /// The direct path: the caller's own forward on its own thread, its
@@ -289,7 +194,11 @@ impl BatchEvaluator for CoalescingEvaluator {
     }
 
     fn evaluate_one(&self, input: &[f32]) -> EvalOutput {
-        if self.runs_direct() {
+        let OperatingPoint {
+            batch: target,
+            window,
+        } = self.tuner.operating_point();
+        if target == 1 {
             let mut out = [EvalOutput::default()];
             self.evaluate_direct(&[input], &mut out);
             let [o] = out;
@@ -297,10 +206,10 @@ impl BatchEvaluator for CoalescingEvaluator {
         }
         let mut st = self.state.lock();
         // A full round that its leader hasn't sealed yet must not grow
-        // past max_batch; wait for the seal to open the next epoch. While
-        // parked, lend this caller's core to the tensor pool so a forward
-        // pass in flight can widen its strip parallelism.
-        while st.inputs.len() >= self.max_batch {
+        // past the batch bound; wait for the seal to open the next epoch.
+        // While parked, lend this caller's core to the tensor pool so a
+        // forward pass in flight can widen its strip parallelism.
+        while st.inputs.len() >= self.tuner.max_batch() {
             let _lease = tensor::pool::lend_core();
             st = self.joined.wait(st);
         }
@@ -311,21 +220,19 @@ impl BatchEvaluator for CoalescingEvaluator {
         self.joined.notify_all();
 
         if leader {
-            // Collect joiners until the batch reaches the target (the
-            // tuner's operating point, or max_batch without one) or the
-            // window closes. The leader's core is lent out while it waits.
+            // Collect joiners until the batch reaches the operating
+            // point's target or its window closes. The leader's core is
+            // lent out while it waits.
             //
-            // The window is an upper bound, not a sentence: when the
-            // service has fewer concurrent evaluators than the target
-            // batch, arrivals dry up long before the window closes, and
-            // waiting it out would tax every round with dead time. So the
-            // round also seals once no new caller has joined for a grace
-            // period (a fraction of the window) — full batches form at
-            // full concurrency, and light traffic proceeds at once.
-            let target = self.target_batch();
-            let window = self.effective_window();
+            // The window is an upper bound, not a sentence: when fewer
+            // callers are evaluating than the target batch, arrivals dry
+            // up long before the window closes, and waiting it out would
+            // tax every round with dead time. So the round also seals
+            // once no new caller has joined for a grace period (a
+            // fraction of the window) — full batches form at full
+            // concurrency, and light traffic proceeds at once.
             let deadline = Instant::now() + window;
-            let grace = (window / 8).max(MIN_COALESCE_WINDOW);
+            let grace = window / 8;
             let mut last_join = Instant::now();
             let mut seen = st.inputs.len();
             while st.inputs.len() < target {
@@ -350,12 +257,6 @@ impl BatchEvaluator for CoalescingEvaluator {
             st.epoch += 1;
             self.joined.notify_all();
             drop(st);
-            // Rise to any larger fill at once, decay by one per smaller
-            // round: the mark tracks what concurrency actually delivers.
-            let fill = batch.len() as u64;
-            let hwm = self.fill_hwm.load(Ordering::Relaxed);
-            self.fill_hwm
-                .store(if fill >= hwm { fill } else { hwm - 1 }, Ordering::Relaxed);
 
             let followers = batch.len() - 1;
             // Contain a panicking backend so the round can be poisoned
@@ -444,11 +345,41 @@ mod tests {
     use super::*;
     use crate::evaluator::{NnEvaluator, UniformEvaluator};
     use nn::{NetConfig, PolicyValueNet};
+    use std::sync::Barrier;
+
+    /// A layer for two callers whose curve is seeded with `t(b)` at every
+    /// bucket.
+    fn seeded(
+        inner: Arc<dyn BatchEvaluator>,
+        max_batch: usize,
+        t: impl Fn(usize) -> Duration,
+    ) -> CoalescingEvaluator {
+        let c = CoalescingEvaluator::new(inner, max_batch, 2);
+        let mut b = 1;
+        while b < max_batch {
+            c.tuner().record(b, t(b));
+            b *= 2;
+        }
+        c.tuner().record(max_batch, t(max_batch));
+        c
+    }
+
+    /// A batch of any size costs `t`: rounds aim at `max_batch` and wait
+    /// up to `t` for it.
+    fn flat(inner: Arc<dyn BatchEvaluator>, max_batch: usize, t: Duration) -> CoalescingEvaluator {
+        seeded(inner, max_batch, |_| t)
+    }
+
+    /// A batch costs its samples one by one: the operating point is
+    /// batch 1.
+    fn linear(inner: Arc<dyn BatchEvaluator>, max_batch: usize) -> CoalescingEvaluator {
+        seeded(inner, max_batch, |b| Duration::from_micros(100 * b as u64))
+    }
 
     #[test]
     fn single_caller_passes_through() {
         let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let c = CoalescingEvaluator::with_window(inner, 4, Duration::from_micros(50));
+        let c = CoalescingEvaluator::new(inner, 4, 2);
         let o = c.evaluate_one(&[0.0; 4]);
         assert_eq!(o.priors.len(), 3);
         assert_eq!(o.value, 0.0);
@@ -459,11 +390,7 @@ mod tests {
         let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 4));
         let nn = Arc::new(NnEvaluator::new(Arc::clone(&net)));
         let probe = Arc::clone(&nn);
-        let c = Arc::new(CoalescingEvaluator::with_window(
-            nn,
-            8,
-            Duration::from_millis(20),
-        ));
+        let c = Arc::new(flat(nn, 8, Duration::from_millis(20)));
         let reference = NnEvaluator::new(net);
         std::thread::scope(|s| {
             for i in 0..8usize {
@@ -496,11 +423,7 @@ mod tests {
         // Regression: the leader's slot used to be stored as Some and
         // never taken, leaking one round entry per multi-caller batch.
         let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let c = Arc::new(CoalescingEvaluator::with_window(
-            inner,
-            4,
-            Duration::from_millis(20),
-        ));
+        let c = Arc::new(flat(inner, 4, Duration::from_millis(20)));
         for _ in 0..10 {
             std::thread::scope(|s| {
                 for _ in 0..4 {
@@ -533,11 +456,7 @@ mod tests {
                 4
             }
         }
-        let c = Arc::new(CoalescingEvaluator::with_window(
-            Arc::new(Exploding),
-            4,
-            Duration::from_millis(50),
-        ));
+        let c = Arc::new(flat(Arc::new(Exploding), 4, Duration::from_millis(50)));
         // All four callers must terminate (by panicking), none may hang.
         let results: Vec<bool> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
@@ -579,11 +498,7 @@ mod tests {
 
     #[test]
     fn typed_leader_errors_reach_followers_typed() {
-        let c = Arc::new(CoalescingEvaluator::with_window(
-            Arc::new(TypedFailure),
-            4,
-            Duration::from_millis(50),
-        ));
+        let c = Arc::new(flat(Arc::new(TypedFailure), 4, Duration::from_millis(50)));
         let errors: Vec<SearchError> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -613,16 +528,11 @@ mod tests {
     }
 
     #[test]
-    fn attached_tuner_sees_sealed_batches_and_caps_target() {
+    fn sealed_rounds_are_timed_into_the_curve() {
         let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let tuner = Arc::new(BatchTuner::new(64, Duration::from_millis(1)));
-        // Unseeded tuner wants its max (64); the coalescer's hard bound
-        // (4) must still cap the per-round target.
-        let c = Arc::new(
-            CoalescingEvaluator::with_window(inner, 4, Duration::from_millis(20))
-                .with_tuner(Arc::clone(&tuner)),
-        );
-        assert_eq!(c.target_batch(), 4);
+        let c = Arc::new(CoalescingEvaluator::new(inner, 4, 2));
+        // Nothing measured yet: rounds aim at the batch bound.
+        assert_eq!(c.tuner().operating_point().batch, 4);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let c = Arc::clone(&c);
@@ -632,32 +542,9 @@ mod tests {
             }
         });
         assert!(
-            !tuner.curve().is_empty(),
+            !c.tuner().curve().is_empty(),
             "sealed rounds must be recorded into the tuner's curve"
         );
-        // Once the curve says batch 2 is the knee, rounds aim for 2.
-        let seeded = Arc::new(BatchTuner::new(8, Duration::from_millis(1)));
-        seeded.record(1, Duration::from_micros(100));
-        seeded.record(2, Duration::from_micros(110));
-        seeded.record(4, Duration::from_micros(400));
-        seeded.record(8, Duration::from_micros(900));
-        let inner2: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let c2 = CoalescingEvaluator::with_window(inner2, 8, Duration::from_millis(20))
-            .with_tuner(seeded);
-        assert_eq!(c2.target_batch(), 2);
-    }
-
-    /// A tuner whose complete curve is linear in the batch size, scored
-    /// for two callers: its operating point is batch 1.
-    fn linear_tuner(max_batch: usize) -> Arc<BatchTuner> {
-        let tuner = BatchTuner::new(max_batch, Duration::from_millis(1)).side_by_side(2);
-        let mut b = 1;
-        while b < max_batch {
-            tuner.record(b, Duration::from_micros(100 * b as u64));
-            b *= 2;
-        }
-        tuner.record(max_batch, Duration::from_micros(100 * max_batch as u64));
-        Arc::new(tuner)
     }
 
     /// Uniform outputs; counts calls and samples, and tracks how many
@@ -700,20 +587,41 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_round_does_not_shrink_the_rounds_after_it() {
+        let backend = Arc::new(CountingBackend::default());
+        let c = flat(
+            Arc::clone(&backend) as Arc<dyn BatchEvaluator>,
+            4,
+            Duration::from_millis(80),
+        );
+        // One caller, nobody to share with: a round of one.
+        assert_eq!(c.evaluate_one(&[0.0; 4]).value, 0.5);
+        assert_eq!(c.stats().mean_batch(), 1.0);
+        // The curve still says four, so the next four callers get one
+        // forward between them.
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    assert_eq!(c.evaluate_one(&[0.0; 4]).value, 0.5);
+                });
+            }
+        });
+        assert_eq!(backend.calls.load(Ordering::SeqCst), 2);
+        assert_eq!(backend.samples.load(Ordering::SeqCst), 5);
+        assert_eq!(c.rounds_pending(), 0);
+    }
+
+    #[test]
     fn direct_path_hands_a_caller_assembled_batch_over_as_one_call() {
         let backend = Arc::new(CountingBackend::default());
-        let tuner = linear_tuner(8);
-        let c = CoalescingEvaluator::with_window(
-            Arc::clone(&backend) as Arc<dyn BatchEvaluator>,
-            8,
-            Duration::from_millis(20),
-        )
-        .with_tuner(Arc::clone(&tuner));
+        let c = linear(Arc::clone(&backend) as Arc<dyn BatchEvaluator>, 8);
         assert!(c.runs_direct());
         let inputs = [[0.0f32; 4]; 4];
         let refs: Vec<&[f32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let mut out = vec![EvalOutput::default(); 4];
-        let before = tuner.curve();
+        let before = c.tuner().curve();
         c.evaluate_batch(&refs, &mut out);
         assert_eq!(backend.calls.load(Ordering::SeqCst), 1);
         assert_eq!(backend.samples.load(Ordering::SeqCst), 4);
@@ -726,7 +634,7 @@ mod tests {
             }
         );
         // Timed into bucket 4 and nowhere else.
-        let after = tuner.curve();
+        let after = c.tuner().curve();
         for (b, a) in before.iter().zip(&after) {
             assert_eq!(b.1 != a.1, b.0 == 4, "bucket {}", b.0);
         }
@@ -750,14 +658,7 @@ mod tests {
             rendezvous: 2,
             ..Default::default()
         });
-        let c = Arc::new(
-            CoalescingEvaluator::with_window(
-                Arc::clone(&backend) as Arc<dyn BatchEvaluator>,
-                8,
-                Duration::from_secs(5),
-            )
-            .with_tuner(linear_tuner(8)),
-        );
+        let c = Arc::new(linear(Arc::clone(&backend) as Arc<dyn BatchEvaluator>, 8));
         std::thread::scope(|s| {
             for _ in 0..2 {
                 let c = Arc::clone(&c);
@@ -770,7 +671,7 @@ mod tests {
 
     #[test]
     fn direct_path_panics_reach_their_own_caller_typed() {
-        let c = CoalescingEvaluator::new(Arc::new(TypedFailure), 4).with_tuner(linear_tuner(4));
+        let c = linear(Arc::new(TypedFailure), 4);
         let payload =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.evaluate_one(&[0.0; 4])))
                 .expect_err("the failure must surface");
@@ -790,22 +691,19 @@ mod tests {
     #[test]
     fn a_partial_curve_steers_nothing() {
         let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 3));
-        let tuner = Arc::new(BatchTuner::new(8, Duration::from_millis(1)).side_by_side(2));
-        // Only bucket 1 seen: the tuner says batch 1, but it has nothing
-        // to compare it with.
-        tuner.record(1, Duration::from_micros(100));
-        assert_eq!(tuner.operating_point().batch, 1);
-        let c =
-            CoalescingEvaluator::with_window(inner, 8, Duration::from_micros(50)).with_tuner(tuner);
+        let c = CoalescingEvaluator::new(inner, 8, 2);
+        let unmeasured = c.tuner().operating_point();
+        // Only bucket 1 seen: it has nothing to be compared with.
+        c.tuner().record(1, Duration::from_micros(100));
         assert!(!c.runs_direct());
-        assert_eq!(c.target_batch(), 8);
-        assert_eq!(c.effective_window(), Duration::from_micros(50));
+        assert_eq!(c.tuner().operating_point(), unmeasured);
+        assert_eq!(unmeasured.batch, 8);
     }
 
     #[test]
     fn sequential_calls_never_deadlock() {
         let inner: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::new(4, 2));
-        let c = CoalescingEvaluator::with_window(inner, 16, Duration::from_micros(100));
+        let c = CoalescingEvaluator::new(inner, 16, 2);
         for _ in 0..20 {
             let p = c.evaluate_one(&[0.0; 4]).priors;
             assert_eq!(p.len(), 2);

@@ -15,7 +15,10 @@
 //! * [`shared::SharedTreeSearch`] — §3.1.1: `N` worker threads share one
 //!   concurrent tree; per-node locks (or lock-free atomics) protect edge
 //!   statistics; virtual loss steers workers onto different paths, and
-//!   concurrent evaluations coalesce into shared inference batches.
+//!   concurrent evaluations coalesce into shared inference batches
+//!   wherever the [`CoalescingEvaluator`]'s measured forward-time curve
+//!   says a batch pays (its [`BatchTuner`]'s operating point is the one
+//!   rule that sizes and times a round, here and in the `serve` crate).
 //! * [`local::LocalTreeSearch`] — §3.1.2: a single master thread owns the
 //!   entire tree (no locks, cache-friendly arena) and performs all in-tree
 //!   operations, keeping leaves in flight through [`EvalClient`] tickets —
@@ -30,9 +33,9 @@
 //!   in the crate-private `playout` module and differs only in what it
 //!   does with a selected leaf.
 //!
-//! [`adaptive::AdaptiveSearch`] dispatches to the scheme selected by the
-//! performance model (see the `perfmodel` crate), reproducing the paper's
-//! compile-time adaptive selection.
+//! [`Scheme`] names them all; [`Scheme::build`] instantiates the one the
+//! performance model selected (see the `perfmodel` crate), reproducing
+//! the paper's compile-time adaptive selection.
 //!
 //! # Resumable budgeted runs
 //!
@@ -81,7 +84,6 @@
 //! assert_eq!(done[0].output.priors.len(), 3);
 //! ```
 
-pub mod adaptive;
 pub mod analysis;
 pub mod arena;
 pub mod autotune;
@@ -106,12 +108,11 @@ pub mod shared;
 pub mod speculative;
 pub mod tree;
 
-pub use adaptive::{AdaptiveSearch, Scheme};
 pub use arena::NodeArena;
 pub use arena::NodeState;
 pub use autotune::{AutotuneReport, BatchTuner, OperatingPoint};
 pub use budget::{Budget, StepOutcome};
-pub use builder::SearchBuilder;
+pub use builder::{Scheme, SearchBuilder};
 pub use cache::{CacheStats, CachedEvaluator, EvalCache, EvalCacheConfig};
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosEvaluator, ChaosGame};
 pub use client::{Completion, EvalClient, Ticket};

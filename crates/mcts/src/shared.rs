@@ -407,11 +407,13 @@ struct SharedRun {
 /// Rollout workers need their leaf evaluated synchronously before the
 /// rollout can finish ([`BatchEvaluator::evaluate_one`]), so the
 /// evaluator is wrapped at construction where that pays: backends that
-/// profit from batching (`preferred_batch() > 1`) get a
+/// ask for batches (`preferred_batch() > 1`) get a
 /// [`CoalescingEvaluator`] that merges the `N` workers' concurrent
-/// requests into shared batches; backends that already coalesce
-/// internally (the accelerator queue) or that gain nothing from
-/// batching are called single-sample as they are.
+/// requests into shared batches — sized and timed by the forward-time
+/// curve it measures on its own rounds, down to no rounds at all where
+/// that curve says a batch costs its samples one by one; backends that
+/// already coalesce internally (the accelerator queue) or that gain
+/// nothing from batching are called single-sample as they are.
 pub struct SharedTreeSearch {
     cfg: MctsConfig,
     sync_eval: Arc<dyn BatchEvaluator>,
@@ -421,30 +423,18 @@ pub struct SharedTreeSearch {
 }
 
 impl SharedTreeSearch {
-    /// Spawn `cfg.workers` rollout threads with the default coalescing
-    /// window ([`crate::coalesce::DEFAULT_COALESCE_WINDOW`]).
+    /// Spawn `cfg.workers` rollout threads.
     pub fn new(cfg: MctsConfig, evaluator: Arc<dyn BatchEvaluator>) -> Self {
-        Self::with_coalesce_window(cfg, evaluator, crate::coalesce::DEFAULT_COALESCE_WINDOW)
-    }
-
-    /// Spawn `cfg.workers` rollout threads, waiting at most `window`
-    /// for concurrent evaluations to coalesce into one batch. Tune this
-    /// against the evaluator's forward time: a window much larger than
-    /// one forward pass taxes under-filled rounds at the tail of each
-    /// move; `Duration::ZERO` disables cross-worker batching entirely.
-    pub fn with_coalesce_window(
-        cfg: MctsConfig,
-        evaluator: Arc<dyn BatchEvaluator>,
-        window: std::time::Duration,
-    ) -> Self {
         cfg.validate();
         let batch = evaluator.preferred_batch().min(cfg.workers);
-        let sync_eval: Arc<dyn BatchEvaluator> =
-            if batch > 1 && !window.is_zero() && !evaluator.coalesces_internally() {
-                Arc::new(CoalescingEvaluator::with_window(evaluator, batch, window))
-            } else {
-                evaluator
-            };
+        let sync_eval: Arc<dyn BatchEvaluator> = if batch > 1 && !evaluator.coalesces_internally() {
+            // Workers that can be inside the evaluator at once: as many
+            // as there are cores to run them.
+            let callers = cfg.workers.min(tensor::pool::parallelism());
+            Arc::new(CoalescingEvaluator::new(evaluator, batch, callers))
+        } else {
+            evaluator
+        };
         SharedTreeSearch {
             pool: WorkerPool::new(cfg.workers),
             cfg,

@@ -26,8 +26,8 @@
 
 use games::Game;
 use mcts::{
-    BatchEvaluator, BatchTuner, CoalescingEvaluator, EvalOutput, MctsConfig, NnEvaluator,
-    ReusableSearch, SearchResult,
+    BatchEvaluator, CoalescingEvaluator, EvalOutput, MctsConfig, NnEvaluator, ReusableSearch,
+    SearchResult,
 };
 use nn::{NetConfig, PolicyValueNet};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -124,13 +124,11 @@ fn evaluate_batch_phase() {
 /// it: one sample in, one caller-owned output slot reused call after call.
 fn direct_dispatch_phase() {
     let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 5, 5, 25), 7));
+    let layer = CoalescingEvaluator::new(Arc::new(NnEvaluator::new(net)), 4, 2);
     // A complete curve on which a batch costs its samples one by one.
-    let tuner = BatchTuner::new(4, Duration::from_millis(1)).side_by_side(2);
     for b in [1, 2, 4] {
-        tuner.record(b, Duration::from_millis(b as u64));
+        layer.tuner().record(b, Duration::from_millis(b as u64));
     }
-    let layer =
-        CoalescingEvaluator::new(Arc::new(NnEvaluator::new(net)), 4).with_tuner(Arc::new(tuner));
     assert!(layer.runs_direct());
     let input: Vec<f32> = (0..100).map(|j| (j % 11) as f32 / 11.0).collect();
     let mut out = [EvalOutput::default()];

@@ -4,7 +4,7 @@
 
 use games::tictactoe::TicTacToe;
 use games::Game;
-use mcts::{AdaptiveSearch, MctsConfig, RootNoise, Scheme, SearchScheme, UniformEvaluator};
+use mcts::{MctsConfig, RootNoise, Scheme, UniformEvaluator};
 use std::sync::Arc;
 
 fn cfg(noise: Option<RootNoise>) -> MctsConfig {
@@ -22,10 +22,8 @@ fn noise_changes_visit_distribution() {
     // with noise the root priors (and hence visits) must differ.
     for scheme in [Scheme::Serial, Scheme::SharedTree, Scheme::LocalTree] {
         let eval = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
-        let mut plain =
-            AdaptiveSearch::<TicTacToe>::new(scheme, cfg(None), Arc::clone(&eval) as Arc<_>);
-        let mut noisy =
-            AdaptiveSearch::<TicTacToe>::new(scheme, cfg(Some(RootNoise::alphazero(42))), eval);
+        let mut plain = scheme.build::<TicTacToe>(cfg(None), Arc::clone(&eval) as Arc<_>);
+        let mut noisy = scheme.build::<TicTacToe>(cfg(Some(RootNoise::alphazero(42))), eval);
         let r_plain = plain.search(&TicTacToe::new());
         let r_noisy = noisy.search(&TicTacToe::new());
         assert_ne!(
@@ -44,8 +42,7 @@ fn noise_varies_across_moves() {
     // The per-tree nonce must give different noise draws on consecutive
     // moves even with a fixed config seed.
     let eval = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
-    let mut s =
-        AdaptiveSearch::<TicTacToe>::new(Scheme::Serial, cfg(Some(RootNoise::alphazero(7))), eval);
+    let mut s = Scheme::Serial.build::<TicTacToe>(cfg(Some(RootNoise::alphazero(7))), eval);
     let g = TicTacToe::new();
     let r1 = s.search(&g);
     let r2 = s.search(&g);
@@ -60,8 +57,7 @@ fn noisy_search_still_finds_forced_win() {
         g.apply(a);
     }
     let eval = Arc::new(UniformEvaluator::for_game(&g));
-    let mut s = AdaptiveSearch::<TicTacToe>::new(
-        Scheme::SharedTree,
+    let mut s = Scheme::SharedTree.build::<TicTacToe>(
         MctsConfig {
             playouts: 500,
             workers: 4,

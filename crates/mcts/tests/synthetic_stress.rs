@@ -3,7 +3,7 @@
 //! across all parallel schemes.
 
 use games::synthetic::SyntheticGame;
-use mcts::{AdaptiveSearch, MctsConfig, Scheme, SearchScheme, UniformEvaluator};
+use mcts::{MctsConfig, Scheme, UniformEvaluator};
 use std::sync::Arc;
 
 fn search_synthetic(
@@ -20,7 +20,7 @@ fn search_synthetic(
         workers,
         ..Default::default()
     };
-    let mut s = AdaptiveSearch::<SyntheticGame>::new(scheme, cfg, eval);
+    let mut s = scheme.build::<SyntheticGame>(cfg, eval);
     s.search(&game)
 }
 
@@ -103,7 +103,7 @@ fn explicit_max_nodes_is_honored() {
         max_nodes: Some(100 * 5 + 16),
         ..Default::default()
     };
-    let mut s = AdaptiveSearch::<SyntheticGame>::new(Scheme::SharedTree, cfg, eval);
+    let mut s = Scheme::SharedTree.build::<SyntheticGame>(cfg, eval);
     let r = s.search(&game);
     assert!(r.stats.nodes as usize <= 100 * 5 + 16);
 }

@@ -172,6 +172,35 @@ fn sessions_multiplex_on_one_connection() {
 }
 
 #[test]
+fn every_submit_on_a_connection_is_held_to_its_own_max_nodes() {
+    // One shard, one request at a time: from the second `Submit` on, the
+    // session runs on the searcher its predecessor warmed — which used
+    // to keep no bound at all (31 684 nodes under a 2 000-node `Submit`).
+    let mut server = NetServer::bind(
+        "127.0.0.1:0",
+        cluster(1, open_admission()),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr(), "").unwrap();
+    for submit in 1..=3 {
+        let id = client.submit(&request(400).max_nodes(2_000)).unwrap();
+        match client.wait_outcome(id).unwrap() {
+            Outcome::Done(result) => {
+                assert_eq!(result.playouts, 400);
+                assert!(
+                    result.nodes <= 2_000,
+                    "submit {submit}: {} nodes",
+                    result.nodes
+                );
+            }
+            other => panic!("submit {submit}: {other:?}"),
+        }
+    }
+    server.shutdown(Duration::from_secs(5));
+}
+
+#[test]
 fn concurrent_clients_each_get_their_own_stream() {
     let mut server = NetServer::bind(
         "127.0.0.1:0",

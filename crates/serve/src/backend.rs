@@ -7,8 +7,7 @@
 //! every session of the model shares — its id (what admission meters
 //! by), the one retry/breaker wrapper around the raw backend, the
 //! evaluation cache, the home shard placement prefers, and per shard the
-//! coalescing layer with its tuner and the assembled evaluator stack
-//! sessions run on. A [`crate::ServeCluster`] has one registry for all
+//! coalescing layer and the assembled evaluator stack sessions run on. A [`crate::ServeCluster`] has one registry for all
 //! its shards; a standalone [`crate::SearchService`] has its own.
 //!
 //! **Identity.** A record holds a strong handle on the backend it was
@@ -28,7 +27,7 @@ use crate::admission::AdmissionController;
 use crate::health::{BreakerState, CircuitBreaker, ResilientEvaluator};
 use crate::service::ServeConfig;
 use mcts::{
-    AutotuneReport, BatchEvaluator, BatchTuner, CacheStats, CachedEvaluator, CoalesceStats,
+    AutotuneReport, BatchEvaluator, CacheStats, CachedEvaluator, CoalesceStats,
     CoalescingEvaluator, EvalCache, EvalCacheConfig,
 };
 use parking_lot::Mutex;
@@ -47,11 +46,12 @@ const NO_HOME: usize = usize::MAX;
 /// One shard's share of a record, built when the model's first session
 /// lands on that shard.
 struct ShardStack {
-    /// Cross-session batching and the tuner steering it (into shared
-    /// rounds, or past them when singles side by side do better). `None`
-    /// for backends that ask for no batches (`preferred_batch() == 1`) or
-    /// that already coalesce internally (accelerator queues).
-    batching: Option<(Arc<CoalescingEvaluator>, Arc<BatchTuner>)>,
+    /// Cross-session batching, steered by the layer's own tuner (into
+    /// shared rounds, or past them when singles side by side do better).
+    /// `None` for backends that ask for no batches
+    /// (`preferred_batch() == 1`) or that already coalesce internally
+    /// (accelerator queues).
+    batching: Option<Arc<CoalescingEvaluator>>,
     /// What sessions evaluate through: cache → coalescer → resilient →
     /// backend. Hits are answered from memory without waking the batch
     /// layer; one retry re-runs a whole shared batch.
@@ -164,7 +164,7 @@ impl BackendRegistry {
                 });
             }
             for (shard, slot) in r.shards.iter().enumerate() {
-                if let Some((layer, _)) = slot.get().and_then(|s| s.batching.as_ref()) {
+                if let Some(layer) = slot.get().and_then(|s| s.batching.as_ref()) {
                     let s = layer.stats();
                     retired.eval[shard].batches += s.batches;
                     retired.eval[shard].samples += s.samples;
@@ -219,10 +219,8 @@ impl BackendRegistry {
             if max_batch > 1 && !backend.coalesces_internally() {
                 // Callers that can be inside the backend at once: this
                 // shard's workers, as far as there are cores to run them.
-                let side_by_side = self.cfg.workers.min(tensor::pool::parallelism());
-                let tuner = Arc::new(
-                    BatchTuner::new(max_batch, self.cfg.coalesce_window).side_by_side(side_by_side),
-                );
+                let callers = self.cfg.workers.min(tensor::pool::parallelism());
+                let layer = Arc::new(CoalescingEvaluator::new(stack, max_batch, callers));
                 // The tuner weighs every batch size against singles side by
                 // side, so it needs the whole curve before the first
                 // request. Against the raw backend: calibration must not
@@ -231,14 +229,10 @@ impl BackendRegistry {
                 // scratch per thread, and the one sized for the largest
                 // batch should not outlive the calibration.
                 std::thread::scope(|s| {
-                    s.spawn(|| tuner.calibrate(backend.as_ref()));
+                    s.spawn(|| layer.tuner().calibrate(backend.as_ref()));
                 });
-                let layer = Arc::new(
-                    CoalescingEvaluator::with_window(stack, max_batch, self.cfg.coalesce_window)
-                        .with_tuner(Arc::clone(&tuner)),
-                );
                 stack = Arc::clone(&layer) as Arc<dyn BatchEvaluator>;
-                batching = Some((layer, tuner));
+                batching = Some(layer);
             }
             if let Some(cache) = &record.cache {
                 stack = Arc::new(CachedEvaluator::new(stack, Arc::clone(cache)));
@@ -259,7 +253,7 @@ impl BackendRegistry {
     pub(crate) fn eval_stats(&self, shard: usize) -> CoalesceStats {
         let records = self.records.lock();
         let mut out = records.retired.eval[shard];
-        for (layer, _) in batching(&records.live, shard) {
+        for layer in batching(&records.live, shard) {
             let s = layer.stats();
             out.batches += s.batches;
             out.samples += s.samples;
@@ -270,7 +264,7 @@ impl BackendRegistry {
     /// One report per live tuner on `shard`.
     pub(crate) fn autotune_reports(&self, shard: usize) -> Vec<AutotuneReport> {
         batching(&self.records.lock().live, shard)
-            .map(|(_, tuner)| tuner.report())
+            .map(|layer| layer.tuner().report())
             .collect()
     }
 
@@ -303,11 +297,11 @@ impl BackendRegistry {
     }
 }
 
-/// The batching pairs `shard` has built so far.
+/// The batching layers `shard` has built so far.
 fn batching(
     live: &[Arc<BackendRecord>],
     shard: usize,
-) -> impl Iterator<Item = &(Arc<CoalescingEvaluator>, Arc<BatchTuner>)> {
+) -> impl Iterator<Item = &Arc<CoalescingEvaluator>> {
     live.iter()
         .filter_map(move |r| r.shards[shard].get()?.batching.as_ref())
 }

@@ -51,7 +51,7 @@ use crate::backend::BackendRegistry;
 use crate::health::BreakerState;
 use crate::service::{SearchService, ServeConfig, ServiceStats};
 use crate::session::{SearchTicket, SessionShared};
-use crate::{jittered, session_cost, SearchRequest};
+use crate::{jittered, run_config, session_cost, SearchRequest};
 use games::Game;
 use mcts::{AutotuneReport, BatchEvaluator, CacheStats};
 use parking_lot::Mutex;
@@ -408,16 +408,12 @@ impl ServeCluster {
             });
         }
         let backend = self.backends.lookup(&req.evaluator);
-        let cost = session_cost(&req.budget, &req.config);
+        let run_cfg = run_config(&req.budget, &req.config, self.session_arena_bytes);
+        let cost = session_cost(&run_cfg);
         // The session's worst-case arena footprint: the capacity its
         // resolved config would provision, in bytes. This is what the
         // byte quotas meter — reserved at admission, returned when the
         // session finalizes (the arena itself is freed or recycled then).
-        let mut run_cfg = req.budget.apply_to(&req.config);
-        if let Some(cap) = self.session_arena_bytes {
-            run_cfg.arena_budget_bytes =
-                Some(run_cfg.arena_budget_bytes.map_or(cap, |b| b.min(cap)));
-        }
         let bytes = (run_cfg.arena_capacity(req.root.action_space())
             * mcts::NodeArena::slot_bytes()) as u64;
         // Health gate first: a backend cooling down behind an open

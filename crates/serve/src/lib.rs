@@ -24,17 +24,19 @@
 //!   thousands of sessions;
 //! * `Serial`-scheme sessions run on **pooled, warmed
 //!   [`mcts::ReusableSearch`] instances**: a finished session's arena
-//!   (bounded by [`mcts::MctsConfig::max_nodes`]) is reset in place and
-//!   handed to the next session, so steady-state serving does not grow
-//!   tree memory per request;
+//!   is reset in place, re-bounded to the next request's own memory
+//!   budget and handed to that session, so steady-state serving does not
+//!   grow tree memory per request;
 //! * every session's leaf evaluations are funneled through **one shared
 //!   [`mcts::CoalescingEvaluator`] per distinct backend**, so concurrent
 //!   sessions fill each other's inference batches — cross-session
 //!   batching, the serving analogue of the paper's §3.3 request queue —
 //!   wherever the backend's measured forward-time curve says a shared
 //!   batch beats the workers' single-sample forwards side by side; where
-//!   it does not, the layer passes each worker's call straight through
-//!   (see [`mcts::BatchTuner`]).
+//!   it does not, the layer passes each worker's call straight through.
+//!   That curve — the layer's own [`mcts::BatchTuner`], calibrated when
+//!   the backend's first session arrives — is all that steers a round:
+//!   there is no batching knob in [`ServeConfig`].
 //!
 //! # Backend records
 //!
@@ -197,12 +199,29 @@ impl Priority {
     }
 }
 
-/// The admitted playout budget of a session: what admission meters and
-/// placement balances. A request bounded only by wall-clock time is
-/// costed at its configured playout ceiling (the paper's iteration
-/// budget remains the upper bound on work).
-pub(crate) fn session_cost(budget: &Budget, config: &MctsConfig) -> u64 {
-    budget.playouts.unwrap_or(config.playouts as u64).max(1)
+/// The configuration a request's session runs under: its budget's
+/// overrides folded into its config, then the tree arena clamped to the
+/// service's per-session ceiling ([`ServeConfig::session_arena_bytes`]).
+/// What the cluster prices at admission and what the shard builds and
+/// bounds the session with are this one value.
+pub(crate) fn run_config(
+    budget: &Budget,
+    config: &MctsConfig,
+    arena_cap: Option<usize>,
+) -> MctsConfig {
+    let mut cfg = budget.apply_to(config);
+    if let Some(cap) = arena_cap {
+        cfg.arena_budget_bytes = Some(cfg.arena_budget_bytes.map_or(cap, |b| b.min(cap)));
+    }
+    cfg
+}
+
+/// The admitted playout budget of a session, off its [`run_config`]:
+/// what admission meters and placement balances. A request bounded only
+/// by wall-clock time is costed at its configured playout ceiling (the
+/// paper's iteration budget remains the upper bound on work).
+pub(crate) fn session_cost(run_cfg: &MctsConfig) -> u64 {
+    (run_cfg.playouts as u64).max(1)
 }
 
 /// One search request: a root state plus how to search it and how much.

@@ -8,11 +8,11 @@ use crate::health::BreakerState;
 use crate::scheduler::{FairScheduler, SessionEntry};
 use crate::session::{Engine, SearchTicket, SessionShared, TicketStatus, TypedSession};
 use crate::supervisor;
-use crate::{session_cost, Priority, SearchRequest};
+use crate::{run_config, session_cost, Priority, SearchRequest};
 use games::Game;
 use mcts::{
-    AutotuneReport, BatchEvaluator, CacheStats, ReusableSearch, Scheme, SearchBuilder, SearchError,
-    SearchResult,
+    AutotuneReport, BatchEvaluator, Budget, CacheStats, ReusableSearch, Scheme, SearchBuilder,
+    SearchError, SearchResult,
 };
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,7 +27,12 @@ pub struct ServeConfig {
     /// how many evaluations can be in flight at once: the most callers a
     /// shared inference round can gather, and — capped by the host's
     /// cores — how many single-sample forwards run side by side when a
-    /// backend's batches do not pay (see `coalesce_window`).
+    /// backend's batches do not pay. Which of the two a backend gets is
+    /// measured, not configured: its coalescing layer's
+    /// [`mcts::BatchTuner`] is calibrated against the backend when its
+    /// first session arrives (a few forwards at each batch size, while
+    /// that `submit` waits) and refined by every forward after; see
+    /// [`mcts::CoalescingEvaluator`] for the rule.
     pub workers: usize,
     /// Playouts per scheduling slice. Smaller slices interleave sessions
     /// more fairly (and honor priorities/cancellation sooner) at the
@@ -36,19 +41,6 @@ pub struct ServeConfig {
     /// Warmed [`ReusableSearch`] instances kept for reuse across
     /// `Serial`-scheme sessions.
     pub max_pooled: usize,
-    /// Ceiling on the collection window of the shared per-backend
-    /// coalescing layer (how long the first evaluator of a round waits
-    /// for peers from other sessions; see
-    /// [`mcts::CoalescingEvaluator::with_window`]). Every layer carries
-    /// a [`mcts::BatchTuner`], calibrated against the backend when its
-    /// first session arrives (a few forwards at each batch size, while
-    /// that `submit` waits), that derives the actual window and target
-    /// batch from the measured forward-time curve — or, where that curve
-    /// says a batch costs as much as its samples one by one, drops rounds
-    /// and the window altogether and lets each worker run its own
-    /// evaluations. Only a backend that fails while being calibrated
-    /// starts out on this fixed window.
-    pub coalesce_window: Duration,
     /// Weighted-fair share of scheduling slices per [`Priority`] class,
     /// indexed `[Low, Normal, High]`. Over any busy window each class
     /// receives slices (≈ playouts) in proportion to its weight — higher
@@ -107,7 +99,6 @@ impl Default for ServeConfig {
             workers,
             step_quota: 64,
             max_pooled: 2 * workers,
-            coalesce_window: mcts::coalesce::DEFAULT_COALESCE_WINDOW,
             class_weights: [1, 4, 16],
             eval_cache_bytes: None,
             retry_budget: 2,
@@ -393,44 +384,42 @@ impl SearchService {
     pub(crate) fn submit_on<G: Game>(
         &self,
         backend: Arc<BackendRecord>,
-        mut req: SearchRequest<G>,
+        req: SearchRequest<G>,
     ) -> SearchTicket {
-        // Clamp the session's arena to the service ceiling — both the
-        // config knob and any per-run byte budget, so neither path lets
-        // one session outgrow its slice of the pool's memory.
-        if let Some(cap) = self.inner.cfg.session_arena_bytes {
-            req.config.arena_budget_bytes =
-                Some(req.config.arena_budget_bytes.map_or(cap, |b| b.min(cap)));
-            if let Some(b) = req.budget.max_bytes {
-                req.budget.max_bytes = Some(b.min(cap));
-            }
-        }
-        let cost = session_cost(&req.budget, &req.config);
+        // Resolved once: the pooled searcher is re-bounded to this config,
+        // a built scheme starts from it, cost and deadline are read off it.
+        let cfg = run_config(&req.budget, &req.config, self.inner.cfg.session_arena_bytes);
+        // `begin` folds its budget into the config again: the memory
+        // bounds are in `cfg` already, clamped, and must not be widened.
+        let budget = Budget {
+            max_nodes: None,
+            max_bytes: None,
+            ..req.budget
+        };
+        let cost = session_cost(&cfg);
         let eval = self.inner.backends.stack(&backend, self.inner.shard);
         let engine: Engine<G> = if req.scheme == Scheme::Serial {
             let pooled = self.inner.pool.lock().pop();
             let searcher = match pooled {
                 Some(mut s) => {
-                    s.reconfigure(req.config, eval);
+                    s.reconfigure(cfg, eval);
                     s
                 }
-                None => ReusableSearch::new(req.config, eval),
+                None => ReusableSearch::new(cfg, eval),
             };
             Engine::Pooled(Box::new(searcher))
         } else {
             Engine::Built(
                 SearchBuilder::new(req.scheme)
-                    .config(req.config)
+                    .config(cfg)
                     .evaluator(eval)
                     .build::<G>(),
             )
         };
-        let session = TypedSession::begin(engine, &req.root, req.budget);
-        let deadline = req
-            .budget
-            .time
-            .or(req.config.time_budget_ms.map(Duration::from_millis))
-            .map(|t| Instant::now() + t);
+        let session = TypedSession::begin(engine, &req.root, budget);
+        let deadline = cfg
+            .time_budget_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let shared = Arc::new(SessionShared::new(
             self.inner.next_id.fetch_add(1, Ordering::Relaxed),
         ));

@@ -99,7 +99,6 @@ fn cluster_soak_under_injected_faults_terminates_and_balances() {
             breaker_threshold: 6,
             breaker_cooldown: Duration::from_millis(20),
             watchdog_grace: Some(Duration::from_millis(500)),
-            coalesce_window: Duration::from_millis(1),
             ..Default::default()
         },
         // Generous limits: nothing sheds for rate/pending/bytes, so

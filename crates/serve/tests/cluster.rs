@@ -24,7 +24,6 @@ fn shard_cfg(workers: usize, step_quota: usize) -> ServeConfig {
         workers,
         step_quota,
         max_pooled: 8,
-        coalesce_window: Duration::from_millis(2),
         ..Default::default()
     }
 }
@@ -166,7 +165,6 @@ fn weighted_fair_shares_converge_to_class_weights() {
         workers: 1,
         step_quota: 16,
         max_pooled: 4,
-        coalesce_window: Duration::ZERO,
         class_weights: weights,
         ..Default::default()
     });
@@ -214,7 +212,6 @@ fn weighted_fair_holds_with_multiple_workers() {
         workers: 2,
         step_quota: 16,
         max_pooled: 8,
-        coalesce_window: Duration::ZERO,
         class_weights: weights,
         ..Default::default()
     });

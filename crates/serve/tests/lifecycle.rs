@@ -101,7 +101,6 @@ fn cluster_totals_never_decrease_across_an_eviction() {
         shards: 1,
         shard: ServeConfig {
             workers: 2,
-            coalesce_window: Duration::from_millis(1),
             eval_cache_bytes: Some(1 << 20),
             ..Default::default()
         },

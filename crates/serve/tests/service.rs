@@ -21,7 +21,6 @@ fn service(workers: usize, step_quota: usize) -> SearchService {
         workers,
         step_quota,
         max_pooled: 8,
-        coalesce_window: Duration::from_millis(5),
         ..Default::default()
     })
 }
@@ -172,6 +171,32 @@ fn time_budget_resolves_promptly() {
 }
 
 #[test]
+fn every_pooled_session_is_held_to_its_own_memory_bound() {
+    // Regression: a pooled searcher took the request's config without its
+    // budget, so `max_nodes` / `max_bytes` bound the first session on a
+    // fresh searcher and no later one (request 2 held 31 684 nodes).
+    let bound = 2_000;
+    let game = Gomoku::new(9, 5);
+    for budget in [
+        Budget::playouts(400).with_max_nodes(bound),
+        Budget::playouts(400).with_max_bytes(bound * mcts::NodeArena::slot_bytes()),
+    ] {
+        let s = service(1, 64);
+        let eval = Arc::new(UniformEvaluator::for_game(&game));
+        for request in 1..=3 {
+            let t = s.submit(SearchRequest::new(game.clone(), eval.clone()).budget(budget));
+            let r = t.wait();
+            assert_eq!(r.stats.playouts, 400);
+            assert!(
+                r.stats.nodes as usize <= bound,
+                "request {request} under {budget:?}: {} nodes",
+                r.stats.nodes
+            );
+        }
+    }
+}
+
+#[test]
 fn warmed_searchers_are_pooled_across_sessions() {
     let s = service(2, 32);
     let eval = uniform();
@@ -313,6 +338,29 @@ fn cross_session_coalescing_fills_larger_batches_than_serial() {
 }
 
 #[test]
+fn a_default_config_serves_a_backend_whose_batches_pay() {
+    // Nothing in `ServeConfig` sits between such a backend and its own
+    // forward time: rounds wait t(b), however long that is.
+    let s = SearchService::new(ServeConfig::default());
+    let delay = Duration::from_millis(1);
+    let eval: Arc<dyn BatchEvaluator> = Arc::new(SlowBatchEval {
+        input_len: 36,
+        actions: 9,
+        delay,
+    });
+    let tickets: Vec<_> = (0..2)
+        .map(|_| s.submit(SearchRequest::new(TicTacToe::new(), Arc::clone(&eval)).config(cfg(48))))
+        .collect();
+    for t in tickets {
+        assert_eq!(t.wait().stats.playouts, 48);
+        assert_eq!(t.status(), TicketStatus::Done);
+    }
+    let report = &s.autotune_reports()[0];
+    assert!(report.batch > 1, "{report:?}");
+    assert!(report.window_us >= delay.as_micros() as u64, "{report:?}");
+}
+
+#[test]
 fn batch_fill_grows_with_offered_concurrency() {
     // Regression: the coalescing bound used to be
     // `preferred_batch().min(workers)`, pinning mean batch at the
@@ -339,7 +387,6 @@ fn autotune_reports_cover_registered_batching_backends() {
         workers: 2,
         step_quota: 16,
         max_pooled: 4,
-        coalesce_window: Duration::from_millis(5),
         ..Default::default()
     });
     assert!(s.autotune_reports().is_empty(), "no backend yet");
@@ -409,7 +456,6 @@ fn cached_service(cache_bytes: Option<usize>) -> SearchService {
         workers: 2,
         step_quota: 32,
         max_pooled: 8,
-        coalesce_window: Duration::from_millis(5),
         eval_cache_bytes: cache_bytes,
         ..Default::default()
     })

@@ -96,7 +96,6 @@ fn main() {
         shard: ServeConfig {
             workers: 2,
             step_quota: 32,
-            coalesce_window: Duration::from_millis(2),
             eval_cache_bytes: Some(64 << 20),
             ..Default::default()
         },

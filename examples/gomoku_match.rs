@@ -18,13 +18,9 @@ fn main() {
     };
 
     // Black: shared-tree agent.  White: local-tree agent.
-    let mut black = AdaptiveSearch::<Gomoku>::new(
-        Scheme::SharedTree,
-        cfg,
-        Arc::new(NnEvaluator::new(Arc::clone(&net))),
-    );
-    let mut white =
-        AdaptiveSearch::<Gomoku>::new(Scheme::LocalTree, cfg, Arc::new(NnEvaluator::new(net)));
+    let mut black =
+        Scheme::SharedTree.build::<Gomoku>(cfg, Arc::new(NnEvaluator::new(Arc::clone(&net))));
+    let mut white = Scheme::LocalTree.build::<Gomoku>(cfg, Arc::new(NnEvaluator::new(net)));
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
 
     println!("shared-tree (X) vs local-tree (O) on 7x7 Gomoku, 4 in a row\n");

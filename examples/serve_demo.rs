@@ -27,14 +27,13 @@ fn main() {
         .map(|n| n.get().min(4))
         .unwrap_or(2)
         .max(2);
+    // Batching is not configured: each backend's tuner measures its
+    // forward-time curve when the backend registers and picks the
+    // coalescing window and target batch from it.
     let service = SearchService::new(ServeConfig {
         workers,
         step_quota: 32,
         max_pooled: 2 * workers,
-        // A ceiling only: each backend's tuner measures its forward-time
-        // curve when the backend registers and picks the coalescing
-        // window and target batch from it.
-        coalesce_window: Duration::from_millis(2),
         ..Default::default()
     });
     println!("service up: {workers} workers, 32-playout slices, auto-tuned batching\n");

@@ -15,7 +15,7 @@
 //! * [`mcts`] — the core contribution: shared-tree and local-tree
 //!   tree-parallel search over a **batch-first evaluation API**
 //!   (`BatchEvaluator` / `EvalClient`), the serial/leaf/root baselines,
-//!   the `SearchBuilder` construction layer, and adaptive dispatch;
+//!   and the `Scheme` / `SearchBuilder` construction layer;
 //! * [`perfmodel`] — performance models (Eqs. 3–6), design-time profiler,
 //!   Algorithm-4 batch-size search, and the timeline simulator;
 //! * [`train`] — the self-play + SGD training pipeline with throughput
@@ -97,11 +97,10 @@ pub mod prelude {
     pub use games::tictactoe::TicTacToe;
     pub use games::{Action, Game, Player, Status};
     pub use mcts::{
-        AccelEvaluator, AdaptiveSearch, BatchEvaluator, Budget, CacheStats, CachedEvaluator,
-        CoalescingEvaluator, Completion, EvalCache, EvalCacheConfig, EvalClient, EvalOutput,
-        LockKind, MctsConfig, NnEvaluator, ReusableSearch, RootNoise, Scheme, SearchBuilder,
-        SearchResult, SearchScheme, SearchStats, SpeculativeSearch, Ticket, TreeStats,
-        UniformEvaluator, VirtualLoss,
+        AccelEvaluator, BatchEvaluator, Budget, CacheStats, CachedEvaluator, CoalescingEvaluator,
+        Completion, EvalCache, EvalCacheConfig, EvalClient, EvalOutput, LockKind, MctsConfig,
+        NnEvaluator, ReusableSearch, RootNoise, Scheme, SearchBuilder, SearchResult, SearchScheme,
+        SearchStats, SpeculativeSearch, Ticket, TreeStats, UniformEvaluator, VirtualLoss,
     };
     pub use nn::resnet::{ResNetConfig, ResNetPolicyValueNet};
     pub use nn::{NetConfig, PolicyValueNet};

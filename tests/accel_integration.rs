@@ -43,7 +43,7 @@ fn local_tree_with_batched_device_completes() {
             workers: 4,
             ..Default::default()
         };
-        let mut s = AdaptiveSearch::<TicTacToe>::new(Scheme::LocalTree, cfg, eval);
+        let mut s = Scheme::LocalTree.build::<TicTacToe>(cfg, eval);
         let r = s.search(&TicTacToe::new());
         assert_eq!(r.stats.playouts, 120, "batch={batch}");
     }
@@ -61,7 +61,7 @@ fn shared_tree_with_batched_device_completes() {
         workers: 4,
         ..Default::default()
     };
-    let mut s = AdaptiveSearch::<TicTacToe>::new(Scheme::SharedTree, cfg, eval);
+    let mut s = Scheme::SharedTree.build::<TicTacToe>(cfg, eval);
     let r = s.search(&TicTacToe::new());
     assert_eq!(r.stats.playouts, 100);
 }
@@ -86,7 +86,7 @@ fn oversized_batch_threshold_cannot_deadlock() {
         workers: 2,
         ..Default::default()
     };
-    let mut s = AdaptiveSearch::<TicTacToe>::new(Scheme::LocalTree, cfg, eval);
+    let mut s = Scheme::LocalTree.build::<TicTacToe>(cfg, eval);
     let r = s.search(&TicTacToe::new());
     assert_eq!(r.stats.playouts, 50);
 }
@@ -101,7 +101,7 @@ fn device_actually_batches_under_parallel_search() {
         workers: 4,
         ..Default::default()
     };
-    let mut s = AdaptiveSearch::<TicTacToe>::new(Scheme::LocalTree, cfg, eval);
+    let mut s = Scheme::LocalTree.build::<TicTacToe>(cfg, eval);
     let _ = s.search(&TicTacToe::new());
     let stats = dev.stats();
     assert!(stats.samples >= 100, "samples {}", stats.samples);
@@ -124,16 +124,10 @@ fn search_results_with_device_match_cpu_path() {
         workers: 1,
         ..Default::default()
     };
-    let mut cpu_search = AdaptiveSearch::<TicTacToe>::new(
-        Scheme::LocalTree,
-        cfg,
-        Arc::new(NnEvaluator::new(Arc::clone(&net))),
-    );
-    let mut dev_search = AdaptiveSearch::<TicTacToe>::new(
-        Scheme::LocalTree,
-        cfg,
-        Arc::new(AccelEvaluator::new(device(&net, 1))),
-    );
+    let mut cpu_search =
+        Scheme::LocalTree.build::<TicTacToe>(cfg, Arc::new(NnEvaluator::new(Arc::clone(&net))));
+    let mut dev_search =
+        Scheme::LocalTree.build::<TicTacToe>(cfg, Arc::new(AccelEvaluator::new(device(&net, 1))));
     let g = TicTacToe::new();
     let rc = cpu_search.search(&g);
     let rd = dev_search.search(&g);

@@ -38,7 +38,7 @@ fn chosen_scheme_is_instantiable_and_searches() {
             workers: n,
             ..Default::default()
         };
-        let mut s = AdaptiveSearch::<TicTacToe>::new(choice.scheme, cfg, eval);
+        let mut s = choice.scheme.build::<TicTacToe>(cfg, eval);
         let r = s.search(&TicTacToe::new());
         assert_eq!(r.stats.playouts, 50);
     }
@@ -67,7 +67,7 @@ fn adaptive_choice_wins_against_misconfigured_scheme_in_real_time() {
             workers,
             ..Default::default()
         };
-        let mut s = AdaptiveSearch::<TicTacToe>::new(scheme, cfg, eval);
+        let mut s = scheme.build::<TicTacToe>(cfg, eval);
         let t = std::time::Instant::now();
         let _ = s.search(&game);
         t.elapsed().as_secs_f64()

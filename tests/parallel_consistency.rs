@@ -32,7 +32,7 @@ fn all_schemes_find_the_forced_win() {
                 continue;
             }
             let eval = Arc::new(UniformEvaluator::for_game(&g));
-            let mut s = AdaptiveSearch::<TicTacToe>::new(scheme, cfg(400, workers), eval);
+            let mut s = scheme.build::<TicTacToe>(cfg(400, workers), eval);
             let r = s.search(&g);
             assert_eq!(
                 r.best_action(),
@@ -52,16 +52,14 @@ fn parallel_visit_distributions_close_to_serial() {
     let g = TicTacToe::new();
     let playouts = 1200;
     let eval = Arc::new(UniformEvaluator::for_game(&g));
-    let mut serial = AdaptiveSearch::<TicTacToe>::new(
-        Scheme::Serial,
+    let mut serial = Scheme::Serial.build::<TicTacToe>(
         cfg(playouts, 1),
         Arc::clone(&eval) as Arc<dyn BatchEvaluator>,
     );
     let reference = serial.search(&g);
 
     for scheme in [Scheme::SharedTree, Scheme::LocalTree] {
-        let mut s = AdaptiveSearch::<TicTacToe>::new(
-            scheme,
+        let mut s = scheme.build::<TicTacToe>(
             cfg(playouts, 4),
             Arc::clone(&eval) as Arc<dyn BatchEvaluator>,
         );
@@ -88,7 +86,7 @@ fn playout_budgets_exact_across_schemes() {
     let g = TicTacToe::new();
     for scheme in [Scheme::Serial, Scheme::SharedTree, Scheme::LocalTree] {
         let eval = Arc::new(UniformEvaluator::for_game(&g));
-        let mut s = AdaptiveSearch::<TicTacToe>::new(scheme, cfg(333, 3), eval);
+        let mut s = scheme.build::<TicTacToe>(cfg(333, 3), eval);
         let r = s.search(&g);
         assert_eq!(r.stats.playouts, 333, "{scheme}");
         assert_eq!(r.visits.iter().sum::<u32>(), 332, "{scheme}");
@@ -99,7 +97,7 @@ fn playout_budgets_exact_across_schemes() {
 fn schemes_complete_full_games_without_deadlock() {
     for scheme in [Scheme::SharedTree, Scheme::LocalTree] {
         let eval = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
-        let mut s = AdaptiveSearch::<TicTacToe>::new(scheme, cfg(60, 4), eval);
+        let mut s = scheme.build::<TicTacToe>(cfg(60, 4), eval);
         let mut g = TicTacToe::new();
         let mut moves = 0;
         while g.status() == Status::Ongoing {
@@ -119,7 +117,7 @@ fn connect4_works_across_schemes() {
     let g = Connect4::new();
     for scheme in [Scheme::Serial, Scheme::SharedTree, Scheme::LocalTree] {
         let eval = Arc::new(UniformEvaluator::for_game(&g));
-        let mut s = AdaptiveSearch::<Connect4>::new(scheme, cfg(200, 2), eval);
+        let mut s = scheme.build::<Connect4>(cfg(200, 2), eval);
         let r = s.search(&g);
         assert_eq!(r.stats.playouts, 200, "{scheme}");
         // Center column is provably best in Connect-Four; with uniform
@@ -135,16 +133,10 @@ fn neural_evaluator_consistency_between_serial_and_leaf_parallel() {
     // Leaf-parallel with a deterministic DNN is exactly serial search.
     let g = TicTacToe::new();
     let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 77));
-    let mut serial = AdaptiveSearch::<TicTacToe>::new(
-        Scheme::Serial,
-        cfg(150, 1),
-        Arc::new(NnEvaluator::new(Arc::clone(&net))),
-    );
-    let mut leaf = AdaptiveSearch::<TicTacToe>::new(
-        Scheme::LeafParallel,
-        cfg(150, 3),
-        Arc::new(NnEvaluator::new(net)),
-    );
+    let mut serial = Scheme::Serial
+        .build::<TicTacToe>(cfg(150, 1), Arc::new(NnEvaluator::new(Arc::clone(&net))));
+    let mut leaf =
+        Scheme::LeafParallel.build::<TicTacToe>(cfg(150, 3), Arc::new(NnEvaluator::new(net)));
     let rs = serial.search(&g);
     let rl = leaf.search(&g);
     assert_eq!(rs.visits, rl.visits);
@@ -160,7 +152,7 @@ fn hex_works_across_schemes() {
     }
     for scheme in [Scheme::Serial, Scheme::SharedTree, Scheme::LocalTree] {
         let eval = Arc::new(UniformEvaluator::for_game(&g));
-        let mut s = AdaptiveSearch::<Hex>::new(scheme, cfg(300, 2), eval);
+        let mut s = scheme.build::<Hex>(cfg(300, 2), eval);
         let r = s.search(&g);
         assert_eq!(r.best_action(), 3, "{scheme}: visits {:?}", r.visits);
     }

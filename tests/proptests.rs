@@ -190,7 +190,7 @@ proptest! {
     fn serial_search_bookkeeping(playouts in 1usize..300) {
         let eval = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
         let cfg = MctsConfig { playouts, workers: 1, ..Default::default() };
-        let mut s = AdaptiveSearch::<TicTacToe>::new(Scheme::Serial, cfg, eval);
+        let mut s = Scheme::Serial.build::<TicTacToe>(cfg, eval);
         let r = s.search(&TicTacToe::new());
         prop_assert_eq!(r.stats.playouts as usize, playouts);
         prop_assert_eq!(r.visits.iter().sum::<u32>() as usize, playouts - 1);
@@ -205,7 +205,7 @@ proptest! {
     fn shared_search_bookkeeping(playouts in 2usize..200, workers in 1usize..6) {
         let eval = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
         let cfg = MctsConfig { playouts, workers, ..Default::default() };
-        let mut s = AdaptiveSearch::<TicTacToe>::new(Scheme::SharedTree, cfg, eval);
+        let mut s = Scheme::SharedTree.build::<TicTacToe>(cfg, eval);
         let r = s.search(&TicTacToe::new());
         prop_assert_eq!(r.stats.playouts as usize, playouts);
         prop_assert_eq!(r.visits.iter().sum::<u32>() as usize, playouts - 1);

@@ -81,8 +81,6 @@ fn service(workers: usize) -> SearchService {
     SearchService::new(ServeConfig {
         workers,
         step_quota: 16,
-        // A ceiling wide enough for the slow backend's forward time.
-        coalesce_window: Duration::from_millis(5),
         ..Default::default()
     })
 }
@@ -146,8 +144,19 @@ fn a_flat_cost_backend_still_shares_rounds() {
     let report = &s.autotune_reports()[0];
     assert!(report.calibrated);
     assert!(report.batch > 1 && report.window_us > 0, "{report:?}");
+    // Four workers can put four in a round, and on a host that wakes
+    // threads on time they do: 3.7–4.0. The reference host does not for
+    // some seconds after the memory-heavy suites `cargo test` runs before
+    // this one (a 1 ms sleep then takes 1.7 ms at p50 and 5–12 ms at p99,
+    // against a no-new-joiner grace of t(b)/8 ≈ 0.14 ms), and a caller
+    // woken late misses its round: 2.3–2.9. The mark holds in both states;
+    // a layer that talks itself out of sharing reads 1.3–2.2.
     let mean = s.stats().mean_eval_batch();
-    assert!(mean > 1.5, "rounds must still form: mean batch {mean}");
+    println!("flat backend: mean_eval_batch {mean:.2}");
+    assert!(
+        mean > 2.0,
+        "rounds must still fill: mean batch {mean}, {report:?}"
+    );
 }
 
 #[test]

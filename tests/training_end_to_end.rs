@@ -128,16 +128,10 @@ fn training_improves_play_against_uniform_evaluator() {
             workers: 1,
             ..Default::default()
         };
-        let mut a = AdaptiveSearch::<TicTacToe>::new(
-            Scheme::Serial,
-            scfg,
-            Arc::new(NnEvaluator::new(Arc::clone(&trained))),
-        );
-        let mut b = AdaptiveSearch::<TicTacToe>::new(
-            Scheme::Serial,
-            scfg,
-            Arc::new(UniformEvaluator::for_game(&g)),
-        );
+        let mut a = Scheme::Serial
+            .build::<TicTacToe>(scfg, Arc::new(NnEvaluator::new(Arc::clone(&trained))));
+        let mut b =
+            Scheme::Serial.build::<TicTacToe>(scfg, Arc::new(UniformEvaluator::for_game(&g)));
         while g.status() == Status::Ongoing {
             let trained_turn = (g.to_move() == Player::Black) == trained_plays_black;
             let r = if trained_turn {

@@ -80,11 +80,12 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"meta\": {{\"schema_version\": 2, \"tensor_threads\": {}, \"smoke\": {smoke}, \
-         \"cpu\": {{\"avx2\": {}, \"fma\": {}, \"int8_simd\": {}}}}},",
+         \"cpu\": {{\"avx2\": {}, \"fma\": {}, \"int8_simd\": {}, \"int8_kernel\": \"{}\"}}}},",
         tensor::pool::parallelism(),
         cpu_has_avx2(),
         cpu_has_fma(),
-        tensor::quant::simd_enabled()
+        tensor::quant::simd_enabled(),
+        tensor::quant::kernel_name()
     );
 
     // --- GEMM kernels -----------------------------------------------------

@@ -144,10 +144,12 @@ pub enum Precision {
     /// Folded f32 snapshot — exact eval-mode function.
     #[default]
     F32,
-    /// Folded + per-output-channel int8 weights on the widening-dot GEMM
-    /// (see `tensor::quant`): ~2× forward throughput, argmax-stable
-    /// policies, values within quantization tolerance. Falls back to F32
-    /// when the net contains unsupported layer kinds.
+    /// Folded + per-output-channel int8 weights on the widening-dot
+    /// kernels (see `tensor::quant`): several times the f32 forward
+    /// throughput (`BENCH_inference.json`), each position quantized with
+    /// its own scale (so results do not depend on batch-mates),
+    /// argmax-stable policies, values within quantization tolerance. Falls
+    /// back to F32 when the net contains unsupported layer kinds.
     Int8,
 }
 
@@ -502,6 +504,30 @@ mod tests {
             assert!((o.value - single.value).abs() < 1e-4);
         }
         assert_eq!(e.forward_calls(), 1 + 6, "each evaluate_one adds one");
+    }
+
+    #[test]
+    fn int8_batch_rows_equal_their_single_evaluations_bitwise() {
+        let net = Arc::new(PolicyValueNet::new(NetConfig::for_board(4, 5, 5, 25), 3));
+        let e = NnEvaluator::with_precision(net, 8, Precision::Int8);
+        assert_eq!(e.precision(), Precision::Int8);
+        // Positions of different magnitude: the int8 path scales each
+        // sample by its own maximum, so batch-mates cannot show.
+        let inputs: Vec<Vec<f32>> = (0..8)
+            .map(|i| {
+                (0..100)
+                    .map(|j| ((i * 13 + j) % 11) as f32 * (i + 1) as f32 / 11.0)
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
+        let mut out = vec![EvalOutput::default(); 8];
+        e.evaluate_batch(&refs, &mut out);
+        for (x, o) in refs.iter().zip(&out) {
+            let single = e.evaluate_one(x);
+            assert_eq!(o.priors, single.priors);
+            assert_eq!(o.value, single.value);
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Verifies the zero-alloc contracts of the steady state:
 //!
 //! 1. **Inference** — a warmed `NnEvaluator::evaluate_batch` performs no
-//!    heap allocations: every buffer (input pack, im2col matrix, GEMM
-//!    staging, intermediate activations, policy/value staging, prior
+//!    heap allocations, in f32 and in int8 (the precision the wire
+//!    workloads serve), at batch 1 and batched: every buffer (input pack,
+//!    im2col matrix and GEMM staging or quantized activations and packed
+//!    panel, intermediate activations, policy/value staging, prior
 //!    vectors) reuses capacity from the per-thread workspace or the
 //!    caller's output buffer.
 //! 2. **Search** — a warmed `ReusableSearch` runs a full
@@ -26,8 +28,8 @@
 
 use games::Game;
 use mcts::{
-    BatchEvaluator, CoalescingEvaluator, EvalOutput, MctsConfig, NnEvaluator, ReusableSearch,
-    SearchResult,
+    BatchEvaluator, CoalescingEvaluator, EvalOutput, MctsConfig, NnEvaluator, Precision,
+    ReusableSearch, SearchResult,
 };
 use nn::{NetConfig, PolicyValueNet};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,9 +92,7 @@ fn steady_state_allocates_nothing() {
 
 fn evaluate_batch_phase() {
     let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 5, 5, 25), 7));
-    let eval = NnEvaluator::new(net);
-    const B: usize = 32;
-    let inputs: Vec<Vec<f32>> = (0..B)
+    let inputs: Vec<Vec<f32>> = (0..32)
         .map(|i| {
             (0..100)
                 .map(|j| ((i * 13 + j) % 11) as f32 / 11.0)
@@ -100,23 +100,33 @@ fn evaluate_batch_phase() {
         })
         .collect();
     let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
-    let mut out = vec![EvalOutput::default(); B];
+    for (precision, batch) in [
+        (Precision::F32, 32),
+        (Precision::Int8, 1),
+        (Precision::Int8, 8),
+    ] {
+        let eval = NnEvaluator::with_precision(Arc::clone(&net), 8, precision);
+        assert_eq!(eval.precision(), precision);
+        let refs = &refs[..batch];
+        let mut out = vec![EvalOutput::default(); batch];
 
-    // Warm-up: grows the thread workspace, pack buffers, prior capacities.
-    for _ in 0..3 {
-        eval.evaluate_batch(&refs, &mut out);
-    }
-    let warm = out.clone();
+        // Warm-up: grows the thread workspace, pack buffers, prior capacities.
+        for _ in 0..3 {
+            eval.evaluate_batch(refs, &mut out);
+        }
+        let warm = out.clone();
 
-    let allocs = count_allocs(|| eval.evaluate_batch(&refs, &mut out));
-    assert_eq!(
-        allocs, 0,
-        "steady-state evaluate_batch must not touch the heap ({allocs} allocations observed)"
-    );
-    // And it still computes the same thing.
-    for (w, o) in warm.iter().zip(&out) {
-        assert_eq!(w.priors, o.priors);
-        assert_eq!(w.value, o.value);
+        let allocs = count_allocs(|| eval.evaluate_batch(refs, &mut out));
+        assert_eq!(
+            allocs, 0,
+            "steady-state {precision:?} evaluate_batch of {batch} must not touch the heap \
+             ({allocs} allocations observed)"
+        );
+        // And it still computes the same thing.
+        for (w, o) in warm.iter().zip(&out) {
+            assert_eq!(w.priors, o.priors);
+            assert_eq!(w.value, o.value);
+        }
     }
 }
 

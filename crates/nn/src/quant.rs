@@ -5,14 +5,18 @@
 //! once at snapshot time from the *folded* stacks (so batch-norm scales are
 //! already inside the conv weights), it holds every conv/linear weight in
 //! the pre-packed per-output-channel int8 form of
-//! [`tensor::quant::QuantizedWeights`] and runs forwards through the int8
-//! GEMM with dequant/bias/ReLU fused in the epilogue. Activations stay f32
-//! between layers and are quantized dynamically per GEMM call, so there is
-//! no calibration step and no accumulated inter-layer quantization state.
+//! [`tensor::quant::QuantizedWeights`] and runs every layer through one
+//! call — [`tensor::quant::qconv2d`] or [`tensor::quant::qlinear`] — that
+//! quantizes each sample of its input once, multiplies in int8 and writes
+//! the layer's `[B, ..]` output directly, dequant/bias/ReLU fused in the
+//! epilogue. Activations stay f32 between layers and are quantized
+//! dynamically with one scale **per sample**, so there is no calibration
+//! step, no accumulated inter-layer quantization state, and row `r` of a
+//! batched forward equals the forward of sample `r` alone, bit for bit.
 //!
 //! The accuracy contract (pinned by the parity tests): per-layer weight
 //! round-off is bounded by half the per-channel scale, activation round-off
-//! by half the per-call scale; through the 5-conv/3-linear nets this yields
+//! by half the per-sample scale; through the 5-conv/3-linear nets this yields
 //! policy distributions whose argmax agrees with f32 on ≥ 99% of positions
 //! and values within a few 1e-2 MAE. Anything needing exact f32 (training,
 //! reference checks) keeps using the float paths.
@@ -24,8 +28,8 @@
 
 use crate::layer::LayerKind;
 use crate::model::NetConfig;
-use tensor::conv::{im2col, im2col_batch, Conv2dSpec};
-use tensor::quant::{qgemm, QuantizedWeights};
+use tensor::conv::Conv2dSpec;
+use tensor::quant::{qconv2d, qlinear, QuantizedWeights};
 use tensor::{Tensor, Workspace};
 
 /// One quantized inference layer. ReLU is always fused into the preceding
@@ -63,9 +67,14 @@ fn quantize_stack(layers: &[LayerKind]) -> Option<Vec<QLayer>> {
         let fuse_relu = matches!(layers.get(i + 1), Some(LayerKind::ReLU));
         match &layers[i] {
             LayerKind::Conv2d(c) => {
-                let k = c.in_c * c.kh * c.kw;
                 out.push(QLayer::Conv {
-                    qw: QuantizedWeights::quantize(c.weight.data(), c.out_c, k),
+                    qw: QuantizedWeights::quantize_conv(
+                        c.weight.data(),
+                        c.out_c,
+                        c.in_c,
+                        c.kh,
+                        c.kw,
+                    ),
                     bias: c.bias.data().to_vec(),
                     in_c: c.in_c,
                     out_c: c.out_c,
@@ -197,6 +206,8 @@ impl QuantPolicyValueNet {
 
 /// Quantized mirror of [`crate::layer::forward_stack_ws`]: intermediate
 /// activations leased from `ws`, ReLUs already fused into the GEMM layers.
+/// One call per conv or linear layer whatever the batch: the layer's
+/// quantized input lives in `ws` and its output is written in place.
 fn forward_stack_q(layers: &[QLayer], x: &Tensor, ws: &mut Workspace) -> Tensor {
     let mut cur: Option<Tensor> = None;
     let release_into = |cur: &mut Option<Tensor>, ws: &mut Workspace, out: Tensor| {
@@ -234,33 +245,18 @@ fn forward_stack_q(layers: &[QLayer], x: &Tensor, ws: &mut Workspace) -> Tensor 
                     pad: *pad,
                 };
                 spec.validate();
-                let (oh, ow) = (spec.out_h(), spec.out_w());
-                let (rows, cols) = (spec.col_rows(), spec.col_cols());
-                let dims = [b, *out_c, oh, ow];
+                let dims = [b, *out_c, spec.out_h(), spec.out_w()];
                 let buf = ws.lease(dims.iter().product());
                 let mut out = Tensor::from_vec(buf, &dims);
-                if b == 1 {
-                    // [1, out_c, oh, ow] is exactly the GEMM output layout.
-                    let col = ws.col_buf(rows * cols);
-                    im2col(&spec, input.data(), col);
-                    qgemm(qw, col, false, cols, out.data_mut(), Some(bias), *relu);
-                } else {
-                    let bcols = b * cols;
-                    let (col, stage) = ws.col_and_stage(rows * bcols, out_c * bcols);
-                    im2col_batch(&spec, b, input.data(), col);
-                    qgemm(qw, col, false, bcols, stage, Some(bias), *relu);
-                    // Scatter [out_c, B, cols] → [B, out_c, cols].
-                    let out_len = out_c * cols;
-                    let o = out.data_mut();
-                    for bi in 0..b {
-                        for oc in 0..*out_c {
-                            o[bi * out_len + oc * cols..bi * out_len + (oc + 1) * cols]
-                                .copy_from_slice(
-                                    &stage[oc * bcols + bi * cols..oc * bcols + (bi + 1) * cols],
-                                );
-                        }
-                    }
-                }
+                qconv2d(
+                    qw,
+                    &spec,
+                    input.data(),
+                    out.data_mut(),
+                    Some(bias),
+                    *relu,
+                    ws,
+                );
                 release_into(&mut cur, ws, out);
             }
             QLayer::Linear {
@@ -275,9 +271,7 @@ fn forward_stack_q(layers: &[QLayer], x: &Tensor, ws: &mut Workspace) -> Tensor 
                 assert_eq!(input.dims(), &[b, *in_dim], "linear input shape");
                 let buf = ws.lease(b * out_dim);
                 let mut out = Tensor::from_vec(buf, &[b, *out_dim]);
-                // x rows are the n vectors; output written [b, out] directly
-                // by the transposed tile write-back.
-                qgemm(qw, input.data(), true, b, out.data_mut(), Some(bias), *relu);
+                qlinear(qw, input.data(), out.data_mut(), Some(bias), *relu, ws);
                 release_into(&mut cur, ws, out);
             }
             QLayer::Flatten => {
@@ -393,9 +387,14 @@ mod tests {
         let cfg = NetConfig::tiny(3, 6, 6, 36);
         let net = PolicyValueNet::new(cfg, 7);
         let qnet = net.quantized_for_inference().unwrap();
-        let x3 = rand_input(&cfg, 3, 77);
-        let (p3, v3) = qnet.forward(&x3);
+        let mut x3 = rand_input(&cfg, 3, 77);
         let img = cfg.in_c * cfg.h * cfg.w;
+        // Samples of very different magnitude: a scale shared across the
+        // batch would cost the small ones most of their resolution.
+        for (r, sample) in x3.data_mut().chunks_mut(img).enumerate() {
+            sample.iter_mut().for_each(|v| *v *= [1.0, 0.01, 30.0][r]);
+        }
+        let (p3, v3) = qnet.forward(&x3);
         for r in 0..3 {
             let x1 = Tensor::from_vec(
                 x3.data()[r * img..(r + 1) * img].to_vec(),
@@ -403,14 +402,10 @@ mod tests {
             );
             let (p1, v1) = qnet.forward(&x1);
             let a = p1.dims()[1];
-            // Same activation-scale per layer would make these bitwise
-            // equal; batching changes the dynamic scale, so compare within
-            // the quantization tolerance instead.
-            for i in 0..a {
-                let d = (p1.data()[i] - p3.data()[r * a + i]).abs();
-                assert!(d < 0.25, "row {r} logit {i}: {d}");
-            }
-            assert!((v1.data()[0] - v3.data()[r]).abs() < 0.1);
+            // Every layer quantizes each sample with that sample's own
+            // scale, so a row of a batch is the forward of its sample alone.
+            assert_eq!(p1.data(), &p3.data()[r * a..(r + 1) * a], "row {r}");
+            assert_eq!(v1.data()[0], v3.data()[r], "row {r}");
         }
     }
 

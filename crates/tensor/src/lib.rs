@@ -19,10 +19,14 @@
 //!   unfolds the whole `[B, C, H, W]` batch into one
 //!   `[col_rows, B·col_cols]` matrix and issues **one GEMM per layer call**
 //!   instead of one per image.
+//! * **[`quant`]** — the int8 inference tier: per-channel quantized
+//!   weights, activations quantized once per sample, convolutions whose
+//!   GEMM panels are gathered straight from u8 planes (no im2col matrix),
+//!   and a `vpdpbusd` / AVX2 / scalar micro-kernel chosen at run time.
 //! * **[`workspace::Workspace`]** — a reusable scratch arena (im2col
-//!   matrix, GEMM staging, recycled activation buffers) threaded through
-//!   the forward path so steady-state inference performs zero heap
-//!   allocations.
+//!   matrix, GEMM staging, quantized activations, recycled activation
+//!   buffers) threaded through the forward path so steady-state inference
+//!   performs zero heap allocations.
 //! * contiguous row-major storage, `f32` only; deterministic parameter
 //!   [`init`]ialization given a seed.
 //!

@@ -1,5 +1,6 @@
-//! Int8-quantized GEMM: per-output-channel symmetric weights × dynamically
-//! quantized activations, with the dequant fused into the bias/ReLU epilogue.
+//! Int8 inference kernels: per-output-channel symmetric weights × activations
+//! quantized once per sample, with the dequant fused into the bias/ReLU
+//! epilogue.
 //!
 //! # Quantization scheme
 //!
@@ -8,41 +9,80 @@
 //!   `s_i = maxabs(row_i) / 63`. The ±63 clamp is deliberate headroom: the
 //!   AVX2 kernel's `_mm256_maddubs_epi16` sums **pairs** of `u8×i8`
 //!   products into i16, and `255·63·2 = 32130 < 32767`, so the widening
-//!   dot product can never saturate.
-//! * **Activations** are quantized per call with a single symmetric scale
-//!   `s_x = maxabs(B) / 127`, then biased by +128 into `u8` (the unsigned
-//!   operand `maddubs` requires). The bias is exact to undo: the
-//!   accumulated `Σ (q_x+128)·q_w` over-counts by `128·Σ q_w`, and the
-//!   per-row weight sums are precomputed at quantization time.
+//!   dot product can never saturate (`vpdpbusd` accumulates straight into
+//!   i32 and has no such limit).
+//! * **Activations** get one symmetric scale **per sample**,
+//!   `s_x = maxabs(sample) / 127`, and are biased by +128 into `u8` (the
+//!   unsigned operand both dot-product instructions require). A sample is
+//!   one image of a convolution's batch or one input vector of a linear
+//!   layer, so a sample's result does not depend on what shared its batch.
+//!   The bias is exact to undo: the accumulated `Σ (q_x+128)·q_w`
+//!   over-counts by `128·Σ q_w`, and the per-row weight sums are
+//!   precomputed at quantization time.
+//! * **Non-finite activations** quantize the same on every path: NaN is
+//!   ignored by `maxabs` and becomes the zero point; ±inf is whatever the
+//!   ±127 clamp gives.
 //! * **Dequant** happens in the tile write-back:
 //!   `C[i,j] = s_i·s_x·(acc[i,j] − 128·rowsum_i) [+ bias_i] [then ReLU]` —
 //!   the same fused epilogue shape as the f32 kernel, so layers still need
 //!   no separate output pass.
 //!
+//! # Entry points
+//!
+//! * [`qconv2d`] — what a served convolution runs. Each sample's
+//!   `[C, H, W]` activation is scanned and quantized **once** (one
+//!   vectorized `maxabs` + quantize pass) into u8 planes that interleave
+//!   four channels per pixel and carry the zero point as a border; the
+//!   GEMM's B panels are then *gathered* from those planes, 32 bytes per
+//!   copy. No f32 im2col matrix, no staging buffer, no scatter: the tiles
+//!   are written straight into `[B, out_c, oh·ow]`.
+//! * [`qlinear`] — what a served linear layer runs: each input vector is
+//!   quantized once and multiplied against the packed weight panels by a
+//!   matrix-vector kernel (no B panel at all, no wasted tile columns at
+//!   small batch).
+//! * [`qgemm`] — quantizes an f32 B matrix per call with one scale and
+//!   packs it panel by panel. With [`crate::conv::im2col`] it is the
+//!   **differential oracle** for the two entries above (bitwise: the
+//!   quantization is element-wise and the i32 accumulation exact), and the
+//!   path a strided convolution takes.
+//!
 //! # Kernel
 //!
 //! Same BLIS-style structure as [`crate::ops`]: A is pre-packed (at
 //! quantization time — it never changes) into `MR`-row panels with k
-//! grouped by 4, B is packed per call into `NR`-column panels with k
-//! grouped by 4 so one 32-byte load yields the 4-deep k-group of all 8
-//! columns. The micro-kernel computes a 4×8 i32 tile per pass:
-//! `maddubs(b_u8, w_i8)` → 16×i16 pair sums, `madd(·, 1)` → 8×i32 4-deep
-//! dots, accumulated per row. Runtime-detected AVX2 with a portable scalar
-//! fallback computing bit-identical results.
+//! grouped by 4; B panels hold `NR` columns with k grouped by 4, so one
+//! 32-byte load yields the 4-deep k-group of all 8 columns. The
+//! micro-kernel computes an 8×8 i32 tile per pass. Three targets, chosen
+//! once at run time by `is_x86_feature_detected!` (see [`kernel_name`]):
 //!
-//! Multithreading splits the N dimension into `NR`-aligned column strips
-//! (A is pre-packed and shared read-only, so the column split duplicates
-//! nothing) and sizes itself from [`crate::pool::effective_parallelism`],
-//! i.e. it participates in the shared core budget.
+//! * `avx-vnni` — one `vpdpbusd` per tile row and k-group;
+//! * `avx2` — `maddubs(b_u8, w_i8)` → 16×i16 pair sums, `madd(·, 1)` →
+//!   8×i32 4-deep dots, `add`;
+//! * `scalar` — portable loops.
+//!
+//! All three produce bit-identical accumulators (integer arithmetic is
+//! exact), and the vectorized quantize/pack/write-back helpers round and
+//! clamp exactly like their scalar twins.
+//!
+//! Multithreading splits the work into column-panel strips (A is
+//! pre-packed and shared read-only, so the split duplicates nothing) and
+//! sizes itself from [`crate::pool::effective_parallelism`], i.e. it
+//! participates in the shared core budget.
 
+use crate::conv::{im2col, Conv2dSpec};
+use crate::workspace::Workspace;
 use std::cell::RefCell;
 
-/// Micro-kernel tile rows (matches the f32 kernel).
-const MR: usize = 4;
+/// Micro-kernel tile rows (one 32-byte A load per k-group in the
+/// matrix-vector kernel).
+const MR: usize = 8;
 /// Micro-kernel tile columns (one AVX2 vector of i32 lanes).
 const NR: usize = 8;
-/// k values packed per group (one `maddubs`+`madd` step consumes 4).
+/// k values packed per group (one dot-product step consumes 4).
 const KG: usize = 4;
+/// Bytes of one k-group of a B panel (`NR` columns × `KG` values) — also
+/// the unit the conv gather copies.
+const GROUP_BYTES: usize = NR * KG;
 
 /// Weight clamp. ±63 guarantees the i16 pair sums inside `maddubs` cannot
 /// saturate against u8 activations (see module docs).
@@ -52,14 +92,20 @@ const ACT_QMAX: f32 = 127.0;
 /// Bias added to quantized activations to make them unsigned.
 const ACT_ZERO: i32 = 128;
 
-/// Per-output-channel symmetric int8 weights, pre-packed for the 4×8
+/// Per-output-channel symmetric int8 weights, pre-packed for the 8×8
 /// micro-kernel, with the per-row scales and weight sums the dequant
 /// epilogue needs.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeights {
     rows: usize,
     cols: usize,
-    /// Column groups of 4 (`ceil(cols/4)`, at least 1).
+    /// Kernel taps per input channel (`kh·kw`; 1 for a plain matrix).
+    /// Fixes the order of k inside the panels: channel group of 4, then
+    /// tap, then channel within the group — the order in which the conv
+    /// gather finds 4 consecutive k as one pixel's 4 interleaved bytes.
+    /// With one tap that is plain row order.
+    taps: usize,
+    /// k-groups of 4 per panel (`ceil(channels/4)·taps`, at least 1).
     kgroups: usize,
     /// Panel-major layout: `[row_panel][kgroup][row_in_panel][4]`, zero
     /// padded on both the row and k edges.
@@ -73,14 +119,32 @@ pub struct QuantizedWeights {
 
 impl QuantizedWeights {
     /// Quantize a row-major `rows × cols` f32 matrix (one output channel
-    /// per row) into the packed int8 form.
+    /// per row) into the packed int8 form [`qgemm`] and [`qlinear`] read.
     pub fn quantize(w: &[f32], rows: usize, cols: usize) -> Self {
+        Self::pack(w, rows, cols, 1)
+    }
+
+    /// Quantize `[out_c, in_c, kh, kw]` convolution weights into the packed
+    /// form [`qconv2d`] reads. Every weight quantizes exactly as under
+    /// [`QuantizedWeights::quantize`] on the `out_c × in_c·kh·kw` matrix;
+    /// only its place inside the panel differs.
+    pub fn quantize_conv(w: &[f32], out_c: usize, in_c: usize, kh: usize, kw: usize) -> Self {
+        Self::pack(w, out_c, in_c * kh * kw, (kh * kw).max(1))
+    }
+
+    fn pack(w: &[f32], rows: usize, cols: usize, taps: usize) -> Self {
         assert_eq!(w.len(), rows * cols, "weight slice must be rows*cols");
         let panels = rows.div_ceil(MR).max(1);
-        let kgroups = cols.div_ceil(KG).max(1);
-        let mut packed = vec![0i8; panels * kgroups * MR * KG];
-        let mut scales = Vec::with_capacity(rows);
-        let mut row_sums = Vec::with_capacity(rows);
+        let kgroups = ((cols / taps).div_ceil(KG) * taps).max(1);
+        let mut q = QuantizedWeights {
+            rows,
+            cols,
+            taps,
+            kgroups,
+            packed: vec![0i8; panels * kgroups * MR * KG],
+            scales: Vec::with_capacity(rows),
+            row_sums: Vec::with_capacity(rows),
+        };
         for r in 0..rows {
             let row = &w[r * cols..(r + 1) * cols];
             let maxabs = row.iter().fold(0f32, |m, &v| m.max(v.abs()));
@@ -90,25 +154,33 @@ impl QuantizedWeights {
                 0.0
             };
             let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-            let (p, i) = (r / MR, r % MR);
             let mut sum = 0i32;
             for (kidx, &v) in row.iter().enumerate() {
-                let q = (v * inv).round().clamp(-WEIGHT_QMAX, WEIGHT_QMAX) as i32;
-                sum += q;
-                let (g, kk) = (kidx / KG, kidx % KG);
-                packed[((p * kgroups + g) * MR + i) * KG + kk] = q as i8;
+                let qv = (v * inv).round().clamp(-WEIGHT_QMAX, WEIGHT_QMAX) as i32;
+                sum += qv;
+                let at = q.packed_index(r, kidx);
+                q.packed[at] = qv as i8;
             }
-            scales.push(scale);
-            row_sums.push(sum);
+            q.scales.push(scale);
+            q.row_sums.push(sum);
         }
-        QuantizedWeights {
-            rows,
-            cols,
-            kgroups,
-            packed,
-            scales,
-            row_sums,
+        q
+    }
+
+    /// Where logical k index `kidx` sits in a panel's k order.
+    #[inline]
+    fn packed_k(&self, kidx: usize) -> usize {
+        if self.taps == 1 {
+            return kidx;
         }
+        let (c, t) = (kidx / self.taps, kidx % self.taps);
+        ((c / KG) * self.taps + t) * KG + c % KG
+    }
+
+    /// Index into `packed` of weight `(row, kidx)`.
+    fn packed_index(&self, row: usize, kidx: usize) -> usize {
+        let pk = self.packed_k(kidx);
+        (((row / MR) * self.kgroups + pk / KG) * MR + row % MR) * KG + pk % KG
     }
 
     /// Output channels (GEMM m).
@@ -132,12 +204,9 @@ impl QuantizedWeights {
     pub fn dequantize(&self) -> Vec<f32> {
         let mut out = vec![0f32; self.rows * self.cols];
         for r in 0..self.rows {
-            let (p, i) = (r / MR, r % MR);
             let s = self.scales[r];
             for kidx in 0..self.cols {
-                let (g, kk) = (kidx / KG, kidx % KG);
-                let q = self.packed[((p * self.kgroups + g) * MR + i) * KG + kk];
-                out[r * self.cols + kidx] = q as f32 * s;
+                out[r * self.cols + kidx] = self.packed[self.packed_index(r, kidx)] as f32 * s;
             }
         }
         out
@@ -155,76 +224,281 @@ impl QuantizedWeights {
     }
 }
 
-/// True when the AVX2 widening-dot-product micro-kernel is in use (as
-/// opposed to the portable scalar fallback). Useful for bench metadata.
-pub fn simd_enabled() -> bool {
+/// Which micro-kernel (and with it which quantize/pack/write-back helpers)
+/// a call runs. Values only come from [`Kernel::dispatched`] (and, in
+/// tests, from filtering [`Kernel::ALL`] by [`Kernel::supported`]), so
+/// holding a vector variant means the host has the instructions — the fact
+/// every `unsafe` call into `x86` relies on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Scalar,
     #[cfg(target_arch = "x86_64")]
-    {
-        kernels_x86::avx2_available()
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    AvxVnni,
+}
+
+impl Kernel {
+    /// Every kernel compiled in, slowest first.
+    const ALL: &'static [Kernel] = &[
+        Kernel::Scalar,
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Kernel::AvxVnni,
+    ];
+
+    /// Whether this host can run the kernel (the detection macro caches).
+    fn supported(self) -> bool {
+        match self {
+            Kernel::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::AvxVnni => {
+                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("avxvnni")
+            }
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// The fastest supported kernel: what the public entry points run.
+    fn dispatched() -> Kernel {
+        *Self::ALL
+            .iter()
+            .rev()
+            .find(|k| k.supported())
+            .expect("the scalar kernel runs anywhere")
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Kernel::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::AvxVnni => "avx-vnni",
+        }
+    }
+
+    /// True when the AVX2 quantize/pack/write-back helpers may run.
+    fn vectorized(self) -> bool {
+        self != Kernel::Scalar
+    }
+
+    /// `acc[i·NR + j] += Σ_k b[k, j] · a[i, k]` over one A panel and one B
+    /// panel of `kgroups` k-groups.
+    fn tile(self, kgroups: usize, apanel: &[i8], bpanel: &[u8], acc: &mut [i32; MR * NR]) {
+        assert!(apanel.len() >= kgroups * MR * KG && bpanel.len() >= kgroups * GROUP_BYTES);
+        match self {
+            Kernel::Scalar => tile_scalar(kgroups, apanel, bpanel, acc),
+            // SAFETY: the variant proves the features (see `Kernel`); the
+            // assert above covers every byte the kernel reads.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe {
+                x86::avx2::tile(kgroups, apanel.as_ptr(), bpanel.as_ptr(), acc)
+            },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::AvxVnni => unsafe {
+                x86::vnni::tile(kgroups, apanel.as_ptr(), bpanel.as_ptr(), acc)
+            },
+        }
+    }
+
+    /// `acc[i] += Σ_k x[k] · a[i, k]` over one A panel and one quantized
+    /// vector of `kgroups · KG` values.
+    fn matvec(self, kgroups: usize, apanel: &[i8], x: &[u8], acc: &mut [i32; MR]) {
+        assert!(apanel.len() >= kgroups * MR * KG && x.len() >= kgroups * KG);
+        match self {
+            Kernel::Scalar => matvec_scalar(kgroups, apanel, x, acc),
+            // SAFETY: as in `tile`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { x86::avx2::matvec(kgroups, apanel.as_ptr(), x.as_ptr(), acc) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::AvxVnni => unsafe {
+                x86::vnni::matvec(kgroups, apanel.as_ptr(), x.as_ptr(), acc)
+            },
+        }
     }
 }
 
-/// Int8 GEMM with fused dequant/bias/ReLU epilogue.
-///
-/// * `tb == false` (convolution): `B` is `cols × n` row-major (an im2col
-///   matrix), `C` is `rows × n` — `C = deq(Wq × Bq)`.
-/// * `tb == true` (linear): `B` is `n × cols` row-major (`n` input vectors),
-///   `C` is `n × rows` — `C = deq(Bq × Wqᵀ)`, written transposed directly
-///   from the tile, so no scratch staging is needed.
-///
-/// `bias` (when present) has one entry per weight row (= output channel /
-/// output feature) in both layouts; `relu` clamps after the bias. The
-/// activation scale is derived per call from `maxabs(B)`.
-pub fn qgemm(
-    qw: &QuantizedWeights,
-    b: &[f32],
-    tb: bool,
-    n: usize,
-    c: &mut [f32],
-    bias: Option<&[f32]>,
-    relu: bool,
-) {
-    let (m, k) = (qw.rows, qw.cols);
-    assert_eq!(b.len(), k * n, "B must be k*n elements");
-    assert_eq!(c.len(), m * n, "C must be m*n elements");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), m, "bias must have one entry per weight row");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    let maxabs = b.iter().fold(0f32, |acc, &v| acc.max(v.abs()));
-    let s_x = if maxabs > 0.0 { maxabs / ACT_QMAX } else { 0.0 };
-    let inv_sx = if s_x > 0.0 { 1.0 / s_x } else { 0.0 };
+/// Name of the int8 micro-kernel this host dispatches to: `"scalar"`,
+/// `"avx2"` or `"avx-vnni"`. For bench metadata and CI logs.
+pub fn kernel_name() -> &'static str {
+    Kernel::dispatched().name()
+}
 
-    let col_panels = n.div_ceil(NR);
-    let flops = 2 * m * n * k;
-    let threads = crate::pool::effective_parallelism();
-    let c_ptr = CPtr(c.as_mut_ptr());
-    let c_ptr = &c_ptr;
-    if flops >= crate::ops::MT_FLOP_THRESHOLD && threads > 1 && col_panels >= 2 {
-        let strips = threads.min(col_panels);
-        let strip_panels = col_panels.div_ceil(strips);
-        let n_strips = col_panels.div_ceil(strip_panels);
-        crate::pool::run_strips(n_strips, &|s| {
-            let p0 = s * strip_panels;
-            let p1 = (p0 + strip_panels).min(col_panels);
-            // SAFETY: strip `s` covers column panels [p0, p1); strips are
-            // disjoint, so no two workers touch the same C element (in
-            // either the direct or the transposed write layout).
-            unsafe {
-                qgemm_col_panels(qw, b, tb, n, p0, p1, *c_ptr, bias, relu, s_x, inv_sx);
+/// True when a vector micro-kernel is in use (as opposed to the portable
+/// scalar fallback).
+pub fn simd_enabled() -> bool {
+    Kernel::dispatched().vectorized()
+}
+
+/// Bias and ReLU fused into the dequantizing write-back.
+#[derive(Clone, Copy)]
+struct Epilogue<'a> {
+    bias: Option<&'a [f32]>,
+    relu: bool,
+}
+
+impl<'a> Epilogue<'a> {
+    fn new(bias: Option<&'a [f32]>, relu: bool, rows: usize) -> Self {
+        if let Some(bias) = bias {
+            assert_eq!(bias.len(), rows, "bias must have one entry per weight row");
+        }
+        Epilogue { bias, relu }
+    }
+}
+
+/// One activation scale from a sample's largest magnitude: `(s_x, 1/s_x)`,
+/// both 0 for an all-zero sample.
+fn act_scale(maxabs: f32) -> (f32, f32) {
+    let s_x = if maxabs > 0.0 { maxabs / ACT_QMAX } else { 0.0 };
+    (s_x, if s_x > 0.0 { 1.0 / s_x } else { 0.0 })
+}
+
+/// Largest magnitude in `x`, ignoring NaN.
+fn maxabs(kernel: Kernel, x: &[f32]) -> f32 {
+    #[allow(unused_mut)]
+    let (mut m, mut done) = (0f32, 0);
+    #[cfg(target_arch = "x86_64")]
+    if kernel.vectorized() {
+        done = x.len() / 8 * 8;
+        // SAFETY: AVX2 present (see `Kernel`); `done <= x.len()`.
+        m = unsafe { x86::maxabs(x.as_ptr(), done) };
+    }
+    let _ = kernel;
+    x[done..].iter().fold(m, |m, &v| m.max(v.abs()))
+}
+
+/// Quantize one activation to the biased-u8 domain, rounding to nearest
+/// even via the magic-constant trick (a couple of adds instead of the slow
+/// `f32::round` lowering) — the same rounding `cvtps_epi32` performs. NaN
+/// survives the clamp and the adds and casts to 0, i.e. the zero point.
+#[inline]
+fn quantize_act(x: f32, inv_sx: f32) -> u8 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23: shifts ties-to-even into the mantissa
+    let clamped = (x * inv_sx).clamp(-ACT_QMAX, ACT_QMAX);
+    let rounded = (clamped + MAGIC) - MAGIC;
+    (rounded as i32 + ACT_ZERO) as u8
+}
+
+/// Quantize `x` element by element into `q` (same length).
+fn quantize_flat(kernel: Kernel, x: &[f32], inv_sx: f32, q: &mut [u8]) {
+    debug_assert_eq!(x.len(), q.len());
+    #[allow(unused_mut)]
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if kernel.vectorized() {
+        done = x.len() / 8 * 8;
+        // SAFETY: AVX2 present; both slices hold `done` elements.
+        unsafe { x86::quantize_flat(x.as_ptr(), done, inv_sx, q.as_mut_ptr()) };
+    }
+    let _ = kernel;
+    for (qv, &v) in q[done..].iter_mut().zip(&x[done..]) {
+        *qv = quantize_act(v, inv_sx);
+    }
+}
+
+/// Geometry of one sample's quantized planes for a stride-1 convolution:
+/// `[ceil(C/4)][H + 2·pad][W + 2·pad][4]` bytes — four channels interleaved
+/// per pixel, the zero point in the border and in the channels past `C` —
+/// so that 4 consecutive k of one output pixel are 4 adjacent bytes and
+/// neighbouring output pixels of a row are adjacent words. Plus what the
+/// gather needs of the convolution, worked out once per call.
+#[derive(Clone, Copy)]
+struct Planes {
+    /// Channel groups of 4.
+    groups: usize,
+    /// Padded width in pixels.
+    wp: usize,
+    /// Pixels per padded plane.
+    plane: usize,
+    kh: usize,
+    kw: usize,
+    /// Output width in pixels.
+    ow: usize,
+}
+
+impl Planes {
+    fn of(spec: &Conv2dSpec) -> Self {
+        let wp = spec.in_w + 2 * spec.pad;
+        Planes {
+            groups: spec.in_c.div_ceil(KG),
+            wp,
+            plane: (spec.in_h + 2 * spec.pad) * wp,
+            kh: spec.kh,
+            kw: spec.kw,
+            ow: spec.out_w(),
+        }
+    }
+
+    /// Bytes of one sample.
+    fn bytes(&self) -> usize {
+        self.groups * self.plane * KG
+    }
+}
+
+/// Scan and quantize one `[C, H, W]` sample into its planes; returns the
+/// sample's scale.
+fn quantize_planes(
+    kernel: Kernel,
+    spec: &Conv2dSpec,
+    pl: &Planes,
+    img: &[f32],
+    q: &mut [u8],
+) -> f32 {
+    let (c, h, w, pad) = (spec.in_c, spec.in_h, spec.in_w, spec.pad);
+    debug_assert_eq!(img.len(), c * h * w);
+    debug_assert_eq!(q.len(), pl.bytes());
+    let (s_x, inv_sx) = act_scale(maxabs(kernel, img));
+    q.fill(ACT_ZERO as u8);
+    // Whole channel groups of rows at least a vector wide go through the
+    // AVX2 interleave; the rest through the scalar loop below.
+    #[allow(unused_mut)]
+    let mut done_c = 0;
+    #[cfg(target_arch = "x86_64")]
+    if kernel.vectorized() && w >= 8 {
+        done_c = c / KG * KG;
+        // SAFETY: AVX2 present; `img` holds `done_c` channels of `h·w` and
+        // `q` the padded planes of `done_c / 4` groups (asserted above).
+        unsafe {
+            x86::quantize_planes(img.as_ptr(), done_c / KG, h, w, pad, inv_sx, q.as_mut_ptr())
+        };
+    }
+    for ch in done_c..c {
+        for y in 0..h {
+            let src = &img[(ch * h + y) * w..][..w];
+            let dst = ((ch / KG) * pl.plane + (y + pad) * pl.wp + pad) * KG + ch % KG;
+            for (x, &v) in src.iter().enumerate() {
+                q[dst + x * KG] = quantize_act(v, inv_sx);
             }
+        }
+    }
+    s_x
+}
+
+/// Scan and quantize one input vector of a linear layer into `q`
+/// (`kgroups · KG` bytes, zero point past `x.len()`); returns its scale.
+fn quantize_row(kernel: Kernel, x: &[f32], q: &mut [u8]) -> f32 {
+    let (s_x, inv_sx) = act_scale(maxabs(kernel, x));
+    let (head, tail) = q.split_at_mut(x.len());
+    quantize_flat(kernel, x, inv_sx, head);
+    tail.fill(ACT_ZERO as u8);
+    s_x
+}
+
+/// Run `work(lo, hi)` over `items` independent units: in strips across the
+/// pool when the call is big enough to pay for the hand-over, inline
+/// otherwise.
+fn for_each_strip(items: usize, flops: usize, work: &(dyn Fn(usize, usize) + Sync)) {
+    let threads = crate::pool::effective_parallelism();
+    if flops >= crate::ops::MT_FLOP_THRESHOLD && threads > 1 && items >= 2 {
+        let per_strip = items.div_ceil(threads.min(items));
+        crate::pool::run_strips(items.div_ceil(per_strip), &|s| {
+            work(s * per_strip, ((s + 1) * per_strip).min(items))
         });
     } else {
-        // SAFETY: single caller, whole panel range.
-        unsafe {
-            qgemm_col_panels(qw, b, tb, n, 0, col_panels, *c_ptr, bias, relu, s_x, inv_sx);
-        }
+        work(0, items);
     }
 }
 
@@ -235,61 +509,300 @@ struct CPtr(*mut f32);
 unsafe impl Sync for CPtr {}
 
 thread_local! {
-    /// Per-thread packed-B panel (`kgroups * NR * KG` u8), reused across
-    /// calls so the steady state allocates nothing.
+    /// Per-thread packed-B panel (`kgroups` groups plus one group of slack
+    /// for the conv gather's overlapping copies), reused across calls so
+    /// the steady state allocates nothing.
     static QPACK_B: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Compute column panels `[p0, p1)` of the output. Caller guarantees the
-/// panel ranges of concurrent invocations are disjoint.
+/// Int8 convolution with fused dequant/bias/ReLU epilogue: `input` is
+/// `[B, in_c, in_h, in_w]`, `out` is `[B, out_c, out_h·out_w]`, `qw` comes
+/// from [`QuantizedWeights::quantize_conv`]. Each sample is quantized once
+/// with its own scale and the B panels are gathered from its u8 planes
+/// (module docs); the quantized planes live in `ws`.
+///
+/// The result equals [`crate::conv::im2col`] → [`qgemm`] run sample by
+/// sample, bit for bit. A strided convolution *is* run that way: not every
+/// input element reaches its im2col matrix, so a scale taken from the
+/// whole sample would differ from the oracle's.
+pub fn qconv2d(
+    qw: &QuantizedWeights,
+    spec: &Conv2dSpec,
+    input: &[f32],
+    out: &mut [f32],
+    bias: Option<&[f32]>,
+    relu: bool,
+    ws: &mut Workspace,
+) {
+    qconv2d_with(Kernel::dispatched(), qw, spec, input, out, bias, relu, ws);
+}
+
 #[allow(clippy::too_many_arguments)]
-unsafe fn qgemm_col_panels(
+fn qconv2d_with(
+    kernel: Kernel,
+    qw: &QuantizedWeights,
+    spec: &Conv2dSpec,
+    input: &[f32],
+    out: &mut [f32],
+    bias: Option<&[f32]>,
+    relu: bool,
+    ws: &mut Workspace,
+) {
+    spec.validate();
+    let (m, k, cols) = (spec.out_c, spec.col_rows(), spec.col_cols());
+    assert_eq!((qw.rows, qw.cols), (m, k), "weights do not fit the spec");
+    assert_eq!(
+        qw.taps,
+        (spec.kh * spec.kw).max(1),
+        "weights not packed for this kernel size"
+    );
+    let img_len = spec.in_c * spec.in_h * spec.in_w;
+    let out_len = m * cols;
+    assert!(img_len > 0 && out_len > 0, "empty convolution");
+    let batch = input.len() / img_len;
+    assert_eq!(input.len(), batch * img_len, "input must be whole samples");
+    assert_eq!(out.len(), batch * out_len, "out must be [B, out_c, oh*ow]");
+    let ep = Epilogue::new(bias, relu, m);
+
+    if spec.stride != 1 {
+        let col = ws.col_buf(k * cols);
+        for (img, o) in input
+            .chunks_exact(img_len)
+            .zip(out.chunks_exact_mut(out_len))
+        {
+            im2col(spec, img, col);
+            qgemm_with(kernel, qw, col, false, cols, o, ep);
+        }
+        return;
+    }
+
+    let pl = Planes::of(spec);
+    let sample = pl.bytes();
+    // One group of slack: a gather copy may read that far past a sample.
+    let (q, scales) = ws.quant_scratch(batch * sample + GROUP_BYTES, batch);
+    for (bi, img) in input.chunks_exact(img_len).enumerate() {
+        scales[bi] = quantize_planes(
+            kernel,
+            spec,
+            &pl,
+            img,
+            &mut q[bi * sample..(bi + 1) * sample],
+        );
+    }
+    let (q, scales) = (&*q, &*scales);
+
+    let col_panels = cols.div_ceil(NR);
+    let row_panels = m.div_ceil(MR);
+    let kgroups = qw.kgroups;
+    let c_ptr = CPtr(out.as_mut_ptr());
+    let c_ptr = &c_ptr;
+    for_each_strip(batch * col_panels, 2 * m * k * cols * batch, &|lo, hi| {
+        QPACK_B.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.resize((kgroups + 1) * GROUP_BYTES, 0);
+            for item in lo..hi {
+                let (bi, j0) = (item / col_panels, item % col_panels * NR);
+                let jcount = NR.min(cols - j0);
+                // SAFETY: sample `bi`'s block of `out`; its tiles stay
+                // inside it, and items (so strips) are disjoint in
+                // (sample, column panel).
+                let c = CPtr(unsafe { c_ptr.0.add(bi * out_len) });
+                gather_b_panel(&pl, &q[bi * sample..], j0, jcount, &mut buf);
+                for rp in 0..row_panels {
+                    let mut acc = [0i32; MR * NR];
+                    kernel.tile(kgroups, qw.panel(rp), &buf, &mut acc);
+                    // SAFETY: rows/cols of this tile are in-bounds of the
+                    // sample's `m × cols` block.
+                    unsafe {
+                        write_tile(
+                            kernel, &acc, qw, rp, j0, jcount, cols, false, c, ep, scales[bi],
+                        );
+                    }
+                }
+            }
+        });
+    });
+}
+
+/// Gather the B panel of output pixels `j0 .. j0 + jcount` of one sample
+/// from its quantized planes `q` (which must extend one group past the
+/// sample, see `qconv2d`). Output pixels that share a row are adjacent
+/// words of a plane row, so each k-group is one 32-byte copy per row the
+/// panel touches. A copy is always a whole group: what it carries past its
+/// run lands in columns a later copy overwrites (next run, next group, the
+/// buffer's slack) or in the unused columns of a ragged panel.
+fn gather_b_panel(pl: &Planes, q: &[u8], j0: usize, jcount: usize, buf: &mut [u8]) {
+    // Per run of pixels in one output row: byte offset of its first column
+    // in a group, byte offset of its first pixel in a plane at tap (0, 0).
+    let mut runs = [(0usize, 0usize); NR];
+    let mut nruns = 0;
+    let (mut oy, mut ox, mut jj) = (j0 / pl.ow, j0 % pl.ow, 0);
+    while jj < jcount {
+        runs[nruns] = (jj * KG, (oy * pl.wp + ox) * KG);
+        nruns += 1;
+        jj += pl.ow - ox;
+        (oy, ox) = (oy + 1, 0);
+    }
+    let runs = &runs[..nruns];
+    // The furthest copy: last run (offsets grow from run to run), last tap
+    // of the last channel group, into the last group of the panel.
+    let (last_d, last_s) = runs[nruns - 1];
+    let last_tap = ((pl.groups - 1) * pl.plane + (pl.kh - 1) * pl.wp + pl.kw - 1) * KG;
+    let last_dst = (pl.groups * pl.kh * pl.kw - 1) * GROUP_BYTES;
+    assert!(last_tap + last_s + GROUP_BYTES <= q.len());
+    assert!(last_dst + last_d + GROUP_BYTES <= buf.len());
+    let mut dst = 0;
+    for cg in 0..pl.groups {
+        for ky in 0..pl.kh {
+            for kx in 0..pl.kw {
+                let tap = (cg * pl.plane + ky * pl.wp + kx) * KG;
+                for &(d, s) in runs {
+                    // SAFETY: `tap <= last_tap`, `s <= last_s`,
+                    // `dst <= last_dst` and `d <= last_d`, so the two
+                    // asserts above bound both ends of every copy.
+                    // Unchecked because the checks cost as much as the
+                    // copies: 2.0 → 1.2 µs for the 11 panels of a 32-channel
+                    // 3×3 conv on a 9×9 board.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(
+                            q.as_ptr().add(tap + s),
+                            buf.as_mut_ptr().add(dst + d),
+                            GROUP_BYTES,
+                        );
+                    }
+                }
+                dst += GROUP_BYTES;
+            }
+        }
+    }
+}
+
+/// Int8 linear layer with fused dequant/bias/ReLU epilogue: `input` is
+/// `[n, cols]` (one sample per row), `out` is `[n, rows]`, `qw` comes from
+/// [`QuantizedWeights::quantize`]. Each input vector is quantized once with
+/// its own scale (into `ws`) and multiplied against the packed weight
+/// panels by the matrix-vector kernel. Row `j` equals
+/// `qgemm(qw, input[j], tb = true, n = 1, ..)` bit for bit.
+pub fn qlinear(
+    qw: &QuantizedWeights,
+    input: &[f32],
+    out: &mut [f32],
+    bias: Option<&[f32]>,
+    relu: bool,
+    ws: &mut Workspace,
+) {
+    qlinear_with(Kernel::dispatched(), qw, input, out, bias, relu, ws);
+}
+
+fn qlinear_with(
+    kernel: Kernel,
+    qw: &QuantizedWeights,
+    input: &[f32],
+    out: &mut [f32],
+    bias: Option<&[f32]>,
+    relu: bool,
+    ws: &mut Workspace,
+) {
+    let (m, k) = (qw.rows, qw.cols);
+    assert_eq!(qw.taps, 1, "conv-ordered weights go through qconv2d");
+    assert!(m > 0 && k > 0, "empty linear layer");
+    let n = input.len() / k;
+    assert_eq!(input.len(), n * k, "input must be whole rows");
+    assert_eq!(out.len(), n * m, "out must be [n, rows]");
+    let ep = Epilogue::new(bias, relu, m);
+
+    let row_q = qw.kgroups * KG;
+    let (q, scales) = ws.quant_scratch(n * row_q, n);
+    for (j, x) in input.chunks_exact(k).enumerate() {
+        scales[j] = quantize_row(kernel, x, &mut q[j * row_q..(j + 1) * row_q]);
+    }
+    let (q, scales) = (&*q, &*scales);
+
+    let c_ptr = CPtr(out.as_mut_ptr());
+    let c_ptr = &c_ptr;
+    for_each_strip(n, 2 * m * n * k, &|lo, hi| {
+        for j in lo..hi {
+            let x = &q[j * row_q..(j + 1) * row_q];
+            for rp in 0..m.div_ceil(MR) {
+                let mut acc = [0i32; MR];
+                kernel.matvec(qw.kgroups, qw.panel(rp), x, &mut acc);
+                for (i, &a) in acc.iter().enumerate().take(m - rp * MR) {
+                    let row = rp * MR + i;
+                    // SAFETY: `j < n`, `row < m`; strips own disjoint `j`.
+                    unsafe { *c_ptr.0.add(j * m + row) = dequant(a, qw, row, scales[j], ep) };
+                }
+            }
+        }
+    });
+}
+
+/// Int8 GEMM over an f32 B matrix quantized per call with **one** scale
+/// (`maxabs(B) / 127`), with the fused dequant/bias/ReLU epilogue — the
+/// oracle the serving entries [`qconv2d`] and [`qlinear`] are tested
+/// against, and the path of a strided convolution.
+///
+/// * `tb == false` (convolution): `B` is `cols × n` row-major (an im2col
+///   matrix), `C` is `rows × n` — `C = deq(Wq × Bq)`.
+/// * `tb == true` (linear): `B` is `n × cols` row-major (`n` input vectors),
+///   `C` is `n × rows` — `C = deq(Bq × Wqᵀ)`, written transposed directly
+///   from the tile, so no scratch staging is needed.
+///
+/// `bias` (when present) has one entry per weight row (= output channel /
+/// output feature) in both layouts; `relu` clamps after the bias.
+pub fn qgemm(
     qw: &QuantizedWeights,
     b: &[f32],
     tb: bool,
     n: usize,
-    p0: usize,
-    p1: usize,
-    c: CPtr,
+    c: &mut [f32],
     bias: Option<&[f32]>,
     relu: bool,
-    s_x: f32,
-    inv_sx: f32,
+) {
+    let ep = Epilogue::new(bias, relu, qw.rows);
+    qgemm_with(Kernel::dispatched(), qw, b, tb, n, c, ep);
+}
+
+fn qgemm_with(
+    kernel: Kernel,
+    qw: &QuantizedWeights,
+    b: &[f32],
+    tb: bool,
+    n: usize,
+    c: &mut [f32],
+    ep: Epilogue,
 ) {
     let (m, k) = (qw.rows, qw.cols);
+    assert_eq!(b.len(), k * n, "B must be k*n elements");
+    assert_eq!(c.len(), m * n, "C must be m*n elements");
+    if m == 0 || n == 0 {
+        return;
+    }
+    let (s_x, inv_sx) = act_scale(maxabs(kernel, b));
     let kgroups = qw.kgroups;
     let row_panels = m.div_ceil(MR);
-    #[cfg(target_arch = "x86_64")]
-    let use_avx2 = kernels_x86::avx2_available();
-    QPACK_B.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        buf.resize(kgroups * NR * KG, 0);
-        for cp in p0..p1 {
-            let j0 = cp * NR;
-            let jcount = NR.min(n - j0);
-            pack_b_panel(b, tb, k, n, j0, jcount, kgroups, inv_sx, &mut buf);
-            for rp in 0..row_panels {
-                let mut acc = [0i32; MR * NR];
-                let apanel = qw.panel(rp);
-                #[cfg(target_arch = "x86_64")]
-                if use_avx2 {
-                    // SAFETY: AVX2 presence checked; panel slices hold
-                    // exactly kgroups full groups.
+    let c_ptr = CPtr(c.as_mut_ptr());
+    let c_ptr = &c_ptr;
+    for_each_strip(n.div_ceil(NR), 2 * m * n * k, &|p0, p1| {
+        QPACK_B.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.resize(kgroups * GROUP_BYTES, 0);
+            for cp in p0..p1 {
+                let j0 = cp * NR;
+                let jcount = NR.min(n - j0);
+                pack_b_panel(kernel, qw, b, tb, n, j0, jcount, inv_sx, &mut buf);
+                for rp in 0..row_panels {
+                    let mut acc = [0i32; MR * NR];
+                    kernel.tile(kgroups, qw.panel(rp), &buf, &mut acc);
+                    // SAFETY: rows/cols of this tile are in-bounds, and
+                    // strips cover disjoint column panels, so no two
+                    // workers touch the same C element (in either the
+                    // direct or the transposed write layout).
                     unsafe {
-                        kernels_x86::qkernel_4x8(kgroups, apanel.as_ptr(), buf.as_ptr(), &mut acc);
+                        write_tile(kernel, &acc, qw, rp, j0, jcount, n, tb, *c_ptr, ep, s_x);
                     }
-                } else {
-                    qkernel_scalar(kgroups, apanel, &buf, &mut acc);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                qkernel_scalar(kgroups, apanel, &buf, &mut acc);
-                // SAFETY: rows/cols of this tile are in-bounds and the
-                // caller guarantees disjoint column ranges.
-                unsafe {
-                    write_tile(&acc, qw, rp, j0, jcount, n, tb, c, bias, relu, s_x);
                 }
             }
-        }
+        });
     });
 }
 
@@ -298,78 +811,59 @@ unsafe fn qgemm_col_panels(
 /// activation zero point, which the zero-padded weights annihilate.
 #[allow(clippy::too_many_arguments)]
 fn pack_b_panel(
+    kernel: Kernel,
+    qw: &QuantizedWeights,
     b: &[f32],
     tb: bool,
-    k: usize,
     n: usize,
     j0: usize,
     jcount: usize,
-    kgroups: usize,
     inv_sx: f32,
     buf: &mut [u8],
 ) {
-    debug_assert_eq!(buf.len(), kgroups * NR * KG);
-    // Full-width direct-layout panels take the vectorized quantize+
-    // transpose; everything else (linear layout, ragged column edge) goes
-    // through the scalar loop below, which uses the same nearest-even
-    // rounding so both paths are bit-identical.
+    let k = qw.cols;
+    debug_assert_eq!(buf.len(), qw.kgroups * GROUP_BYTES);
+    // Full-width direct-layout panels in plain k order take the vectorized
+    // quantize+transpose; everything else (linear layout, ragged column
+    // edge, conv-ordered weights) goes through the scalar loop below.
     #[cfg(target_arch = "x86_64")]
-    if !tb && jcount == NR && kernels_x86::avx2_available() {
+    if !tb && jcount == NR && qw.taps == 1 && kernel.vectorized() {
         let full_groups = k / KG;
-        // SAFETY: AVX2 checked; jcount == NR means columns j0..j0+8 are
+        // SAFETY: AVX2 present; jcount == NR means columns j0..j0+8 are
         // in-bounds for every row of the k × n matrix.
         unsafe {
-            kernels_x86::pack_b_panel_avx2(
-                b.as_ptr(),
-                n,
-                j0,
-                full_groups,
-                inv_sx,
-                buf.as_mut_ptr(),
-            );
+            x86::pack_b_panel(b.as_ptr(), n, j0, full_groups, inv_sx, buf.as_mut_ptr());
         }
         // k tail (k % 4 != 0): scalar quantize, zero-point padding.
         if full_groups * KG < k {
-            buf[full_groups * NR * KG..].fill(ACT_ZERO as u8);
+            buf[full_groups * GROUP_BYTES..].fill(ACT_ZERO as u8);
             for jj in 0..jcount {
                 for kidx in full_groups * KG..k {
                     let q = quantize_act(b[kidx * n + j0 + jj], inv_sx);
-                    let (g, kk) = (kidx / KG, kidx % KG);
-                    buf[(g * NR + jj) * KG + kk] = q;
+                    buf[(kidx / KG * NR + jj) * KG + kidx % KG] = q;
                 }
             }
         }
         return;
     }
+    let _ = kernel;
     buf.fill(ACT_ZERO as u8);
     for jj in 0..jcount {
         let j = j0 + jj;
         for kidx in 0..k {
             let x = if tb { b[j * k + kidx] } else { b[kidx * n + j] };
-            let (g, kk) = (kidx / KG, kidx % KG);
-            buf[(g * NR + jj) * KG + kk] = quantize_act(x, inv_sx);
+            let pk = qw.packed_k(kidx);
+            buf[(pk / KG * NR + jj) * KG + pk % KG] = quantize_act(x, inv_sx);
         }
     }
 }
 
-/// Quantize one activation to the biased-u8 domain, rounding to nearest
-/// even via the magic-constant trick (a couple of adds instead of the slow
-/// `f32::round` lowering) — the same rounding `cvtps_epi32` performs, so
-/// the scalar and AVX2 pack paths are bit-identical.
-#[inline]
-fn quantize_act(x: f32, inv_sx: f32) -> u8 {
-    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23: shifts ties-to-even into the mantissa
-    let clamped = (x * inv_sx).clamp(-ACT_QMAX, ACT_QMAX);
-    let rounded = (clamped + MAGIC) - MAGIC;
-    (rounded as i32 + ACT_ZERO) as u8
-}
-
 /// Portable reference micro-kernel: bit-identical i32 accumulators to the
-/// AVX2 path (integer arithmetic is exact).
-fn qkernel_scalar(kgroups: usize, apanel: &[i8], bpanel: &[u8], acc: &mut [i32; MR * NR]) {
+/// vector kernels (integer arithmetic is exact).
+fn tile_scalar(kgroups: usize, apanel: &[i8], bpanel: &[u8], acc: &mut [i32; MR * NR]) {
     for g in 0..kgroups {
         let ab = &apanel[g * MR * KG..(g + 1) * MR * KG];
-        let bb = &bpanel[g * NR * KG..(g + 1) * NR * KG];
+        let bb = &bpanel[g * GROUP_BYTES..(g + 1) * GROUP_BYTES];
         for i in 0..MR {
             let w = &ab[i * KG..(i + 1) * KG];
             for j in 0..NR {
@@ -384,135 +878,208 @@ fn qkernel_scalar(kgroups: usize, apanel: &[i8], bpanel: &[u8], acc: &mut [i32; 
     }
 }
 
+/// Portable reference matrix-vector kernel.
+fn matvec_scalar(kgroups: usize, apanel: &[i8], x: &[u8], acc: &mut [i32; MR]) {
+    for g in 0..kgroups {
+        let ab = &apanel[g * MR * KG..(g + 1) * MR * KG];
+        let xb = &x[g * KG..(g + 1) * KG];
+        for (i, a) in acc.iter_mut().enumerate() {
+            for kk in 0..KG {
+                *a += xb[kk] as i32 * ab[i * KG + kk] as i32;
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
-mod kernels_x86 {
-    use super::{KG, MR, NR};
+mod x86 {
+    use super::{ACT_QMAX, ACT_ZERO, GROUP_BYTES, KG, MR, NR};
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
 
-    static AVX2: OnceLock<bool> = OnceLock::new();
-
-    pub fn avx2_available() -> bool {
-        *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+    /// `acc + Σ₄ u8·i8` per i32 lane, the AVX2 way: `maddubs` (u8×i8 →
+    /// paired i16, cannot saturate against ±63 weights) then `madd` against
+    /// ones (i16 → summed i32).
+    macro_rules! dot4_avx2 {
+        ($acc:expr, $u:expr, $s:expr) => {
+            _mm256_add_epi32(
+                $acc,
+                _mm256_madd_epi16(_mm256_maddubs_epi16($u, $s), _mm256_set1_epi16(1)),
+            )
+        };
     }
 
-    /// 4×8 int8 micro-kernel: per k-group, one 32-byte B load gives the
-    /// 4-deep slice of all 8 columns; each row's 4 weights broadcast as an
-    /// i32; `maddubs` (u8×i8 → paired i16) then `madd` against ones
-    /// (i16 → summed i32) produce the 8 column dots, accumulated in i32.
+    /// The same in one instruction (`vpdpbusd`).
+    macro_rules! dot4_vnni {
+        ($acc:expr, $u:expr, $s:expr) => {
+            _mm256_dpbusd_avx_epi32($acc, $u, $s)
+        };
+    }
+
+    /// Stamp out the two micro-kernels for one instruction set; the bodies
+    /// differ only in `$dot`.
+    macro_rules! kernels {
+        ($name:ident, $features:literal, $dot:ident) => {
+            pub mod $name {
+                use super::*;
+
+                /// 8×8 micro-kernel: per k-group, one 32-byte B load gives
+                /// the 4-deep slice of all 8 columns; each row's 4 weights
+                /// broadcast as an i32 and one dot step accumulates the 8
+                /// column dots of that row.
+                ///
+                /// # Safety
+                /// The target features must be available. `apanel` must
+                /// hold `kgroups*MR*KG` i8 and `bpanel` `kgroups*NR*KG` u8.
+                #[target_feature(enable = $features)]
+                pub unsafe fn tile(
+                    kgroups: usize,
+                    apanel: *const i8,
+                    bpanel: *const u8,
+                    acc: &mut [i32; MR * NR],
+                ) {
+                    let out = acc.as_mut_ptr() as *mut __m256i;
+                    let mut c = [_mm256_setzero_si256(); MR];
+                    for (i, ci) in c.iter_mut().enumerate() {
+                        *ci = _mm256_loadu_si256(out.add(i));
+                    }
+                    for g in 0..kgroups {
+                        let bv = _mm256_loadu_si256(bpanel.add(g * GROUP_BYTES) as *const __m256i);
+                        let w = apanel.add(g * MR * KG) as *const i32;
+                        for (i, ci) in c.iter_mut().enumerate() {
+                            *ci = $dot!(*ci, bv, _mm256_set1_epi32(w.add(i).read_unaligned()));
+                        }
+                    }
+                    for (i, ci) in c.iter().enumerate() {
+                        _mm256_storeu_si256(out.add(i), *ci);
+                    }
+                }
+
+                /// Matrix-vector micro-kernel: per k-group, one 32-byte A
+                /// load gives the 4-deep slice of all 8 rows; the vector's
+                /// 4 values broadcast as an i32. Four k-groups per pass on
+                /// four accumulators, so the dot steps do not wait on each
+                /// other.
+                ///
+                /// # Safety
+                /// The target features must be available. `apanel` must
+                /// hold `kgroups*MR*KG` i8 and `x` `kgroups*KG` u8.
+                #[target_feature(enable = $features)]
+                pub unsafe fn matvec(
+                    kgroups: usize,
+                    apanel: *const i8,
+                    x: *const u8,
+                    acc: &mut [i32; MR],
+                ) {
+                    let a = apanel as *const __m256i;
+                    let x = x as *const i32;
+                    let mut c = [_mm256_setzero_si256(); 4];
+                    let mut g = 0;
+                    while g + 4 <= kgroups {
+                        for (u, cu) in c.iter_mut().enumerate() {
+                            let xv = _mm256_set1_epi32(x.add(g + u).read_unaligned());
+                            *cu = $dot!(*cu, xv, _mm256_loadu_si256(a.add(g + u)));
+                        }
+                        g += 4;
+                    }
+                    while g < kgroups {
+                        let xv = _mm256_set1_epi32(x.add(g).read_unaligned());
+                        c[0] = $dot!(c[0], xv, _mm256_loadu_si256(a.add(g)));
+                        g += 1;
+                    }
+                    let sum = _mm256_add_epi32(
+                        _mm256_add_epi32(c[0], c[1]),
+                        _mm256_add_epi32(c[2], c[3]),
+                    );
+                    let out = acc.as_mut_ptr() as *mut __m256i;
+                    _mm256_storeu_si256(out, _mm256_add_epi32(_mm256_loadu_si256(out), sum));
+                }
+            }
+        };
+    }
+
+    kernels!(avx2, "avx2", dot4_avx2);
+    kernels!(vnni, "avx2,avxvnni", dot4_vnni);
+
+    /// Largest magnitude among the first `len` (a multiple of 8) elements,
+    /// ignoring NaN: `max_ps` returns its second operand when the first is
+    /// NaN, and the running maximum is always the second.
     ///
     /// # Safety
-    /// AVX2 must be available. `apanel` must hold `kgroups*MR*KG` i8 and
-    /// `bpanel` `kgroups*NR*KG` u8.
+    /// AVX2 must be available; `x` must point at `len` readable f32.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn qkernel_4x8(
-        kgroups: usize,
-        apanel: *const i8,
-        bpanel: *const u8,
-        acc: &mut [i32; MR * NR],
-    ) {
-        let ones = _mm256_set1_epi16(1);
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut acc2 = _mm256_setzero_si256();
-        let mut acc3 = _mm256_setzero_si256();
-        // Two k-groups per iteration: halves the loop overhead and gives
-        // the scheduler two independent maddubs/madd chains per
-        // accumulator to interleave.
-        let mut g = 0;
-        while g + 2 <= kgroups {
-            let bv0 = _mm256_loadu_si256(bpanel.add(g * NR * KG) as *const __m256i);
-            let bv1 = _mm256_loadu_si256(bpanel.add((g + 1) * NR * KG) as *const __m256i);
-            let wb0 = apanel.add(g * MR * KG) as *const i32;
-            let wb1 = apanel.add((g + 1) * MR * KG) as *const i32;
-            acc0 = _mm256_add_epi32(
-                acc0,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv0, _mm256_set1_epi32(wb0.read_unaligned())),
-                    ones,
-                ),
-            );
-            acc1 = _mm256_add_epi32(
-                acc1,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv0, _mm256_set1_epi32(wb0.add(1).read_unaligned())),
-                    ones,
-                ),
-            );
-            acc2 = _mm256_add_epi32(
-                acc2,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv0, _mm256_set1_epi32(wb0.add(2).read_unaligned())),
-                    ones,
-                ),
-            );
-            acc3 = _mm256_add_epi32(
-                acc3,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv0, _mm256_set1_epi32(wb0.add(3).read_unaligned())),
-                    ones,
-                ),
-            );
-            acc0 = _mm256_add_epi32(
-                acc0,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv1, _mm256_set1_epi32(wb1.read_unaligned())),
-                    ones,
-                ),
-            );
-            acc1 = _mm256_add_epi32(
-                acc1,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv1, _mm256_set1_epi32(wb1.add(1).read_unaligned())),
-                    ones,
-                ),
-            );
-            acc2 = _mm256_add_epi32(
-                acc2,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv1, _mm256_set1_epi32(wb1.add(2).read_unaligned())),
-                    ones,
-                ),
-            );
-            acc3 = _mm256_add_epi32(
-                acc3,
-                _mm256_madd_epi16(
-                    _mm256_maddubs_epi16(bv1, _mm256_set1_epi32(wb1.add(3).read_unaligned())),
-                    ones,
-                ),
-            );
-            g += 2;
+    pub unsafe fn maxabs(x: *const f32, len: usize) -> f32 {
+        let abs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+        // Four running maxima: `max_ps` has a 4-cycle latency.
+        let mut m = [_mm256_setzero_ps(); 4];
+        let mut i = 0;
+        while i + 32 <= len {
+            for (u, mu) in m.iter_mut().enumerate() {
+                *mu = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(x.add(i + 8 * u)), abs), *mu);
+            }
+            i += 32;
         }
-        if g < kgroups {
-            let bv = _mm256_loadu_si256(bpanel.add(g * NR * KG) as *const __m256i);
-            let wbase = apanel.add(g * MR * KG) as *const i32;
-            let w0 = _mm256_set1_epi32(wbase.read_unaligned());
-            let w1 = _mm256_set1_epi32(wbase.add(1).read_unaligned());
-            let w2 = _mm256_set1_epi32(wbase.add(2).read_unaligned());
-            let w3 = _mm256_set1_epi32(wbase.add(3).read_unaligned());
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(_mm256_maddubs_epi16(bv, w0), ones));
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(_mm256_maddubs_epi16(bv, w1), ones));
-            acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(_mm256_maddubs_epi16(bv, w2), ones));
-            acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(_mm256_maddubs_epi16(bv, w3), ones));
+        while i < len {
+            m[0] = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(x.add(i)), abs), m[0]);
+            i += 8;
         }
-        let out = acc.as_mut_ptr() as *mut __m256i;
-        _mm256_storeu_si256(out, acc0);
-        _mm256_storeu_si256(out.add(1), acc1);
-        _mm256_storeu_si256(out.add(2), acc2);
-        _mm256_storeu_si256(out.add(3), acc3);
+        let m = _mm256_max_ps(_mm256_max_ps(m[0], m[1]), _mm256_max_ps(m[2], m[3]));
+        let mut lanes = [0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), m);
+        lanes.iter().fold(0f32, |a, &v| a.max(v))
+    }
+
+    /// Load, scale, clamp, and quantize 8 activations into biased-u8 range
+    /// (still widened in i32 lanes). NaN is masked to 0 first, so it lands
+    /// on the zero point like in the scalar `quantize_act`.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `p` must point at 8 readable f32.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quant_row(p: *const f32, inv: __m256) -> __m256i {
+        let x = _mm256_mul_ps(_mm256_loadu_ps(p), inv);
+        let x = _mm256_and_ps(x, _mm256_cmp_ps::<_CMP_ORD_Q>(x, x));
+        let lo = _mm256_set1_ps(-ACT_QMAX);
+        let hi = _mm256_set1_ps(ACT_QMAX);
+        let clamped = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
+        _mm256_add_epi32(_mm256_cvtps_epi32(clamped), _mm256_set1_epi32(ACT_ZERO))
+    }
+
+    /// Quantize a 4-row × 8-column block (rows `stride` f32 apart) into 32
+    /// bytes laid out `[col][row]`: `cvtps_epi32` (nearest-even, matching
+    /// the scalar path's magic-constant rounding), narrow 4×8 i32 → 32 u8,
+    /// shuffle into the interleave the micro-kernel reads.
+    ///
+    /// # Safety
+    /// AVX2 must be available; 8 f32 must be readable at `p + r·stride`
+    /// for `r` in `0..4`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quant_block(p: *const f32, stride: usize, inv: __m256) -> __m256i {
+        // Per 128-bit lane: bytes [t0j0..3, t1j0..3, t2j0..3, t3j0..3] →
+        // [j0: t0..t3, j1: t0..t3, j2..., j3...].
+        let interleave = _mm256_setr_epi8(
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, //
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+        );
+        let t0 = quant_row(p, inv);
+        let t1 = quant_row(p.add(stride), inv);
+        let t2 = quant_row(p.add(2 * stride), inv);
+        let t3 = quant_row(p.add(3 * stride), inv);
+        // packs/packus operate per 128-bit lane, so after both packs
+        // lane 0 holds columns j0..j3 and lane 1 columns j4..j7 —
+        // exactly the contiguous output order once interleaved.
+        let s01 = _mm256_packs_epi32(t0, t1);
+        let s23 = _mm256_packs_epi32(t2, t3);
+        _mm256_shuffle_epi8(_mm256_packus_epi16(s01, s23), interleave)
     }
 
     /// Vectorized quantize+transpose pack of one full-width B panel in the
-    /// direct (`k × n`) layout: for each k-group, loads 8 f32 from each of
-    /// the 4 rows, quantizes (`cvtps_epi32`, nearest-even, matching the
-    /// scalar path's magic-constant rounding), narrows 4×8 i32 → 32 u8,
-    /// and shuffles into the `[col][k]` interleave the micro-kernel reads.
+    /// direct (`k × n`) layout, one [`quant_block`] per k-group.
     ///
     /// # Safety
     /// AVX2 must be available; rows `0..full_groups*4` × columns
     /// `j0..j0+8` must be in-bounds; `buf` must hold `full_groups*32` u8.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn pack_b_panel_avx2(
+    pub unsafe fn pack_b_panel(
         b: *const f32,
         n: usize,
         j0: usize,
@@ -521,48 +1088,64 @@ mod kernels_x86 {
         buf: *mut u8,
     ) {
         let inv = _mm256_set1_ps(inv_sx);
-        let lo = _mm256_set1_ps(-super::ACT_QMAX);
-        let hi = _mm256_set1_ps(super::ACT_QMAX);
-        let zero_point = _mm256_set1_epi32(super::ACT_ZERO);
-        // Per 128-bit lane: bytes [t0j0..3, t1j0..3, t2j0..3, t3j0..3] →
-        // [j0: t0..t3, j1: t0..t3, j2..., j3...].
-        let interleave = _mm256_setr_epi8(
-            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, //
-            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
-        );
         for g in 0..full_groups {
-            let base = b.add(g * KG * n + j0);
-            let t0 = quant_row(base, inv, lo, hi, zero_point);
-            let t1 = quant_row(base.add(n), inv, lo, hi, zero_point);
-            let t2 = quant_row(base.add(2 * n), inv, lo, hi, zero_point);
-            let t3 = quant_row(base.add(3 * n), inv, lo, hi, zero_point);
-            // packs/packus operate per 128-bit lane, so after both packs
-            // lane 0 holds columns j0..j3 and lane 1 columns j4..j7 —
-            // exactly the contiguous output order once interleaved.
-            let s01 = _mm256_packs_epi32(t0, t1);
-            let s23 = _mm256_packs_epi32(t2, t3);
-            let bytes = _mm256_packus_epi16(s01, s23);
-            let shuffled = _mm256_shuffle_epi8(bytes, interleave);
-            _mm256_storeu_si256(buf.add(g * NR * KG) as *mut __m256i, shuffled);
+            let block = quant_block(b.add(g * KG * n + j0), n, inv);
+            _mm256_storeu_si256(buf.add(g * GROUP_BYTES) as *mut __m256i, block);
         }
     }
 
-    /// Load, scale, clamp, and quantize 8 activations into biased-u8 range
-    /// (still widened in i32 lanes).
+    /// Quantize `groups` whole channel groups of a `[C, h, w]` sample into
+    /// the interior of their padded planes (`super::Planes`), 8 pixels of 4
+    /// channels per [`quant_block`]; a row's last block is re-anchored to
+    /// end at the row's end, overlapping the one before it.
     ///
     /// # Safety
-    /// AVX2 must be available; `p` must point at 8 readable f32.
+    /// AVX2 must be available; `w >= 8`; `img` must hold `groups*4`
+    /// channels of `h*w` f32 and `q` `groups` planes of
+    /// `(h + 2·pad)·(w + 2·pad)·4` bytes.
     #[target_feature(enable = "avx2")]
-    unsafe fn quant_row(
-        p: *const f32,
-        inv: __m256,
-        lo: __m256,
-        hi: __m256,
-        zp: __m256i,
-    ) -> __m256i {
-        let v = _mm256_loadu_ps(p);
-        let clamped = _mm256_min_ps(_mm256_max_ps(_mm256_mul_ps(v, inv), lo), hi);
-        _mm256_add_epi32(_mm256_cvtps_epi32(clamped), zp)
+    pub unsafe fn quantize_planes(
+        img: *const f32,
+        groups: usize,
+        h: usize,
+        w: usize,
+        pad: usize,
+        inv_sx: f32,
+        q: *mut u8,
+    ) {
+        let inv = _mm256_set1_ps(inv_sx);
+        let wp = w + 2 * pad;
+        let plane = (h + 2 * pad) * wp;
+        for cg in 0..groups {
+            for y in 0..h {
+                let src = img.add((cg * KG * h + y) * w);
+                let dst = q.add((cg * plane + (y + pad) * wp + pad) * KG);
+                let mut x = 0;
+                while x < w {
+                    x = x.min(w - 8);
+                    let block = quant_block(src.add(x), h * w, inv);
+                    _mm256_storeu_si256(dst.add(x * KG) as *mut __m256i, block);
+                    x += 8;
+                }
+            }
+        }
+    }
+
+    /// Quantize `len` (a multiple of 8) activations in place order.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `x` must point at `len` readable f32 and
+    /// `q` at `len` writable bytes.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quantize_flat(x: *const f32, len: usize, inv_sx: f32, q: *mut u8) {
+        let inv = _mm256_set1_ps(inv_sx);
+        for i in (0..len).step_by(8) {
+            let t = quant_row(x.add(i), inv);
+            // Per lane: 4 values as i32 → i16 → u8 in the lane's low word.
+            let bytes = _mm256_packus_epi16(_mm256_packs_epi32(t, t), _mm256_setzero_si256());
+            (q.add(i) as *mut i32).write_unaligned(_mm256_extract_epi32::<0>(bytes));
+            (q.add(i + 4) as *mut i32).write_unaligned(_mm256_extract_epi32::<4>(bytes));
+        }
     }
 
     /// Vectorized dequant write-back for one full 8-wide tile row:
@@ -571,7 +1154,7 @@ mod kernels_x86 {
     /// # Safety
     /// AVX2 must be available; `acc_row` must hold 8 i32; `dst` 8 f32.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn write_row_avx2(
+    pub unsafe fn write_row(
         acc_row: *const i32,
         corr: i32,
         deq: f32,
@@ -590,6 +1173,19 @@ mod kernels_x86 {
     }
 }
 
+/// Dequantize one accumulator of weight row `row` with the fused epilogue:
+/// `s_row·s_x·(acc − 128·rowsum) + bias`, then ReLU.
+#[inline]
+fn dequant(acc: i32, qw: &QuantizedWeights, row: usize, s_x: f32, ep: Epilogue) -> f32 {
+    let raw = acc - ACT_ZERO * qw.row_sums[row];
+    let v = qw.scales[row] * s_x * raw as f32 + ep.bias.map_or(0.0, |b| b[row]);
+    if ep.relu && v < 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
 /// Dequantize one accumulator tile and write it back with the fused
 /// epilogue. `tb` selects the direct (`C[row, col]`) or transposed
 /// (`C[col, row]`) layout.
@@ -599,6 +1195,7 @@ mod kernels_x86 {
 /// concurrent callers cover disjoint `j0` ranges.
 #[allow(clippy::too_many_arguments)]
 unsafe fn write_tile(
+    kernel: Kernel,
     acc: &[i32; MR * NR],
     qw: &QuantizedWeights,
     rp: usize,
@@ -607,8 +1204,7 @@ unsafe fn write_tile(
     n: usize,
     tb: bool,
     c: CPtr,
-    bias: Option<&[f32]>,
-    relu: bool,
+    ep: Epilogue,
     s_x: f32,
 ) {
     let m = qw.rows;
@@ -617,41 +1213,34 @@ unsafe fn write_tile(
     // dequant+bias+ReLU store per row. The transposed (linear) layout and
     // ragged edges fall through to the scalar loop.
     #[cfg(target_arch = "x86_64")]
-    if !tb && jcount == NR && kernels_x86::avx2_available() {
+    if !tb && jcount == NR && kernel.vectorized() {
         for i in 0..rows_here {
             let row = rp * MR + i;
-            // SAFETY: AVX2 checked; row*n+j0+8 <= m*n for a full tile.
+            // SAFETY: AVX2 present; row*n+j0+8 <= m*n for a full tile.
             unsafe {
-                kernels_x86::write_row_avx2(
+                x86::write_row(
                     acc.as_ptr().add(i * NR),
                     ACT_ZERO * qw.row_sums[row],
                     qw.scales[row] * s_x,
-                    bias.map_or(0.0, |b| b[row]),
-                    relu,
+                    ep.bias.map_or(0.0, |b| b[row]),
+                    ep.relu,
                     c.0.add(row * n + j0),
                 );
             }
         }
         return;
     }
+    let _ = kernel;
     for i in 0..rows_here {
         let row = rp * MR + i;
-        let deq = qw.scales[row] * s_x;
-        let correction = ACT_ZERO * qw.row_sums[row];
-        let badd = bias.map_or(0.0, |b| b[row]);
         for jj in 0..jcount {
-            let raw = acc[i * NR + jj] - correction;
-            let mut v = deq * raw as f32 + badd;
-            if relu && v < 0.0 {
-                v = 0.0;
-            }
             let idx = if tb {
                 (j0 + jj) * m + row
             } else {
                 row * n + (j0 + jj)
             };
             // SAFETY: idx < m*n by construction; disjointness per caller.
-            unsafe { *c.0.add(idx) = v };
+            unsafe { *c.0.add(idx) = dequant(acc[i * NR + jj], qw, row, s_x, ep) };
         }
     }
 }
@@ -659,7 +1248,7 @@ unsafe fn write_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{gemm_ep, Epilogue};
+    use crate::ops::{gemm_ep, Epilogue as F32Epilogue};
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
         // Same xorshift idiom as the GEMM proptests: deterministic, no deps.
@@ -672,6 +1261,21 @@ mod tests {
                 ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
             })
             .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every kernel the host can run; says which one it dispatches and
+    /// which ones it has to skip.
+    fn kernels() -> Vec<Kernel> {
+        println!("int8 kernel dispatched on this host: {}", kernel_name());
+        for k in Kernel::ALL.iter().filter(|k| !k.supported()) {
+            println!("host has no {}: that kernel is skipped", k.name());
+        }
+        let supported = Kernel::ALL.iter().copied().filter(|k| k.supported());
+        supported.collect()
     }
 
     /// Per-element error bound for `qgemm` vs the exact f32 product:
@@ -715,7 +1319,7 @@ mod tests {
                 &w,
                 0.0,
                 &mut fc,
-                Epilogue {
+                F32Epilogue {
                     bias_col: bias_opt,
                     relu,
                     ..Default::default()
@@ -733,7 +1337,7 @@ mod tests {
                 &x,
                 0.0,
                 &mut fc,
-                Epilogue {
+                F32Epilogue {
                     bias_row: bias_opt,
                     relu,
                     ..Default::default()
@@ -805,6 +1409,18 @@ mod tests {
     }
 
     #[test]
+    fn conv_order_only_moves_weights_inside_the_panel() {
+        // 13 out × 6 in × 3×3: a partial channel group, a partial row panel.
+        let w = rand_vec(13 * 6 * 9, 5);
+        let flat = QuantizedWeights::quantize(&w, 13, 54);
+        let conv = QuantizedWeights::quantize_conv(&w, 13, 6, 3, 3);
+        assert_eq!(flat.scales, conv.scales);
+        assert_eq!(flat.row_sums, conv.row_sums);
+        assert_eq!(flat.dequantize(), conv.dequantize());
+        assert_eq!(conv.kgroups, 2 * 9);
+    }
+
+    #[test]
     fn zero_matrix_quantizes_to_zero() {
         let w = vec![0f32; 12];
         let qw = QuantizedWeights::quantize(&w, 3, 4);
@@ -830,48 +1446,251 @@ mod tests {
 
     #[test]
     fn scalar_and_dispatch_kernels_agree_bitwise() {
-        // The i32 accumulators are exact integers, so whatever kernel the
-        // dispatcher picks must produce bitwise-equal output to a forced
-        // scalar pass over the same packed operands.
+        // The i32 accumulators are exact integers, so every kernel compiled
+        // in and detected here must produce bitwise-equal output to the
+        // scalar one over the same packed operands — micro-kernels first,
+        // then whole calls (which add each kernel's pack and write-back).
         let (m, n, k) = (9, 21, 14);
         let w = rand_vec(m * k, 31);
         let x = rand_vec(k * n, 37);
         let qw = QuantizedWeights::quantize(&w, m, k);
-        let mut via_dispatch = vec![0f32; m * n];
-        qgemm(&qw, &x, false, n, &mut via_dispatch, None, false);
-
-        let maxabs = x.iter().fold(0f32, |a, &v| a.max(v.abs()));
-        let s_x = maxabs / ACT_QMAX;
-        let inv_sx = 1.0 / s_x;
         let kgroups = qw.kgroups;
-        let mut scalar = vec![0f32; m * n];
-        let mut buf = vec![0u8; kgroups * NR * KG];
-        for cp in 0..n.div_ceil(NR) {
-            let j0 = cp * NR;
-            let jcount = NR.min(n - j0);
-            pack_b_panel(&x, false, k, n, j0, jcount, kgroups, inv_sx, &mut buf);
+        let bpanel: Vec<u8> = (0..kgroups * GROUP_BYTES)
+            .map(|i| (i * 37 % 256) as u8)
+            .collect();
+        for kernel in kernels() {
             for rp in 0..m.div_ceil(MR) {
-                let mut acc = [0i32; MR * NR];
-                qkernel_scalar(kgroups, qw.panel(rp), &buf, &mut acc);
-                let c = CPtr(scalar.as_mut_ptr());
-                unsafe { write_tile(&acc, &qw, rp, j0, jcount, n, false, c, None, false, s_x) };
+                let (mut want, mut got) = ([7i32; MR * NR], [7i32; MR * NR]);
+                tile_scalar(kgroups, qw.panel(rp), &bpanel, &mut want);
+                kernel.tile(kgroups, qw.panel(rp), &bpanel, &mut got);
+                assert_eq!(want, got, "{} tile, row panel {rp}", kernel.name());
+                let (mut want, mut got) = ([7i32; MR], [7i32; MR]);
+                matvec_scalar(kgroups, qw.panel(rp), &bpanel, &mut want);
+                kernel.matvec(kgroups, qw.panel(rp), &bpanel, &mut got);
+                assert_eq!(want, got, "{} matvec, row panel {rp}", kernel.name());
+            }
+            for tb in [false, true] {
+                let ep = Epilogue::new(None, false, m);
+                let (mut want, mut got) = (vec![0f32; m * n], vec![0f32; m * n]);
+                qgemm_with(Kernel::Scalar, &qw, &x, tb, n, &mut want, ep);
+                qgemm_with(kernel, &qw, &x, tb, n, &mut got, ep);
+                assert_eq!(want, got, "{} qgemm tb={tb}", kernel.name());
             }
         }
-        assert_eq!(via_dispatch, scalar);
     }
 
     #[test]
     fn large_accumulation_does_not_saturate() {
-        // Worst case for maddubs: extreme-magnitude operands over a deep k.
+        // Worst cases for the widening dot product over a deep k: operands
+        // at the ends of their ranges, weights alternating (exact answer 0)
+        // and all alike (every `maddubs` pair sum at its maximum, exact
+        // answer k).
         let k = 1024;
-        let w: Vec<f32> = (0..k)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
         let x = vec![1.0f32; k];
-        let qw = QuantizedWeights::quantize(&w, 1, k);
-        let mut c = vec![0f32; 1];
-        qgemm(&qw, &x, false, 1, &mut c, None, false);
-        // Exact answer is 0 (alternating ±1 against all-ones).
-        assert!(c[0].abs() < 1e-3, "got {}", c[0]);
+        let mut ws = Workspace::new();
+        for (alternate, exact) in [(true, 0.0), (false, k as f32)] {
+            let w: Vec<f32> = (0..k)
+                .map(|i| if alternate && i % 2 == 1 { -1.0 } else { 1.0 })
+                .collect();
+            let qw = QuantizedWeights::quantize(&w, 1, k);
+            for kernel in kernels() {
+                let mut c = vec![0f32; 1];
+                qgemm_with(
+                    kernel,
+                    &qw,
+                    &x,
+                    false,
+                    1,
+                    &mut c,
+                    Epilogue::new(None, false, 1),
+                );
+                assert!((c[0] - exact).abs() < 1e-3, "{}: {}", kernel.name(), c[0]);
+                qlinear_with(kernel, &qw, &x, &mut c, None, false, &mut ws);
+                assert!((c[0] - exact).abs() < 1e-3, "{}: {}", kernel.name(), c[0]);
+            }
+        }
+    }
+
+    /// The oracle: `im2col` → `qgemm` on the scalar kernel, sample by sample.
+    fn conv_oracle(
+        w: &[f32],
+        spec: &Conv2dSpec,
+        input: &[f32],
+        bias: Option<&[f32]>,
+        relu: bool,
+    ) -> Vec<f32> {
+        let (k, cols) = (spec.col_rows(), spec.col_cols());
+        let qw = QuantizedWeights::quantize(w, spec.out_c, k);
+        let img_len = spec.in_c * spec.in_h * spec.in_w;
+        let mut col = vec![0f32; k * cols];
+        let mut out = vec![0f32; input.len() / img_len * spec.out_c * cols];
+        let ep = Epilogue::new(bias, relu, spec.out_c);
+        for (img, o) in input
+            .chunks_exact(img_len)
+            .zip(out.chunks_exact_mut(spec.out_c * cols))
+        {
+            im2col(spec, img, &mut col);
+            qgemm_with(Kernel::Scalar, &qw, &col, false, cols, o, ep);
+        }
+        out
+    }
+
+    #[test]
+    fn conv_equals_im2col_then_qgemm_bitwise() {
+        let mut ws = Workspace::new();
+        let mut seed = 0;
+        // (kernel size, pad, stride); 5×7 rows are narrower than a vector,
+        // 9×9 rows take the overlapping last block.
+        for (ksize, pad, stride) in [(1, 0, 1), (3, 1, 1), (3, 0, 1), (3, 1, 2)] {
+            for (h, w) in [(5, 7), (9, 9)] {
+                for (in_c, out_c) in [(3, 5), (6, 12), (8, 16)] {
+                    for batch in [1, 2, 3, 8] {
+                        seed += 1;
+                        let spec = Conv2dSpec {
+                            in_c,
+                            out_c,
+                            in_h: h,
+                            in_w: w,
+                            kh: ksize,
+                            kw: ksize,
+                            stride,
+                            pad,
+                        };
+                        let weights = rand_vec(out_c * spec.col_rows(), seed);
+                        let mut input = rand_vec(batch * in_c * h * w, seed + 1000);
+                        // Samples of different magnitude: a shared scale
+                        // would show.
+                        for (bi, img) in input.chunks_mut(in_c * h * w).enumerate() {
+                            img.iter_mut().for_each(|v| *v *= (bi + 1) as f32);
+                        }
+                        let bvec = rand_vec(out_c, seed + 2000);
+                        let (bias, relu) = ((seed % 2 == 0).then_some(&bvec[..]), seed % 3 == 0);
+                        let want = conv_oracle(&weights, &spec, &input, bias, relu);
+                        let qw =
+                            QuantizedWeights::quantize_conv(&weights, out_c, in_c, ksize, ksize);
+                        for kernel in kernels() {
+                            let mut got = vec![f32::NAN; want.len()];
+                            qconv2d_with(kernel, &qw, &spec, &input, &mut got, bias, relu, &mut ws);
+                            assert_eq!(
+                                bits(&want),
+                                bits(&got),
+                                "{} {spec:?} batch {batch}",
+                                kernel.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_equals_qgemm_row_by_row_bitwise() {
+        let mut ws = Workspace::new();
+        for (seed, &(m, n, k)) in [(5, 1, 37), (81, 3, 324), (12, 8, 40), (1, 9, 32)]
+            .iter()
+            .enumerate()
+        {
+            let seed = seed as u64 * 10;
+            let w = rand_vec(m * k, seed + 1);
+            let mut x = rand_vec(n * k, seed + 2);
+            for (j, row) in x.chunks_mut(k).enumerate() {
+                row.iter_mut().for_each(|v| *v *= (j + 1) as f32);
+            }
+            let bias = rand_vec(m, seed + 3);
+            let qw = QuantizedWeights::quantize(&w, m, k);
+            let ep = Epilogue::new(Some(&bias), true, m);
+            let mut want = vec![0f32; n * m];
+            for (row, o) in x.chunks_exact(k).zip(want.chunks_exact_mut(m)) {
+                qgemm_with(Kernel::Scalar, &qw, row, true, 1, o, ep);
+            }
+            for kernel in kernels() {
+                let mut got = vec![f32::NAN; n * m];
+                qlinear_with(kernel, &qw, &x, &mut got, Some(&bias), true, &mut ws);
+                assert_eq!(bits(&want), bits(&got), "{} {m}x{n}x{k}", kernel.name());
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_activations_quantize_alike_on_every_path() {
+        // Element level: NaN is the zero point, ±inf the ends of the clamp,
+        // from the scalar quantizer and from the vector one.
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.5];
+        assert_eq!(specials.map(|v| quantize_act(v, 2.0)), [128, 255, 1, 129]);
+        let x: Vec<f32> = specials.iter().cycle().take(19).copied().collect();
+        let want: Vec<u8> = x.iter().map(|&v| quantize_act(v, 2.0)).collect();
+        for kernel in kernels() {
+            let mut got = vec![0u8; x.len()];
+            quantize_flat(kernel, &x, 2.0, &mut got);
+            assert_eq!(want, got, "{} quantize_flat", kernel.name());
+        }
+
+        // Call level: one special value in a 4×9 all-ones matrix under a
+        // 1×4 all-ones weight, placed in a full panel (column 0) and in the
+        // ragged one (column 8). The same matrix reaches the kernels through
+        // the direct pack, the linear pack (transposed) and, as a 4-channel
+        // 1×9 image under a 1×1 kernel, the conv gather; all must agree
+        // with the scalar kernel's direct pack, whichever kernel runs.
+        let (k, n) = (4, 9);
+        let qw = QuantizedWeights::quantize(&[1.0; 4], 1, k);
+        let spec = Conv2dSpec {
+            in_c: k,
+            out_c: 1,
+            in_h: 1,
+            in_w: n,
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: 0,
+        };
+        let ep = Epilogue::new(None, false, 1);
+        let mut ws = Workspace::new();
+        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for col in [0, 8] {
+                let mut x = vec![1.0f32; k * n];
+                x[2 * n + col] = special;
+                let xt: Vec<f32> = (0..n * k).map(|i| x[i % k * n + i / k]).collect();
+                let mut want = vec![0f32; n];
+                qgemm_with(Kernel::Scalar, &qw, &x, false, n, &mut want, ep);
+                if special.is_nan() {
+                    // NaN is left out of the scale and adds nothing.
+                    let mut expect = [4.0f32; 9];
+                    expect[col] = 3.0;
+                    assert_eq!(want, expect);
+                }
+                for kernel in kernels() {
+                    let what = format!("{} {special} in column {col}", kernel.name());
+                    let mut got = vec![0f32; n];
+                    qgemm_with(kernel, &qw, &x, false, n, &mut got, ep);
+                    assert_eq!(bits(&want), bits(&got), "direct pack, {what}");
+                    qgemm_with(kernel, &qw, &xt, true, n, &mut got, ep);
+                    assert_eq!(bits(&want), bits(&got), "linear pack, {what}");
+                    qconv2d_with(kernel, &qw, &spec, &x, &mut got, None, false, &mut ws);
+                    assert_eq!(bits(&want), bits(&got), "conv gather, {what}");
+                    // One column alone is one sample of a linear layer.
+                    let (mut one, mut lin) = ([0f32], [0f32]);
+                    qgemm_with(
+                        Kernel::Scalar,
+                        &qw,
+                        &xt[col * k..][..k],
+                        true,
+                        1,
+                        &mut one,
+                        ep,
+                    );
+                    qlinear_with(
+                        kernel,
+                        &qw,
+                        &xt[col * k..][..k],
+                        &mut lin,
+                        None,
+                        false,
+                        &mut ws,
+                    );
+                    assert_eq!(bits(&one), bits(&lin), "matrix-vector, {what}");
+                }
+            }
+        }
     }
 }

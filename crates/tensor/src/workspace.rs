@@ -1,7 +1,8 @@
 //! Reusable scratch memory for the inference hot path.
 //!
 //! A [`Workspace`] owns every transient buffer a forward pass needs — the
-//! batched im2col matrix, the GEMM staging buffer, and a recycling pool of
+//! batched im2col matrix and the GEMM staging buffer of the f32 path, the
+//! quantized activations of the int8 path, and a recycling pool of
 //! activation buffers — so steady-state inference performs **zero heap
 //! allocations**: buffers grow during the first (warm-up) pass and are
 //! reused verbatim afterwards.
@@ -26,6 +27,10 @@ pub struct Workspace {
     /// GEMM output staging (`[out_c, batch * col_cols]`), scattered into the
     /// NCHW output afterwards.
     stage: Vec<f32>,
+    /// One layer input of the int8 path, quantized once per sample
+    /// (`tensor::quant`): the u8 values and one scale per sample.
+    quant: Vec<u8>,
+    quant_scales: Vec<f32>,
     /// Recycled activation buffers, leased and released by layer forwards.
     pool: Vec<Vec<f32>>,
     /// Number of times any buffer had to grow (diagnostic: must stop
@@ -57,6 +62,17 @@ impl Workspace {
         self.col.resize(col_len, 0.0);
         self.stage.resize(stage_len, 0.0);
         (&mut self.col[..col_len], &mut self.stage[..stage_len])
+    }
+
+    /// The int8 path's quantized-activation scratch: `bytes` u8 and one
+    /// f32 scale per sample (contents unspecified).
+    pub fn quant_scratch(&mut self, bytes: usize, samples: usize) -> (&mut [u8], &mut [f32]) {
+        if self.quant.capacity() < bytes || self.quant_scales.capacity() < samples {
+            self.grow_events += 1;
+        }
+        self.quant.resize(bytes, 0);
+        self.quant_scales.resize(samples, 0.0);
+        (&mut self.quant[..bytes], &mut self.quant_scales[..samples])
     }
 
     /// Lease a buffer of exactly `numel` elements from the recycling pool
@@ -158,12 +174,16 @@ mod tests {
             let (c, s) = ws.col_and_stage(64, 32);
             c[0] += 1.0;
             s[0] += 1.0;
+            let (q, scales) = ws.quant_scratch(48, 2);
+            q[47] = 1;
+            scales[1] = 1.0;
             let b = ws.lease(128);
             ws.release(b);
         }
         let after_warmup = ws.grow_events();
         for _ in 0..10 {
             let (_, _) = ws.col_and_stage(64, 32);
+            let (_, _) = ws.quant_scratch(48, 2);
             let b = ws.lease(128);
             ws.release(b);
         }

@@ -1,10 +1,13 @@
 //! Property-based guarantees of the int8 quantization path
-//! ([`tensor::quant`]): the weight round-trip error bound and qgemm
-//! parity with the f32 reference over arbitrary shapes.
+//! ([`tensor::quant`]): the weight round-trip error bound, qgemm parity
+//! with the f32 reference over arbitrary shapes, and the serving
+//! convolution against its `im2col` → `qgemm` oracle, bit for bit.
 
 use proptest::prelude::*;
+use tensor::conv::{im2col, Conv2dSpec};
 use tensor::ops::{gemm_ep, Epilogue};
-use tensor::quant::{qgemm, QuantizedWeights};
+use tensor::quant::{qconv2d, qgemm, QuantizedWeights};
+use tensor::Workspace;
 
 fn rand_vec(n: usize, seed: u64, scale: f32) -> Vec<f32> {
     use rand::{Rng, SeedableRng};
@@ -110,6 +113,50 @@ proptest! {
                     (q_v - f_v).abs() <= bound,
                     "[{row},{j}]: int8 {q_v} vs f32 {f_v} (bound {bound})"
                 );
+            }
+        }
+    }
+
+    /// The serving convolution (quantize each sample once, gather u8 into
+    /// the panels) equals `im2col` → `qgemm` run sample by sample, bit for
+    /// bit: over 1×1 and 3×3 kernels, pad 0/1, boards with rows narrower
+    /// and wider than a vector, channel counts off the tile edges, several
+    /// batch sizes, bias and ReLU on and off.
+    #[test]
+    fn qconv2d_equals_im2col_then_qgemm_bitwise(
+        in_c in 1usize..10, out_c in 1usize..19,
+        board in 0usize..3, kernel_pad in 0usize..3, batch in 0usize..4,
+        bias in proptest::bool::ANY, relu in proptest::bool::ANY,
+        seed in 0u64..10_000,
+    ) {
+        let (in_h, in_w) = [(5, 7), (9, 9), (4, 11)][board];
+        let (k, pad) = [(1, 0), (3, 0), (3, 1)][kernel_pad];
+        let batch = [1, 2, 3, 8][batch];
+        let spec = Conv2dSpec { in_c, out_c, in_h, in_w, kh: k, kw: k, stride: 1, pad };
+        let (rows, cols) = (spec.col_rows(), spec.col_cols());
+        let w = rand_vec(out_c * rows, seed, 1.0);
+        let img_len = in_c * in_h * in_w;
+        // Each sample on its own scale, so a scale shared by the batch
+        // would show.
+        let x: Vec<f32> = (0..batch)
+            .flat_map(|b| rand_vec(img_len, seed ^ (b as u64 + 1), 0.1 + b as f32))
+            .collect();
+        let bias_vec = rand_vec(out_c, seed ^ 99, 0.5);
+        let bias = bias.then_some(&bias_vec[..]);
+
+        let mut got = vec![f32::NAN; batch * out_c * cols];
+        let conv_w = QuantizedWeights::quantize_conv(&w, out_c, in_c, k, k);
+        qconv2d(&conv_w, &spec, &x, &mut got, bias, relu, &mut Workspace::new());
+
+        let flat_w = QuantizedWeights::quantize(&w, out_c, rows);
+        let mut col = vec![0.0f32; rows * cols];
+        let mut want = vec![0.0f32; out_c * cols];
+        for (b, img) in x.chunks_exact(img_len).enumerate() {
+            im2col(&spec, img, &mut col);
+            qgemm(&flat_w, &col, false, cols, &mut want, bias, relu);
+            let got = &got[b * out_c * cols..(b + 1) * out_c * cols];
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "sample {} element {}: {} vs {}", b, i, g, w);
             }
         }
     }

@@ -89,7 +89,8 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"meta\": {{\"playouts\": {playouts}, \"workers\": {workers}, \"board\": \"gomoku9\", \"smoke\": {smoke}}},"
+        "  \"meta\": {{\"playouts\": {playouts}, \"workers\": {workers}, \"board\": \"gomoku9\", \"smoke\": {smoke}, \"select_kernel\": \"{}\"}},",
+        mcts::select_kernel_name()
     );
 
     // --- per-scheme playout throughput -----------------------------------

@@ -6,7 +6,9 @@
 //! parsing comes from the shared offline parser in [`bench::json`].
 //!
 //! Checked schema:
-//! * `meta`: numeric `playouts`, `workers`; bool `smoke`;
+//! * `meta`: numeric `playouts`, `workers`; bool `smoke`; string
+//!   `select_kernel` (which `mcts` select kernel the host dispatched —
+//!   records written before the field existed have none);
 //! * `schemes`: non-empty array, every row a string `scheme` plus
 //!   numeric `uniform_playouts_per_s`, `nn_playouts_per_s` (> 0);
 //! * `reuse_cycle`: numeric `moves`, `uniform_playouts_per_s`;
@@ -35,6 +37,9 @@ fn check(doc: &Json) -> Result<String, String> {
         Json::Bool(b) => *b,
         _ => return Err("$.meta.smoke: expected bool".into()),
     };
+    if !matches!(meta.get("select_kernel"), None | Some(Json::Str(_))) {
+        return Err("$.meta.select_kernel: expected string".into());
+    }
 
     let schemes = match field(root, "$", "schemes")? {
         Json::Arr(a) if !a.is_empty() => a,
@@ -149,6 +154,18 @@ mod tests {
     #[test]
     fn good_document_passes() {
         check(&parse(GOOD).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn select_kernel_is_a_string_when_present() {
+        let named = GOOD.replace(
+            "\"smoke\": false",
+            "\"smoke\": false, \"select_kernel\": \"avx2\"",
+        );
+        check(&parse(&named).unwrap()).unwrap();
+        let broken = named.replace("\"avx2\"", "8");
+        let err = check(&parse(&broken).unwrap()).unwrap_err();
+        assert!(err.contains("select_kernel"), "{err}");
     }
 
     #[test]

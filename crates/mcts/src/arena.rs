@@ -22,7 +22,10 @@
 //! first_child + child_count`), so "iterate the children" is a range loop
 //! over dense columns — the cache-friendly property the paper's local-tree
 //! scheme exploits (§3.1.2) — and a child set is identified by two `u32`s
-//! instead of a `Vec<u32>`.
+//! instead of a `Vec<u32>`. It is also what a vector unit wants: the
+//! select kernel ([`crate::tree::SelectKernel`]) reads a block's `prior`,
+//! `n`, `vl` and `w` as four dense slices, eight children per load, with
+//! no gather and no per-node pointer to chase.
 //!
 //! # Free-list and recycling
 //!
@@ -34,7 +37,11 @@
 //! forever) every expansion is served from recycled slots and the arena
 //! performs **zero heap allocations**. Adjacent free ranges are not
 //! coalesced; fragments re-merge naturally when the tree is cleared
-//! in place ([`NodeArena::clear`] keeps column capacity). At the
+//! in place ([`NodeArena::clear`] keeps column capacity — which is how a
+//! scheme that starts every search from a bare root searches on one
+//! arena for life: [`Tree::set_config`](crate::tree::Tree::set_config)
+//! re-bounds and clears it, and the next search grows into memory the
+//! previous one already paid for). At the
 //! capacity bound this is a real trade-off: a request larger than every
 //! individual free range triggers pruning even when the *total* free
 //! space would suffice, so size the bound with headroom rather than at

@@ -65,8 +65,10 @@ pub struct Budget {
     /// [`StepOutcome::Done`] once in-flight work has drained.
     pub time: Option<Duration>,
     /// Hard tree-memory bound in nodes for the run's tree (`None` ⇒
-    /// [`MctsConfig::max_nodes`]). Applies to trees created by this run;
-    /// a retained reuse tree keeps the bound it was built with.
+    /// [`MctsConfig::max_nodes`]). Applies to a run that starts from a
+    /// bare root — its tree is built, or the kept one reset and re-bound,
+    /// for the run; a retained reuse tree keeps the bound it was built
+    /// with.
     pub max_nodes: Option<usize>,
     /// Hard tree-memory bound in **bytes** for the run's tree (`None` ⇒
     /// [`MctsConfig::arena_budget_bytes`]). The byte-denominated twin of
@@ -213,11 +215,15 @@ impl RunGate {
     }
 
     /// Charge one finished `step` call to the run: accumulate the time
-    /// spent inside it and advance the snapshot sequence number.
+    /// spent inside it and advance the snapshot sequence number. Returns
+    /// the clock reading that ended the step, so a caller can close its
+    /// own clocks on the same instant.
     #[inline]
-    pub fn note_step(&mut self, started: Instant) {
-        self.active_ns += started.elapsed().as_nanos() as u64;
+    pub fn note_step(&mut self, started: Instant) -> Instant {
+        let ended = Instant::now();
+        self.active_ns += ended.duration_since(started).as_nanos() as u64;
         self.steps += 1;
+        ended
     }
 
     /// The snapshot sequence number: completed `step` calls this run.

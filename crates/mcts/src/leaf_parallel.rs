@@ -38,6 +38,9 @@ pub struct LeafParallelSearch {
     replicas: Vec<EvalOutput>,
     root: RootSlot,
     run: Option<(Tree, Run)>,
+    /// The previous run's tree, handed back at `cancel`: the next run
+    /// resets it and searches on the same arena memory.
+    spare: Option<Tree>,
 }
 
 impl LeafParallelSearch {
@@ -58,6 +61,7 @@ impl LeafParallelSearch {
             replicas: vec![EvalOutput::default(); cfg.workers],
             root: RootSlot::new(),
             run: None,
+            spare: None,
         }
     }
 }
@@ -99,7 +103,7 @@ impl<G: Game> SearchScheme<G> for LeafParallelSearch {
     fn begin(&mut self, root: &G, budget: Budget) {
         SearchScheme::<G>::cancel(self);
         self.root.store(root);
-        self.run = Some(Run::fresh(&self.cfg, &budget, root));
+        self.run = Some(Run::fresh(self.spare.take(), &self.cfg, &budget, root));
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
@@ -128,6 +132,7 @@ impl<G: Game> SearchScheme<G> for LeafParallelSearch {
     fn cancel(&mut self) {
         if let Some((tree, run)) = self.run.take() {
             run.finish(&tree);
+            self.spare = Some(tree);
         }
     }
 

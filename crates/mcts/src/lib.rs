@@ -126,4 +126,4 @@ pub use noise::RootNoise;
 pub use result::{SearchResult, SearchScheme, SearchStats};
 pub use reuse::ReusableSearch;
 pub use speculative::SpeculativeSearch;
-pub use tree::{Tree, TreeStats};
+pub use tree::{select_kernel_name, Tree, TreeStats};

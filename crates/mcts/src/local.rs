@@ -48,6 +48,9 @@ pub struct LocalTreeSearch {
     encode_buf: Vec<f32>,
     root: RootSlot,
     run: Option<(Tree, Run)>,
+    /// The previous run's tree, handed back at `cancel`: the next run
+    /// resets it and searches on the same arena memory.
+    spare: Option<Tree>,
     /// Leaves issued (selected) so far this run, completed or in flight.
     issued: u64,
 }
@@ -79,6 +82,7 @@ impl LocalTreeSearch {
             encode_buf: Vec::new(),
             root: RootSlot::new(),
             run: None,
+            spare: None,
             issued: 0,
         }
     }
@@ -125,7 +129,7 @@ impl<G: Game> SearchScheme<G> for LocalTreeSearch {
         self.root.store(root);
         self.encode_buf.resize(root.encoded_len(), 0.0);
         self.issued = 0;
-        self.run = Some(Run::fresh(&self.cfg, &budget, root));
+        self.run = Some(Run::fresh(self.spare.take(), &self.cfg, &budget, root));
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
@@ -191,10 +195,11 @@ impl<G: Game> SearchScheme<G> for LocalTreeSearch {
     fn cancel(&mut self) {
         if let Some((mut tree, mut run)) = self.run.take() {
             // Drain and apply everything in flight: completions release
-            // their virtual loss, so the tree is consistent when dropped
-            // (and the walk in `finish` can prove it).
+            // their virtual loss, so the tree is consistent when the next
+            // run resets it (and the walk in `finish` can prove it).
             drain(&mut self.client, &mut tree, &mut run);
             run.finish(&tree);
+            self.spare = Some(tree);
         }
     }
 
@@ -326,6 +331,21 @@ mod tests {
             g.apply(r.best_action());
         }
         assert_eq!(g.move_count(), 3);
+    }
+
+    #[test]
+    fn kept_tree_is_sound_between_runs() {
+        let g = TicTacToe::new();
+        let mut s = LocalTreeSearch::new(cfg(120, 3), Arc::new(UniformEvaluator::for_game(&g)));
+        for _ in 0..3 {
+            let r = s.search(&g);
+            assert_eq!(r.stats.playouts, 120);
+            assert_eq!(r.stats.reclaimed, 0, "a search that only grew");
+            // `cancel` drained the pipe and handed the tree back.
+            let kept = s.spare.as_ref().expect("the run's tree is kept");
+            kept.check_invariants();
+            assert_eq!(kept.n(kept.root()), 120);
+        }
     }
 
     #[test]

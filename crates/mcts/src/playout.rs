@@ -8,13 +8,21 @@
 //! **leaf hook**: what to do with a leaf selection claimed for
 //! evaluation. The hook reaches the tree through [`Leaf::evaluate`] and
 //! [`Leaf::backup`], which is where the `eval_ns` / `backup_ns` stage
-//! timers are taken — once, for all schemes (encoding the state counts
-//! as evaluation). [`KeyedHook`] is the serial hook (transposition
-//! lookup, one keyed batch call, index update) shared by the serial and
-//! reuse searchers and by every root-parallel slot; leaf-parallel and
-//! speculative search bring their own. The local-tree scheme pipelines
-//! its evaluations and therefore keeps its own loop, but shares the
-//! record, [`Run::end_step`], [`Run::snapshot`] and [`Run::finish`].
+//! clocks are read — once, for all schemes. The clocks are chained: one
+//! reading ends a stage and starts the next (three per playout), so a
+//! step's time lands, all of it, in exactly one of `select_ns`,
+//! `eval_ns` and `backup_ns` (encoding the state counts as evaluation,
+//! root clone and gate check as selection). [`KeyedHook`] is the serial
+//! hook (transposition lookup, one keyed batch call, index update) shared
+//! by the serial and reuse searchers and by every root-parallel slot;
+//! leaf-parallel and speculative search bring their own. The local-tree
+//! scheme pipelines its evaluations and therefore keeps its own loop (and
+//! its own start/stop timers), but shares the record, [`Run::end_step`],
+//! [`Run::snapshot`] and [`Run::finish`].
+//!
+//! [`Run::on_bare_root`] is the one way a search starts from a bare
+//! root: on the tree the scheme's previous search left behind, reset and
+//! re-bound in place, so only a scheme's first search builds one.
 
 use crate::budget::{Budget, RunGate, StepOutcome};
 use crate::config::MctsConfig;
@@ -24,9 +32,15 @@ use crate::tree::{SelectOutcome, Tree};
 use games::Game;
 use std::time::Instant;
 
+/// Charge the time since `mark` to `stage_ns` and move `mark` to now.
+/// Each stage ends where the next begins, so one clock reading closes
+/// one stage and opens the other, and no time between them goes
+/// uncounted.
 #[inline]
-fn ns_since(t: Instant) -> u64 {
-    t.elapsed().as_nanos() as u64
+fn lap(mark: &mut Instant, stage_ns: &mut u64) {
+    let now = Instant::now();
+    *stage_ns += now.duration_since(*mark).as_nanos() as u64;
+    *mark = now;
 }
 
 /// Record of one resumable run over a single-owner [`Tree`].
@@ -34,15 +48,22 @@ pub(crate) struct Run {
     pub stats: SearchStats,
     pub gate: RunGate,
     action_space: usize,
-    /// The tree's `reclaimed_total` when the previous search on it ended
-    /// (0 for a tree built for this run), so snapshots report the delta.
+    /// The tree's `reclaimed_total` when this run's accounting starts
+    /// (the end of the previous search on a retained tree, the reset of
+    /// a bare-root one), so snapshots report the delta.
     pub reclaimed_base: u64,
+    /// Where the stage clock stands after [`Run::playouts`]: the end of
+    /// the last stage it charged. [`Run::end_step`] closes the step on
+    /// it, so the three stage clocks add up to the step's active time.
+    mark: Option<Instant>,
 }
 
 /// A leaf claimed by selection, with the game positioned at its state.
 pub(crate) struct Leaf<'a, G> {
     tree: &'a mut Tree,
     stats: &'a mut SearchStats,
+    /// The run's stage clock: when the previous stage ended.
+    mark: &'a mut Instant,
     id: u32,
     game: &'a G,
 }
@@ -53,20 +74,20 @@ impl<G: Game> Leaf<'_, G> {
         self.id
     }
 
-    /// Node Evaluation stage: run `f`, charging its time to `eval_ns`.
+    /// Node Evaluation stage: run `f`, charging the time since the
+    /// previous stage ended to `eval_ns`.
     pub fn evaluate<R>(&mut self, f: impl FnOnce(&mut Tree, &G) -> R) -> R {
-        let t = Instant::now();
         let r = f(self.tree, self.game);
-        self.stats.eval_ns += ns_since(t);
+        lap(self.mark, &mut self.stats.eval_ns);
         r
     }
 
     /// Expansion + BackUp stage: run `f` on the tree and the claimed
-    /// node, charging its time to `backup_ns`.
+    /// node, charging the time since the previous stage ended to
+    /// `backup_ns`.
     pub fn backup(&mut self, f: impl FnOnce(&mut Tree, u32)) {
-        let t = Instant::now();
         f(self.tree, self.id);
-        self.stats.backup_ns += ns_since(t);
+        lap(self.mark, &mut self.stats.backup_ns);
     }
 }
 
@@ -78,6 +99,7 @@ impl Run {
             gate,
             action_space,
             reclaimed_base: 0,
+            mark: None,
         }
     }
 
@@ -89,38 +111,66 @@ impl Run {
         )
     }
 
-    /// [`Run::begin`] together with the tree built for the run (schemes
-    /// that start every search from a bare root), sized and bounded by
-    /// the budget.
-    pub fn fresh<G: Game>(cfg: &MctsConfig, budget: &Budget, root: &G) -> (Tree, Self) {
-        (
-            Tree::new(budget.apply_to(cfg)),
-            Run::begin(cfg, budget, root),
-        )
+    /// The one way to start from a bare root: `run` together with its
+    /// tree, configured and bounded by `run_cfg`. `spare` is the tree the
+    /// scheme's previous search left behind — it is reset and re-bound in
+    /// place ([`Tree::set_config`]), so its column memory serves this
+    /// search too and only a scheme's first search builds a tree. The
+    /// reset's own reclaim is re-based away: the run reports what *it*
+    /// reclaims (evictions under a bound).
+    pub fn on_bare_root(spare: Option<Tree>, run_cfg: MctsConfig, mut run: Run) -> (Tree, Self) {
+        let tree = match spare {
+            Some(mut tree) => {
+                tree.set_config(run_cfg);
+                tree
+            }
+            None => Tree::new(run_cfg),
+        };
+        run.reclaimed_base = tree.stats().reclaimed_total;
+        (tree, run)
+    }
+
+    /// [`Run::begin`] on a bare root, the tree bounded by the budget
+    /// (schemes whose every search starts from one).
+    pub fn fresh<G: Game>(
+        spare: Option<Tree>,
+        cfg: &MctsConfig,
+        budget: &Budget,
+        root: &G,
+    ) -> (Tree, Self) {
+        Run::on_bare_root(spare, budget.apply_to(cfg), Run::begin(cfg, budget, root))
     }
 
     /// Run up to `quota` playouts from `root` on `tree`, stopping early
     /// when the gate is exhausted. Selection and bookkeeping happen
     /// here; each leaf claimed for evaluation goes to `leaf_hook`, which
     /// must leave it expanded and backed up.
+    ///
+    /// The stage clock runs from `started` (the caller's reading at the
+    /// top of its step) and is read once per stage: selection is charged
+    /// everything since the previous stage ended — gate check and root
+    /// clone included — and the hook's [`Leaf::evaluate`] /
+    /// [`Leaf::backup`] calls carry it on.
     pub fn playouts<G: Game>(
         &mut self,
         tree: &mut Tree,
         root: &G,
         quota: usize,
+        started: Instant,
         mut leaf_hook: impl FnMut(&mut Leaf<'_, G>),
     ) {
+        let mut mark = started;
         let mut used = 0usize;
         while used < quota && !self.gate.exhausted() {
             let mut game = root.clone();
-            let t0 = Instant::now();
             let (id, outcome) = tree.select(&mut game);
-            self.stats.select_ns += ns_since(t0);
+            lap(&mut mark, &mut self.stats.select_ns);
             match outcome {
                 SelectOutcome::TerminalBackedUp => {}
                 SelectOutcome::NeedsEval => leaf_hook(&mut Leaf {
                     tree: &mut *tree,
                     stats: &mut self.stats,
+                    mark: &mut mark,
                     id,
                     game: &game,
                 }),
@@ -132,6 +182,16 @@ impl Run {
             self.gate.done += 1;
             self.stats.playouts += 1;
         }
+        self.mark = Some(mark);
+    }
+
+    /// Charge the time since the previous stage ended to `eval_ns`: for
+    /// evaluation a scheme runs outside a leaf hook (the speculative
+    /// flush), after [`Run::playouts`] in the same step.
+    pub fn lap_eval(&mut self) {
+        if let Some(mark) = &mut self.mark {
+            lap(mark, &mut self.stats.eval_ns);
+        }
     }
 
     /// Close a `step` call that began at `started`. The gate is asked
@@ -139,7 +199,9 @@ impl Run {
     /// whatever the scheme still holds in flight (inside the step's
     /// active time). Then the step is charged to the run, the snapshot
     /// sequence number advances, and a finished run gets its end-of-run
-    /// checks.
+    /// checks. What [`Run::playouts`] left on the stage clock — the loop
+    /// exit and this function's own work — counts as selection, up to
+    /// the very reading that ends the step.
     pub fn end_step(
         &mut self,
         tree: &mut Tree,
@@ -150,7 +212,10 @@ impl Run {
         if over {
             drain(tree, self);
         }
-        self.gate.note_step(started);
+        let ended = self.gate.note_step(started);
+        if let Some(mark) = self.mark.take() {
+            self.stats.select_ns += ended.duration_since(mark).as_nanos() as u64;
+        }
         if over {
             self.finish(tree);
             StepOutcome::Done
@@ -169,7 +234,7 @@ impl Run {
         leaf_hook: impl FnMut(&mut Leaf<'_, G>),
     ) -> StepOutcome {
         let started = Instant::now();
-        self.playouts(tree, root, quota, leaf_hook);
+        self.playouts(tree, root, quota, started, leaf_hook);
         self.end_step(tree, started, |_, _| {})
     }
 

@@ -8,15 +8,36 @@ use serde::{Deserialize, Serialize};
 /// nanoseconds accumulated inside the scheme; parallel schemes report the
 /// *sum across workers* for the per-phase counters and the elapsed move
 /// time separately.
+///
+/// In the schemes that run the single-owner playout loop one playout at a
+/// time (serial with and without reuse, leaf-parallel, speculative) the
+/// three stage clocks are **chained**: one clock reading ends a stage and
+/// starts the next, so every nanosecond of a `step` lands in exactly one
+/// of `select_ns`, `eval_ns`, `backup_ns` and the three add up to
+/// `move_ns`, the run's active time. Root-parallel sums its workers'
+/// chained clocks (they overlap in time, so the sum exceeds `move_ns`);
+/// the local-tree master times its selections and backups one by one and
+/// takes `eval_ns` from its inference workers; the shared tree times
+/// evaluation per worker and splits the rest of its workers' time 2 : 1
+/// between selection and backup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SearchStats {
     /// Playouts completed (== requested playouts on success).
     pub playouts: u64,
-    /// Total time inside Node Selection (sum over workers), ns.
+    /// Total time inside Node Selection (sum over workers), ns. On a
+    /// chained clock: everything from the end of the previous stage to the
+    /// end of the tree walk — the gate check, the root clone, the descent
+    /// and the claim of the leaf's child block — plus, once per `step`,
+    /// what follows the last playout.
     pub select_ns: u64,
     /// Total time inside Node Expansion + BackUp (sum over workers), ns.
+    /// On a chained clock it starts where evaluation ended, so it also
+    /// holds the hand-over of the evaluator's output (and, on a
+    /// transposition hit, the index lookup that replaced the evaluation).
     pub backup_ns: u64,
-    /// Total time inside Node Evaluation / DNN inference, ns.
+    /// Total time inside Node Evaluation / DNN inference, ns. On a chained
+    /// clock it starts where selection ended: hashing and encoding the
+    /// state count as evaluation.
     pub eval_ns: u64,
     /// Wall-clock time of the whole move, ns.
     pub move_ns: u64,
@@ -27,8 +48,10 @@ pub struct SearchStats {
     pub nodes: u64,
     /// Nodes reclaimed onto the arena free-list since the previous search
     /// on the same tree (in-place re-rooting and capacity eviction). For
-    /// a scheme that builds a new tree every move this is the run's own
-    /// eviction count: 0 unless a memory bound is set and was hit.
+    /// a scheme that starts every move from a bare root this is the run's
+    /// own eviction count: 0 unless a memory bound is set and was hit
+    /// (resetting the kept arena at `begin` is not counted — the tree's
+    /// own [`TreeStats::reclaimed_total`](crate::TreeStats) counts it).
     pub reclaimed: u64,
     /// Snapshot sequence number: completed [`SearchScheme::step`] calls
     /// of the run when this snapshot was taken. Strictly monotone within

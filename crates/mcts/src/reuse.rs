@@ -47,11 +47,28 @@ use std::sync::Arc;
 /// implements [`SearchScheme`] (whose `advance` hook it overrides), so
 /// self-play drivers get tree reuse for free when the builder enables it.
 ///
-/// A one-shot searcher ignores `advance`/`reset` and builds a new tree
-/// at every `begin`, so per-run [`Budget::max_nodes`]/`max_bytes` apply.
-/// It keeps its last tree (for [`ReusableSearch::tree_stats`]) until the
-/// next `begin` or until it is dropped — the memory of one search stays
-/// resident between searches.
+/// A one-shot searcher ignores `advance`/`reset` and starts every `begin`
+/// from a bare root — on the arena it already holds. Only its first
+/// search builds a tree; every later one resets that tree in place
+/// ([`Tree::set_config`]: nodes dropped, column capacity kept), so from
+/// the second search on it allocates nothing and touches no page the
+/// first one did not fault in. What is kept is memory, never statistics:
+/// the search from a reset arena is bit for bit the search from a new
+/// one. Per-run [`Budget::max_nodes`]/`max_bytes` apply at every `begin`:
+/// the reset re-bounds the arena, so a bound *smaller* than the tree the
+/// previous search grew still binds (the columns keep their capacity and
+/// refuse to grow past it), and a later unbounded run grows again. The
+/// last tree stays readable ([`ReusableSearch::tree_stats`]) until the
+/// next `begin` — the memory of one search stays resident between
+/// searches.
+///
+/// Two counters, two lifetimes: [`TreeStats::reclaimed_total`] and
+/// [`TreeStats::evicted`] run over the *searcher's* life (each reset
+/// counts the nodes it dropped), while [`SearchStats::reclaimed`] is per
+/// run — re-based after the reset, so a search that only grew reports 0
+/// and one under a bound reports its own evictions.
+///
+/// [`SearchStats::reclaimed`]: crate::SearchStats::reclaimed
 pub struct ReusableSearch {
     cfg: MctsConfig,
     /// `None` only between [`ReusableSearch::park`] and the next
@@ -64,7 +81,8 @@ pub struct ReusableSearch {
     /// steady-state search loop allocation-free).
     hook: KeyedHook,
     /// `reclaimed_total` snapshot at the end of the previous search, so
-    /// each result reports the delta.
+    /// each result on a retained tree reports the delta (a bare-root run
+    /// re-bases itself, see [`Run::fresh`]).
     reclaimed_snapshot: u64,
     /// Nodes inherited from previous moves via reuse (for diagnostics).
     pub inherited_nodes: u64,
@@ -91,7 +109,8 @@ impl ReusableSearch {
     }
 
     /// Create a serial searcher that starts every search from a bare
-    /// root (the paper's Algorithm 2; see the type docs).
+    /// root (the paper's Algorithm 2) on the arena it keeps; see the type
+    /// docs.
     pub fn one_shot(cfg: MctsConfig, evaluator: Arc<dyn BatchEvaluator>) -> Self {
         ReusableSearch {
             reuse: false,
@@ -207,28 +226,25 @@ impl ReusableSearch {
 impl<G: Game> SearchScheme<G> for ReusableSearch {
     fn begin(&mut self, root: &G, budget: Budget) {
         SearchScheme::<G>::cancel(self);
-        let run_cfg = budget.apply_to(&self.cfg);
-        let tree = match &mut self.tree {
-            Some(t) if self.reuse => {
+        let (tree, run) = match self.tree.take() {
+            Some(mut tree) if self.reuse => {
                 // Per-run knob changes apply to the retained tree too
                 // (its arena bound stays where it is, see Budget docs).
-                t.set_search_params(run_cfg);
-                t
+                tree.set_search_params(budget.apply_to(&self.cfg));
+                // Count *new* playouts only: an inherited tree already
+                // holds visits, so the per-run compute budget stays
+                // comparable to a fresh search.
+                let mut run = Run::begin(&self.cfg, &budget, root);
+                run.reclaimed_base = self.reclaimed_snapshot;
+                (tree, run)
             }
-            // The previous one-shot tree is dropped here, once its
-            // replacement exists.
-            slot => {
-                self.reclaimed_snapshot = 0;
-                slot.insert(Tree::new(run_cfg))
-            }
+            // One-shot, or nothing retained yet: a bare root on the
+            // arena the previous search grew, if there was one.
+            spare => Run::fresh(spare, &self.cfg, &budget, root),
         };
         self.inherited_nodes = (tree.len() as u64).saturating_sub(1);
         self.root.store(root);
-        // Count *new* playouts only: an inherited tree already holds
-        // visits, so the per-run compute budget stays comparable to a
-        // fresh search.
-        let mut run = Run::begin(&self.cfg, &budget, root);
-        run.reclaimed_base = self.reclaimed_snapshot;
+        self.tree = Some(tree);
         self.run = Some(run);
     }
 
@@ -678,9 +694,146 @@ mod tests {
             "per-run bound held: {}",
             r.stats.nodes
         );
-        // The next run builds a new tree, so the bound does not stick.
+        // The bound is the run's, not the searcher's: the next run
+        // re-bounds the kept arena.
         let r = s.search(&TicTacToe::new());
         assert!(r.stats.nodes > 120);
+    }
+
+    #[test]
+    fn chained_stage_clocks_add_up_to_the_active_time() {
+        let g = TicTacToe::new();
+        for scheme in [Scheme::Serial, Scheme::LeafParallel, Scheme::Speculative] {
+            let mut s = SearchBuilder::new(scheme)
+                .playouts(100)
+                .workers(2)
+                .evaluator(Arc::new(UniformEvaluator::for_game(&g)))
+                .build::<TicTacToe>();
+            s.begin(&g, Budget::default());
+            while s.step(7) == StepOutcome::Running {
+                let st = s.partial_result().stats;
+                assert_eq!(st.select_ns + st.eval_ns + st.backup_ns, st.move_ns);
+            }
+            let st = s.partial_result().stats;
+            assert_eq!(st.playouts, 100);
+            assert!(st.select_ns > 0 && st.eval_ns > 0 && st.backup_ns > 0);
+            assert_eq!(
+                st.select_ns + st.eval_ns + st.backup_ns,
+                st.move_ns,
+                "{scheme}: every nanosecond of a step is in exactly one stage"
+            );
+        }
+    }
+
+    // -- the kept arena ---------------------------------------------------
+
+    #[test]
+    fn one_shot_repeats_itself_on_its_kept_arena() {
+        let cfg = MctsConfig {
+            playouts: 300,
+            ..Default::default()
+        };
+        let g = TicTacToe::new();
+        let mut s = ReusableSearch::one_shot(cfg, Arc::new(UniformEvaluator::for_game(&g)));
+        let first = s.search(&g);
+        let grown = s.tree_stats().unwrap();
+        assert_eq!(first.stats.reclaimed, 0);
+        for _ in 0..2 {
+            let again = s.search(&g);
+            assert_eq!(again.visits, first.visits);
+            assert_eq!(again.probs, first.probs);
+            assert_eq!(again.value, first.value);
+            assert_eq!(again.stats.nodes, first.stats.nodes);
+            assert_eq!(again.stats.reclaimed, 0, "a search that only grew");
+            let stats = s.tree_stats().unwrap();
+            assert_eq!(
+                stats.high_water, grown.high_water,
+                "same arena, same growth"
+            );
+            // The tree's own counter runs over the searcher's life: each
+            // reset reclaimed the previous search's nodes.
+            assert!(stats.reclaimed_total > grown.reclaimed_total);
+        }
+    }
+
+    #[test]
+    fn a_per_run_bound_binds_on_a_kept_arena() {
+        let cfg = MctsConfig {
+            playouts: 300,
+            ..Default::default()
+        };
+        let g = TicTacToe::new();
+        let mut s = ReusableSearch::one_shot(cfg, Arc::new(UniformEvaluator::for_game(&g)));
+        let unbounded = s.search(&g);
+        let grown = s.tree_stats().unwrap().high_water;
+        assert!(
+            grown > 120,
+            "the kept arena is larger than the bounds below"
+        );
+        for budget in [
+            Budget::default().with_max_nodes(120),
+            Budget::default().with_max_bytes(120 * crate::NodeArena::slot_bytes()),
+        ] {
+            let evicted_before = s.tree_stats().unwrap().evicted;
+            s.begin(&g, budget);
+            while SearchScheme::<TicTacToe>::step(&mut s, 64) == StepOutcome::Running {}
+            let r = SearchScheme::<TicTacToe>::partial_result(&s);
+            assert_eq!(r.stats.playouts, 300);
+            let stats = s.tree_stats().unwrap();
+            assert!(
+                stats.high_water <= 120,
+                "a bound smaller than the kept arena still binds: {}",
+                stats.high_water
+            );
+            let evicted = stats.evicted - evicted_before;
+            assert!(evicted > 0, "300 playouts under 120 slots must evict");
+            assert_eq!(r.stats.reclaimed, evicted, "per run: this run's evictions");
+        }
+        // And a later unbounded run grows again, to the same tree.
+        let r = s.search(&g);
+        assert_eq!(r.visits, unbounded.visits);
+        assert_eq!(r.stats.nodes, unbounded.stats.nodes);
+        assert_eq!(r.stats.reclaimed, 0);
+        assert_eq!(s.tree_stats().unwrap().high_water, grown);
+    }
+
+    #[test]
+    fn bare_root_schemes_repeat_themselves_on_their_kept_arenas() {
+        let g = TicTacToe::new();
+        let build = |scheme| {
+            SearchBuilder::new(scheme)
+                .playouts(150)
+                .workers(3)
+                .evaluator(Arc::new(UniformEvaluator::for_game(&g)))
+                .build::<TicTacToe>()
+        };
+        // Deterministic schemes: the second and third search, on a reset
+        // arena, are the first one again.
+        for scheme in [
+            Scheme::LeafParallel,
+            Scheme::Speculative,
+            Scheme::RootParallel,
+        ] {
+            let mut s = build(scheme);
+            let first = s.search(&g);
+            for _ in 0..2 {
+                let again = s.search(&g);
+                assert_eq!(again.visits, first.visits, "{scheme}");
+                assert_eq!(again.probs, first.probs, "{scheme}");
+                assert_eq!(again.value, first.value, "{scheme}");
+                assert_eq!(again.stats.nodes, first.stats.nodes, "{scheme}");
+                assert_eq!(again.stats.reclaimed, 0, "{scheme}");
+            }
+        }
+        // The local tree applies completions in arrival order, so only
+        // its accounting repeats (its own tests walk the kept tree).
+        let mut s = build(Scheme::LocalTree);
+        for _ in 0..3 {
+            let r = s.search(&g);
+            assert_eq!(r.stats.playouts, 150);
+            assert_eq!(r.visits.iter().sum::<u32>(), 149);
+            assert_eq!(r.stats.reclaimed, 0);
+        }
     }
 
     #[test]

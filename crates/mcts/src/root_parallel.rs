@@ -31,6 +31,9 @@ pub struct RootParallelSearch {
     root: RootSlot,
     /// The active run: one slot per worker plus the gate over their sum.
     run: Option<(Vec<WorkerSlot>, RunGate)>,
+    /// The previous run's trees, handed back at `cancel`: the next run
+    /// resets them and searches on the same arena memory.
+    spares: Vec<Tree>,
 }
 
 impl RootParallelSearch {
@@ -42,6 +45,7 @@ impl RootParallelSearch {
             evaluator,
             root: RootSlot::new(),
             run: None,
+            spares: Vec::new(),
         }
     }
 }
@@ -59,13 +63,20 @@ impl<G: Game> SearchScheme<G> for RootParallelSearch {
         let per_worker = (requested / n).max(usize::from(requested > 0));
         let remainder = requested.saturating_sub(per_worker * n);
         let slots: Vec<WorkerSlot> = (0..n)
-            .map(|i| WorkerSlot {
-                tree: Tree::new(run_cfg),
-                run: Run::new(
-                    gate.share((per_worker + usize::from(i < remainder)) as u64),
-                    root.action_space(),
-                ),
-                hook: KeyedHook::default(),
+            .map(|i| {
+                let (tree, run) = Run::on_bare_root(
+                    self.spares.pop(),
+                    run_cfg,
+                    Run::new(
+                        gate.share((per_worker + usize::from(i < remainder)) as u64),
+                        root.action_space(),
+                    ),
+                );
+                WorkerSlot {
+                    tree,
+                    run,
+                    hook: KeyedHook::default(),
+                }
             })
             .collect();
         gate.set_target(slots.iter().map(|s| s.run.gate.target()).sum());
@@ -107,7 +118,9 @@ impl<G: Game> SearchScheme<G> for RootParallelSearch {
                     // gate stops them at its target or the deadline.
                     s.spawn(move || {
                         let WorkerSlot { tree, run, hook } = slot;
-                        run.playouts(tree, root, grant, |leaf| hook.leaf(evaluator, leaf));
+                        run.playouts(tree, root, grant, Instant::now(), |leaf| {
+                            hook.leaf(evaluator, leaf)
+                        });
                     });
                 }
             });
@@ -162,8 +175,9 @@ impl<G: Game> SearchScheme<G> for RootParallelSearch {
 
     fn cancel(&mut self) {
         if let Some((slots, _)) = self.run.take() {
-            for slot in &slots {
+            for slot in slots {
                 slot.run.finish(&slot.tree);
+                self.spares.push(slot.tree);
             }
         }
     }

@@ -55,6 +55,9 @@ pub struct SpeculativeSearch {
     pending: Vec<PendingCorrection>,
     root: RootSlot,
     run: Option<(Tree, Run)>,
+    /// The previous run's tree, handed back at `cancel`: the next run
+    /// resets it and searches on the same arena memory.
+    spare: Option<Tree>,
 }
 
 /// Re-score `pending` with one batched main-model forward (the whole
@@ -113,6 +116,7 @@ impl SpeculativeSearch {
             pending: Vec::with_capacity(commit_batch),
             root: RootSlot::new(),
             run: None,
+            spare: None,
         }
     }
 }
@@ -121,7 +125,7 @@ impl<G: Game> SearchScheme<G> for SpeculativeSearch {
     fn begin(&mut self, root: &G, budget: Budget) {
         SearchScheme::<G>::cancel(self);
         self.root.store(root);
-        self.run = Some(Run::fresh(&self.cfg, &budget, root));
+        self.run = Some(Run::fresh(self.spare.take(), &self.cfg, &budget, root));
     }
 
     fn step(&mut self, quota: usize) -> StepOutcome {
@@ -133,7 +137,7 @@ impl<G: Game> SearchScheme<G> for SpeculativeSearch {
             (self.main.as_ref(), self.spec.as_ref(), self.commit_batch);
         let (encode_buf, pending) = (&mut self.encode_buf, &mut self.pending);
         let (corrections, magnitude) = (&mut self.corrections, &mut self.correction_magnitude);
-        run.playouts(tree, self.root.get::<G>(), quota, |leaf| {
+        run.playouts(tree, self.root.get::<G>(), quota, started, |leaf| {
             let o = leaf.evaluate(|_, game| {
                 encode_buf.resize(game.encoded_len(), 0.0);
                 game.encode(encode_buf);
@@ -152,9 +156,8 @@ impl<G: Game> SearchScheme<G> for SpeculativeSearch {
         run.end_step(tree, started, |tree, run| {
             // Flush outstanding corrections so the final statistics
             // reflect the main model everywhere.
-            let t = Instant::now();
             commit(main, tree, pending, corrections, magnitude);
-            run.stats.eval_ns += t.elapsed().as_nanos() as u64;
+            run.lap_eval();
         })
     }
 
@@ -165,7 +168,7 @@ impl<G: Game> SearchScheme<G> for SpeculativeSearch {
     fn cancel(&mut self) {
         if let Some((mut tree, run)) = self.run.take() {
             // Commit what the pipeline holds so the lifetime correction
-            // counters stay meaningful, then drop the run's tree.
+            // counters stay meaningful, then hand the tree back.
             commit(
                 self.main.as_ref(),
                 &mut tree,
@@ -174,6 +177,7 @@ impl<G: Game> SearchScheme<G> for SpeculativeSearch {
                 &mut self.correction_magnitude,
             );
             run.finish(&tree);
+            self.spare = Some(tree);
         }
     }
 

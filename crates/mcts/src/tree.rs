@@ -19,6 +19,40 @@
 //! steady-state search loop performs no heap allocation: selection,
 //! claiming, expansion, backup and [`Tree::advance_root`] all run on
 //! recycled arena slots and reused scratch buffers.
+//!
+//! # The select kernel
+//!
+//! Selection spends its time scoring children: at every level of the
+//! descent the UCT score (Eq. 1) of each child of the current node, some
+//! seventy of them on a 9×9 board. A [`SelectKernel`] does that over the
+//! four columns it needs ([`ChildColumns`]: `prior`, `n`, `vl`, `w`) — and
+//! because a child block is one contiguous range of struct-of-arrays
+//! columns, those are four dense slices that a vector unit loads eight
+//! children at a time with no gather.
+//!
+//! * `scalar` — the portable loop: one pass for `Σ n_eff`, one pass of
+//!   scores with a strict `>` scan. The only kernel on a host without
+//!   AVX2, and the **oracle** the other is held to.
+//! * `avx2` — the same two passes, eight children per step. A group in
+//!   which nothing has been visited (the common one: a search allocates
+//!   65 slots per playout and visits about one) takes `q_init` and skips
+//!   the `Q` arithmetic; children beyond the last whole group of eight go
+//!   through the scalar expression; a block holding a count a signed
+//!   32-bit lane cannot convert (`n`, `vl` or their sum past `i32::MAX`)
+//!   goes to the scalar loop whole.
+//!
+//! The contract is **bitwise**: each lane performs the scalar
+//! expression's operations in the scalar order — `((c_puct·P)·√Σ)/(1+n_eff)`
+//! in f32, `(W − c·vl)/n_eff` in f64 narrowed to f32, then one f32 add —
+//! with nothing fused or reassociated, so every score has the scalar
+//! score's bits; comparison is strict and ordered per lane (`NaN` never
+//! wins) and the reduction across lanes breaks ties toward the lowest
+//! index, so the pick is the scalar pick. `tests/scheme_golden.rs` cannot
+//! tell the kernels apart; the unit tests below and
+//! `tests/proptest_select.rs` compare them score by score. The kernel is
+//! chosen once per tree from what the CPU reports
+//! ([`SelectKernel::dispatched`], named by [`select_kernel_name`]); there
+//! is nothing to configure.
 
 use crate::arena::{ArenaStats, NodeArena};
 use crate::config::{MctsConfig, VirtualLoss};
@@ -63,10 +97,318 @@ pub struct TreeStats {
     pub bytes: usize,
 }
 
+// -- PUCT child scoring -----------------------------------------------------
+
+/// The columns of one parent's contiguous child block as selection reads
+/// them: one entry per child, equal lengths.
+#[derive(Debug, Clone, Copy)]
+pub struct ChildColumns<'a> {
+    /// Priors `P(s,a)`.
+    pub prior: &'a [f32],
+    /// Completed visits `N`.
+    pub n: &'a [u32],
+    /// In-flight playouts (virtual-loss counts).
+    pub vl: &'a [u32],
+    /// Value sums `W`.
+    pub w: &'a [f64],
+}
+
+/// One way of scoring a child block (see the module docs). A value proves
+/// that this host can run it: they only come from [`SelectKernel::SCALAR`],
+/// [`SelectKernel::dispatched`] and [`SelectKernel::compiled`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectKernel(Isa);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// Every kernel compiled in, slowest first.
+    const ALL: &'static [Isa] = &[
+        Isa::Scalar,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2,
+    ];
+
+    /// Whether this host can run the kernel (the detection macro caches).
+    fn supported(self) -> bool {
+        match self {
+            Isa::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+        }
+    }
+}
+
+impl SelectKernel {
+    /// The portable loop: the only kernel on a host without AVX2, and the
+    /// oracle every other kernel is held to bit for bit.
+    pub const SCALAR: SelectKernel = SelectKernel(Isa::Scalar);
+
+    /// The fastest kernel this host supports: what a [`Tree`] selects
+    /// with (chosen when the tree is built).
+    pub fn dispatched() -> SelectKernel {
+        let isa = Isa::ALL.iter().rev().find(|isa| isa.supported());
+        SelectKernel(*isa.expect("the scalar kernel runs anywhere"))
+    }
+
+    /// Every kernel compiled into this build by name, slowest first, with
+    /// `None` in place of one this host cannot run (so a differential
+    /// test can say what it skipped).
+    pub fn compiled() -> Vec<(&'static str, Option<SelectKernel>)> {
+        let kernel = |&isa: &Isa| (isa.name(), isa.supported().then_some(SelectKernel(isa)));
+        Isa::ALL.iter().map(kernel).collect()
+    }
+
+    /// `"scalar"` or `"avx2"`.
+    pub fn name(self) -> &'static str {
+        self.0.name()
+    }
+
+    /// Offset of the child maximizing the UCT score (Eq. 1)
+    /// `Q + c_puct · P · √Σ n_eff / (1 + n_eff)` under `cfg`'s exploration
+    /// constant, first-play value and virtual-loss policy. Comparison is
+    /// strict, so the lowest offset wins a tie and a NaN score never
+    /// wins; offset 0 when no score exceeds `-inf`. With `scores`, every
+    /// child's score is written there as well (the differential tests
+    /// compare them bitwise).
+    ///
+    /// # Panics
+    /// If the columns (or `scores`) differ in length.
+    pub fn pick(
+        self,
+        cfg: &MctsConfig,
+        cols: ChildColumns<'_>,
+        mut scores: Option<&mut [f32]>,
+    ) -> usize {
+        let len = cols.prior.len();
+        assert!(
+            cols.n.len() == len
+                && cols.vl.len() == len
+                && cols.w.len() == len
+                && scores.as_ref().is_none_or(|s| s.len() == len),
+            "child columns of unequal length"
+        );
+        let mut sum_n = 0u32;
+        // Any bit a signed 32-bit lane cannot hold, in a count or in a
+        // count's sum with its virtual loss.
+        let mut wide = 0u32;
+        for (&n, &vl) in cols.n.iter().zip(cols.vl) {
+            let n_eff = n + vl;
+            sum_n += n_eff;
+            wide |= n | vl | n_eff;
+        }
+        let sqrt_sum = (sum_n as f32).sqrt();
+        // The vector lanes convert counts as *signed* integers: a block
+        // holding a count past `i32::MAX` is scored by the scalar loop.
+        let isa = if wide <= i32::MAX as u32 {
+            self.0
+        } else {
+            Isa::Scalar
+        };
+        // The best child among the leading `from` children, which the
+        // vector kernel scores in whole groups; the loop below finishes.
+        let (mut best, from) = match isa {
+            Isa::Scalar => ((0usize, f32::NEG_INFINITY), 0),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                let out = scores
+                    .as_deref_mut()
+                    .map_or(std::ptr::null_mut(), <[f32]>::as_mut_ptr);
+                // SAFETY: holding `Isa::Avx2` proves the feature (see
+                // `SelectKernel`); the assert above makes every column
+                // (and `out`, unless null) `len` long; `wide` bounds the
+                // counts.
+                let best = unsafe {
+                    match cfg.virtual_loss {
+                        VirtualLoss::Constant(loss) => {
+                            x86::pick_groups::<false>(cfg, loss, sqrt_sum, &cols, out)
+                        }
+                        VirtualLoss::VisitTracking => {
+                            x86::pick_groups::<true>(cfg, 0.0, sqrt_sum, &cols, out)
+                        }
+                    }
+                };
+                (best, len - len % x86::LANES)
+            }
+        };
+        for i in from..len {
+            let u = puct_score(cfg, &cols, i, sqrt_sum);
+            if let Some(scores) = &mut scores {
+                scores[i] = u;
+            }
+            if u > best.1 {
+                best = (i, u);
+            }
+        }
+        best.0
+    }
+}
+
+/// Name of the select kernel this host dispatches to (`"scalar"` or
+/// `"avx2"`): [`SelectKernel::dispatched`] by name, for bench metadata
+/// and CI logs.
+pub fn select_kernel_name() -> &'static str {
+    SelectKernel::dispatched().name()
+}
+
+/// UCT score (Eq. 1) of child `i` — the expression every kernel must
+/// reproduce bit for bit: `Q` in f64 narrowed to f32 (`q_init` for a
+/// child nothing has visited), the exploration term in f32 evaluated
+/// left to right.
+#[inline(always)]
+fn puct_score(cfg: &MctsConfig, cols: &ChildColumns<'_>, i: usize, sqrt_sum: f32) -> f32 {
+    let (n, vl) = (cols.n[i], cols.vl[i]);
+    let n_eff = n + vl;
+    let q = match cfg.virtual_loss {
+        VirtualLoss::Constant(loss) if n_eff > 0 => {
+            ((cols.w[i] - loss as f64 * vl as f64) / n_eff as f64) as f32
+        }
+        VirtualLoss::VisitTracking if n > 0 => (cols.w[i] / n as f64) as f32,
+        _ => cfg.q_init,
+    };
+    q + cfg.c_puct * cols.prior[i] * sqrt_sum / (1.0 + n_eff as f32)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{ChildColumns, MctsConfig};
+    use std::arch::x86_64::*;
+
+    /// Children scored per pass (f32 lanes of one AVX2 vector).
+    pub const LANES: usize = 8;
+
+    /// `Q` of four children in f64, narrowed: `(w − loss·vl) / visits`, or
+    /// `w / visits` under `TRACK`. A lane without visits holds garbage
+    /// (`x/0`), which the caller replaces.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn q_half<const TRACK: bool>(
+        w: __m256d,
+        loss: __m256d,
+        vl: __m128i,
+        visits: __m128i,
+    ) -> __m128 {
+        let sum = if TRACK {
+            w
+        } else {
+            _mm256_sub_pd(w, _mm256_mul_pd(loss, _mm256_cvtepi32_pd(vl)))
+        };
+        _mm256_cvtpd_ps(_mm256_div_pd(sum, _mm256_cvtepi32_pd(visits)))
+    }
+
+    /// [`super::puct_score`] over the whole groups of [`LANES`] children
+    /// and the running maximum over them: `(offset, score)` of the best
+    /// child so far, `(0, -inf)` when no score exceeds `-inf`. Each lane
+    /// runs the scalar expression's operations in the scalar order — f32
+    /// `mul, mul, div, add` around a `Q` that is `sub, div` in f64 (two
+    /// 4-lane halves) narrowed by `cvtpd_ps`, nothing fused — so every
+    /// score is bitwise the scalar one. `TRACK` is the
+    /// [`VisitTracking`](crate::VirtualLoss::VisitTracking) policy (`Q`
+    /// divides by `n` and subtracts nothing); otherwise `loss` is the
+    /// constant virtual loss. Scores go to `scores` unless it is null.
+    ///
+    /// # Safety
+    /// AVX2 must be available. The four columns, and `scores` unless
+    /// null, must be equally long, and every `n`, `vl` and `n + vl` must
+    /// fit an `i32`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn pick_groups<const TRACK: bool>(
+        cfg: &MctsConfig,
+        loss: f32,
+        sqrt_sum: f32,
+        cols: &ChildColumns<'_>,
+        scores: *mut f32,
+    ) -> (usize, f32) {
+        let (prior, w) = (cols.prior.as_ptr(), cols.w.as_ptr());
+        let (n, vl) = (cols.n.as_ptr(), cols.vl.as_ptr());
+        let c_puct = _mm256_set1_ps(cfg.c_puct);
+        let q_init = _mm256_set1_ps(cfg.q_init);
+        let sqrt_sum = _mm256_set1_ps(sqrt_sum);
+        let loss = _mm256_set1_pd(loss as f64);
+        let one = _mm256_set1_ps(1.0);
+        let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut best_at = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut at = best_at;
+        for i in (0..cols.prior.len() - cols.prior.len() % LANES).step_by(LANES) {
+            let nv = _mm256_loadu_si256(n.add(i) as *const __m256i);
+            let vv = _mm256_loadu_si256(vl.add(i) as *const __m256i);
+            let n_eff = _mm256_add_epi32(nv, vv);
+            let explore = _mm256_div_ps(
+                _mm256_mul_ps(
+                    _mm256_mul_ps(c_puct, _mm256_loadu_ps(prior.add(i))),
+                    sqrt_sum,
+                ),
+                _mm256_add_ps(one, _mm256_cvtepi32_ps(n_eff)),
+            );
+            let visits = if TRACK { nv } else { n_eff };
+            let unvisited = _mm256_castsi256_ps(_mm256_cmpeq_epi32(visits, _mm256_setzero_si256()));
+            // The common group — 65 slots are allocated per playout and
+            // about one is ever visited — pays no f64 divide.
+            let q = if _mm256_movemask_ps(unvisited) == 0xFF {
+                q_init
+            } else {
+                let lo = q_half::<TRACK>(
+                    _mm256_loadu_pd(w.add(i)),
+                    loss,
+                    _mm256_castsi256_si128(vv),
+                    _mm256_castsi256_si128(visits),
+                );
+                let hi = q_half::<TRACK>(
+                    _mm256_loadu_pd(w.add(i + 4)),
+                    loss,
+                    _mm256_extracti128_si256::<1>(vv),
+                    _mm256_extracti128_si256::<1>(visits),
+                );
+                let q = _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi);
+                _mm256_blendv_ps(q, q_init, unvisited)
+            };
+            let u = _mm256_add_ps(q, explore);
+            if !scores.is_null() {
+                _mm256_storeu_ps(scores.add(i), u);
+            }
+            // Strict and ordered: an equal score keeps the lane's earlier
+            // child, a NaN never replaces anything.
+            let better = _mm256_cmp_ps::<_CMP_GT_OQ>(u, best);
+            best = _mm256_blendv_ps(best, u, better);
+            best_at = _mm256_blendv_epi8(best_at, at, _mm256_castps_si256(better));
+            at = _mm256_add_epi32(at, _mm256_set1_epi32(LANES as i32));
+        }
+        // Across lanes the lowest offset wins a tie, as it does within one.
+        let (mut score, mut offset) = ([0f32; LANES], [0i32; LANES]);
+        _mm256_storeu_ps(score.as_mut_ptr(), best);
+        _mm256_storeu_si256(offset.as_mut_ptr() as *mut __m256i, best_at);
+        let mut lane = 0;
+        for l in 1..LANES {
+            if score[l] > score[lane] || (score[l] == score[lane] && offset[l] < offset[lane]) {
+                lane = l;
+            }
+        }
+        (offset[lane] as usize, score[lane])
+    }
+}
+
 /// Single-owner MCTS tree over the shared arena layout.
 pub struct Tree {
     a: NodeArena,
     cfg: MctsConfig,
+    /// How [`Tree::select_child`] scores a child block.
+    kernel: SelectKernel,
     /// Current root node id (0 for a fresh tree; re-rooting moves it).
     root: u32,
     /// Per-tree nonce mixed into the root-noise seed (refreshed on
@@ -110,6 +452,7 @@ impl Tree {
         Tree {
             a,
             cfg,
+            kernel: SelectKernel::dispatched(),
             root: 0,
             noise_nonce: crate::noise::next_nonce(),
             reclaimed_total: 0,
@@ -247,34 +590,6 @@ impl Tree {
         }
     }
 
-    /// Mean action value `Q` of `id` adjusted for virtual loss.
-    fn q(&self, id: u32) -> f32 {
-        let i = id as usize;
-        match self.cfg.virtual_loss {
-            VirtualLoss::Constant(c) => {
-                let n_eff = self.a.n[i] + self.a.vl[i];
-                if n_eff == 0 {
-                    self.cfg.q_init
-                } else {
-                    ((self.a.w[i] - c as f64 * self.a.vl[i] as f64) / n_eff as f64) as f32
-                }
-            }
-            VirtualLoss::VisitTracking => {
-                if self.a.n[i] == 0 {
-                    self.cfg.q_init
-                } else {
-                    (self.a.w[i] / self.a.n[i] as f64) as f32
-                }
-            }
-        }
-    }
-
-    /// Effective visit count (real + in-flight) used in the UCT terms.
-    #[inline]
-    fn n_eff(&self, id: u32) -> u32 {
-        self.a.n[id as usize] + self.a.vl[id as usize]
-    }
-
     // -- search -------------------------------------------------------------
 
     /// Traverse from the root following UCT (Eq. 1), applying virtual loss
@@ -331,24 +646,19 @@ impl Tree {
         }
     }
 
-    /// Pick the child of `parent` maximizing the UCT score (Eq. 1).
+    /// Pick the child of `parent` maximizing the UCT score (Eq. 1): the
+    /// tree's [`SelectKernel`] over the child block's columns.
     fn select_child(&self, parent: u32) -> u32 {
         let children = self.children(parent);
         debug_assert!(!children.is_empty(), "select on childless node");
-        let sum_n: u32 = children.clone().map(|c| self.n_eff(c)).sum();
-        let sqrt_sum = (sum_n as f32).sqrt();
-        let mut best = children.start;
-        let mut best_score = f32::NEG_INFINITY;
-        for c in children {
-            let u = self.q(c)
-                + self.cfg.c_puct * self.a.prior[c as usize] * sqrt_sum
-                    / (1.0 + self.n_eff(c) as f32);
-            if u > best_score {
-                best_score = u;
-                best = c;
-            }
-        }
-        best
+        let block = children.start as usize..children.end as usize;
+        let cols = ChildColumns {
+            prior: &self.a.prior[block.clone()],
+            n: &self.a.n[block.clone()],
+            vl: &self.a.vl[block.clone()],
+            w: &self.a.w[block],
+        };
+        children.start + self.kernel.pick(&self.cfg, cols, None) as u32
     }
 
     /// Allocate the child block for a claimed leaf. At the capacity
@@ -1563,5 +1873,204 @@ mod tests {
         grow(&mut t, &TicTacToe::new(), 60);
         assert_eq!(t.stats().high_water, hw, "deterministic regrowth");
         t.check_invariants();
+    }
+
+    // -- select kernels ------------------------------------------------------
+
+    /// An owned child block for the kernel tests.
+    #[derive(Clone)]
+    struct Block {
+        prior: Vec<f32>,
+        n: Vec<u32>,
+        vl: Vec<u32>,
+        w: Vec<f64>,
+    }
+
+    impl Block {
+        /// `count` children nothing has visited, uniform priors.
+        fn unvisited(count: usize) -> Self {
+            Block {
+                prior: vec![1.0 / count as f32; count],
+                n: vec![0; count],
+                vl: vec![0; count],
+                w: vec![0.0; count],
+            }
+        }
+
+        /// The same with distinct pseudo-random priors and every
+        /// `stride`-th child (from `first`) visited.
+        fn sparse(count: usize, first: usize, stride: usize, salt: u64) -> Self {
+            let mut b = Block::unvisited(count);
+            let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for p in &mut b.prior {
+                *p = (next() % 1000) as f32 / 1000.0 / count as f32;
+            }
+            for i in (first..count).step_by(stride) {
+                b.n[i] = (next() % 50) as u32;
+                b.vl[i] = (next() % 3) as u32;
+                b.w[i] = (next() % 2001) as f64 / 1000.0 - 1.0;
+            }
+            b
+        }
+
+        fn cols(&self) -> ChildColumns<'_> {
+            ChildColumns {
+                prior: &self.prior,
+                n: &self.n,
+                vl: &self.vl,
+                w: &self.w,
+            }
+        }
+    }
+
+    /// Every kernel this host can run must pick the scalar oracle's child
+    /// and produce its scores bit for bit. Returns the pick.
+    fn assert_kernels_agree(cfg: &MctsConfig, b: &Block, what: &str) -> usize {
+        let count = b.prior.len();
+        let mut want = vec![0f32; count];
+        let pick = SelectKernel::SCALAR.pick(cfg, b.cols(), Some(&mut want));
+        for (name, kernel) in SelectKernel::compiled() {
+            let Some(kernel) = kernel else { continue };
+            let mut got = vec![f32::NAN; count];
+            assert_eq!(
+                kernel.pick(cfg, b.cols(), Some(&mut got)),
+                pick,
+                "{name} pick, {what}, {count} children"
+            );
+            let bits = |s: &[f32]| s.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{name} scores, {what}");
+            assert_eq!(
+                kernel.pick(cfg, b.cols(), None),
+                pick,
+                "{name} without scores"
+            );
+        }
+        pick
+    }
+
+    #[test]
+    fn select_kernels_agree_bitwise() {
+        println!(
+            "select kernel dispatched on this host: {}",
+            select_kernel_name()
+        );
+        for (name, kernel) in SelectKernel::compiled() {
+            if kernel.is_none() {
+                println!("host has no {name}: that kernel is skipped");
+            }
+        }
+        let policies = [
+            VirtualLoss::Constant(1.0),
+            VirtualLoss::Constant(0.3),
+            VirtualLoss::VisitTracking,
+        ];
+        for virtual_loss in policies {
+            for q_init in [0.0, -0.25, 0.6] {
+                let cfg = MctsConfig {
+                    virtual_loss,
+                    q_init,
+                    ..Default::default()
+                };
+                // Every count up to 300 (all residues mod 8, below and
+                // above one group), mostly-unvisited blocks.
+                for count in 1..=300usize {
+                    let stride = 1 + count % 11;
+                    let b = Block::sparse(count, count % 7, stride, count as u64);
+                    assert_kernels_agree(&cfg, &b, "sparse");
+                    // Exact ties everywhere: the lowest offset wins.
+                    let pick = assert_kernels_agree(&cfg, &Block::unvisited(count), "all tied");
+                    assert_eq!(pick, 0, "uniform unvisited block of {count}");
+                }
+                // Dense blocks: every group takes the f64 path.
+                for count in [8, 9, 64, 77, 225] {
+                    assert_kernels_agree(&cfg, &Block::sparse(count, 0, 1, 7), "dense");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn select_kernels_agree_on_ties_and_non_finite_values() {
+        let cfg = MctsConfig::default();
+        // Two equal maxima: in different lanes (3 and 12), in one lane (5
+        // and 13), in the vector part and the scalar tail (2 and 18).
+        for (a, b) in [(3, 12), (5, 13), (2, 18)] {
+            let mut block = Block::unvisited(19);
+            for i in [a, b] {
+                (block.n[i], block.w[i]) = (4, 400.0); // Q = 100 beats any exploration term
+            }
+            assert_eq!(assert_kernels_agree(&cfg, &block, "two maxima"), a);
+        }
+        // NaN never wins, wherever it sits; ±inf compare as numbers.
+        for count in [5, 8, 21, 64] {
+            for at in [0, count / 2, count - 1] {
+                for (w, wins) in [
+                    (f64::NAN, false),
+                    (f64::INFINITY, true),
+                    (f64::NEG_INFINITY, false),
+                ] {
+                    let mut block = Block::sparse(count, 1, 3, at as u64);
+                    (block.n[at], block.w[at]) = (2, w);
+                    let pick = assert_kernels_agree(&cfg, &block, "non-finite w");
+                    assert_eq!(pick == at, wins, "w = {w} at {at} of {count}");
+                }
+            }
+            // No score above -inf at all: offset 0.
+            let mut block = Block::unvisited(count);
+            block.prior.fill(f32::NAN);
+            assert_eq!(assert_kernels_agree(&cfg, &block, "all NaN"), 0);
+            block.prior.fill(0.0);
+            block.n.fill(1);
+            block.w.fill(f64::NEG_INFINITY);
+            assert_eq!(assert_kernels_agree(&cfg, &block, "all -inf"), 0);
+        }
+    }
+
+    #[test]
+    fn select_kernels_agree_at_the_edge_of_the_signed_range() {
+        // The vector lanes convert counts as signed integers. A count of
+        // exactly i32::MAX still goes through them; one past it sends the
+        // whole block to the scalar loop. Either way: the oracle's answer.
+        let max = i32::MAX as u32;
+        let edges = [
+            (max - 3, 3),
+            (max, 0),
+            (0, max),
+            (max, 1),
+            (3_000_000_000, 0),
+            (5, max),
+        ];
+        for virtual_loss in [VirtualLoss::Constant(1.0), VirtualLoss::VisitTracking] {
+            let cfg = MctsConfig {
+                virtual_loss,
+                ..Default::default()
+            };
+            for (n, vl) in edges {
+                for count in [3, 8, 29] {
+                    for at in [0, count - 1] {
+                        let mut block = Block::sparse(count, 1, 4, 3);
+                        (block.n[at], block.vl[at], block.w[at]) = (n, vl, 0.75 * n as f64);
+                        assert_kernels_agree(&cfg, &block, "wide counts");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal length")]
+    fn select_kernel_rejects_ragged_columns() {
+        let b = Block::unvisited(9);
+        let cols = ChildColumns {
+            w: &b.w[..8],
+            ..b.cols()
+        };
+        SelectKernel::dispatched().pick(&MctsConfig::default(), cols, None);
     }
 }

@@ -22,14 +22,18 @@
 //!    singles side by side adds nothing to (1): no input copy, no result
 //!    vector, no round bookkeeping per call.
 //!
-//! This file holds exactly one test (with four tracked phases) so the
+//! 5. **One-shot search** — a serial searcher that starts every search
+//!    from a bare root allocates nothing from its *second* search on: it
+//!    resets the arena its first search grew instead of building another.
+//!
+//! This file holds exactly one test (with five tracked phases) so the
 //! counting global allocator sees no traffic from concurrently running
 //! tests.
 
 use games::Game;
 use mcts::{
-    BatchEvaluator, CoalescingEvaluator, EvalOutput, MctsConfig, NnEvaluator, Precision,
-    ReusableSearch, SearchResult,
+    BatchEvaluator, Budget, CoalescingEvaluator, EvalOutput, MctsConfig, NnEvaluator, Precision,
+    ReusableSearch, SearchResult, SearchScheme, StepOutcome,
 };
 use nn::{NetConfig, PolicyValueNet};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -88,6 +92,45 @@ fn steady_state_allocates_nothing() {
     direct_dispatch_phase();
     search_advance_cycle_phase();
     bounded_eviction_cycle_phase();
+    one_shot_search_phase();
+}
+
+/// The paper's Algorithm 2 — a bare root per move — driven the way a
+/// serving session drives it: `begin`, `step` in slices, `partial_into`.
+/// Only the first search grows anything; every later one runs on the
+/// arena, scratch buffers and root slot the first one left.
+fn one_shot_search_phase() {
+    use games::tictactoe::TicTacToe;
+
+    let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 5));
+    let cfg = MctsConfig {
+        playouts: 200,
+        ..Default::default()
+    };
+    let mut search = ReusableSearch::one_shot(cfg, Arc::new(NnEvaluator::new(net)));
+    let mut result = SearchResult::default();
+    let root = TicTacToe::new();
+    let run = |search: &mut ReusableSearch, result: &mut SearchResult| {
+        search.begin(&root, Budget::default());
+        while SearchScheme::<TicTacToe>::step(search, 64) == StepOutcome::Running {}
+        search.partial_into(result);
+    };
+
+    run(&mut search, &mut result);
+    let first = result.clone();
+    for nth in ["second", "third"] {
+        let allocs = count_allocs(|| run(&mut search, &mut result));
+        #[cfg(feature = "invariants")]
+        let _ = allocs;
+        #[cfg(not(feature = "invariants"))]
+        assert_eq!(
+            allocs, 0,
+            "the {nth} one-shot search must not touch the heap ({allocs} allocations observed)"
+        );
+        assert_eq!(result.visits, first.visits, "{nth} search, same answer");
+        assert_eq!(result.stats.nodes, first.stats.nodes);
+        assert_eq!(result.stats.reclaimed, 0, "a search that only grew");
+    }
 }
 
 fn evaluate_batch_phase() {

@@ -10,7 +10,10 @@
 //!   past its warm-up level.
 //! * **Stable playout rate** — the last decile of cycles is within 10%
 //!   of the first decile's playouts/s: recycling is O(evicted), not a
-//!   slow accumulation of scan or fragmentation cost.
+//!   slow accumulation of scan or fragmentation cost. Each decile is
+//!   timed in five blocks and stands for its *fastest* block: a
+//!   neighbour on the host can only slow a block down, so the fastest
+//!   one is the decile's rate when nothing else ran.
 //!
 //! Set `SOAK_SMOKE=1` for the short CI mode (fewer cycles, timing
 //! assertion skipped — wall-clock deciles need the full run to be
@@ -116,14 +119,16 @@ fn bounded_streaming_session_soaks_flat() {
     );
     let heap_snapshot = NET_BYTES.load(Ordering::SeqCst);
 
-    // The soak proper, timed per decile (stack array: the harness
-    // itself must not show up in the heap-growth measurement).
-    let decile = cycles / 10;
-    let mut decile_rates = [0f64; 10];
-    for rate in &mut decile_rates {
+    // The soak proper, timed in blocks of a fiftieth — five per decile
+    // (stack array: the harness itself must not show up in the
+    // heap-growth measurement).
+    const BLOCKS_PER_DECILE: usize = 5;
+    let block = cycles / (10 * BLOCKS_PER_DECILE);
+    let mut block_rates = [0f64; 10 * BLOCKS_PER_DECILE];
+    for rate in &mut block_rates {
         let mut playouts = 0u64;
         let t0 = Instant::now();
-        for _ in 0..decile {
+        for _ in 0..block {
             playouts += cycle(&mut search, &mut game, &mut result);
         }
         *rate = playouts as f64 / t0.elapsed().as_secs_f64();
@@ -161,12 +166,16 @@ fn bounded_streaming_session_soaks_flat() {
         end_stats.live
     );
 
-    // Rate stability: the last decile degrades < 10% vs the first.
+    // Rate stability: the last decile degrades < 10% vs the first,
+    // fastest block against fastest block (a block some other process
+    // pre-empted says nothing about the search).
     // (Speedups are fine — the contract is no slow decay.) Wall-clock
     // deciles are only meaningful at full length, so smoke mode stops
     // at the structural assertions above.
     if !smoke {
-        let (first, last) = (decile_rates[0], decile_rates[9]);
+        let fastest = |blocks: &[f64]| blocks.iter().copied().fold(0.0, f64::max);
+        let first = fastest(&block_rates[..BLOCKS_PER_DECILE]);
+        let last = fastest(&block_rates[9 * BLOCKS_PER_DECILE..]);
         assert!(
             last > 0.90 * first,
             "playout rate decayed {:.1}% over the soak (first decile {first:.0}/s, last {last:.0}/s)",

@@ -1,12 +1,12 @@
 //! Substrate micro-benchmarks: the kernels whose profiled latencies feed
 //! the performance models (GEMM, convolution, full network inference,
-//! game-state operations, synthetic-tree walks).
+//! game-state operations, in-tree search over the synthetic tree).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use games::gomoku::Gomoku;
 use games::Game;
 use nn::{NetConfig, PolicyValueNet};
-use perfmodel::profiler::SyntheticTree;
+use perfmodel::profiler::profile_in_tree;
 use std::time::Duration;
 use tensor::ops::gemm;
 use tensor::Tensor;
@@ -79,14 +79,8 @@ fn bench_synthetic_tree(c: &mut Criterion) {
     let mut group = c.benchmark_group("synthetic_tree");
     configure(&mut group);
     // The paper's design-time profile geometry: Gomoku fanout, shallow.
-    let tree = SyntheticTree::new(225, 3, 9);
-    group.bench_function("select_walk_fanout225", |b| {
-        b.iter(|| tree.select_walk(5.0));
-    });
-    let mut tree2 = SyntheticTree::new(225, 3, 9);
-    let leaf = tree2.select_walk(5.0);
-    group.bench_function("backup_walk_fanout225", |b| {
-        b.iter(|| tree2.backup_walk(leaf, 0.5));
+    group.bench_function("search_200_fanout225", |b| {
+        b.iter(|| profile_in_tree(225, 3, 200));
     });
     group.finish();
 }

@@ -66,7 +66,7 @@ fn request(
 ) -> SearchRequest<Gomoku> {
     let cfg = MctsConfig {
         playouts,
-        max_nodes: Some(200_000),
+        arena_budget_bytes: Some(16 << 20),
         ..Default::default()
     };
     SearchRequest::new(root.clone(), Arc::clone(eval))
@@ -655,7 +655,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"meta\": {{\"schema_version\": 6, \"workers\": {workers}, \"host_cores\": {host_cores}, \"eval_batch_hint\": {eval_batch_hint}, \"coalesce_auto\": true, \"playouts_per_request\": {playouts}, \"board\": \"gomoku9\", \"evaluator\": \"nn-int8\", \"smoke\": {smoke}}},"
+        "  \"meta\": {{\"schema_version\": 6, \"workers\": {workers}, \"host_cores\": {host_cores}, \"eval_batch_hint\": {eval_batch_hint}, \"playouts_per_request\": {playouts}, \"board\": \"gomoku9\", \"evaluator\": \"nn-int8\", \"smoke\": {smoke}}},"
     );
 
     // --- throughput/latency vs concurrent session count -------------------

@@ -317,7 +317,7 @@ mod tests {
     use super::*;
 
     const GOOD: &str = r#"{
-      "meta": {"schema_version": 6, "workers": 4, "host_cores": 1, "eval_batch_hint": 32, "coalesce_auto": true, "playouts_per_request": 48, "board": "gomoku9", "evaluator": "nn", "smoke": true},
+      "meta": {"schema_version": 6, "workers": 4, "host_cores": 1, "eval_batch_hint": 32, "playouts_per_request": 48, "board": "gomoku9", "evaluator": "nn", "smoke": true},
       "sessions": [
         {"concurrent": 1, "requests_per_s": 10.0, "p50_ms": 1.0, "p99_ms": 2.0, "mean_eval_batch": 1.0}
       ],

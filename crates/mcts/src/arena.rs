@@ -59,10 +59,10 @@
 //!
 //! # Capacity bound and LRU recycling
 //!
-//! With [`MctsConfig::max_nodes`](crate::MctsConfig::max_nodes) (or the
-//! byte-denominated
-//! [`MctsConfig::arena_budget_bytes`](crate::MctsConfig::arena_budget_bytes))
-//! set, the arena never exceeds the derived slot bound. When an expansion
+//! With [`MctsConfig::arena_budget_bytes`](crate::MctsConfig::arena_budget_bytes)
+//! set, the arena never exceeds the slot bound
+//! [`MctsConfig::node_budget`](crate::MctsConfig::node_budget) derives
+//! from it (`bytes / NodeArena::slot_bytes()`). When an expansion
 //! cannot be served from the free-list or by growing, the owning tree
 //! reclaims live slots and retries, so long-running serving processes
 //! search under a fixed memory budget instead of growing without limit.

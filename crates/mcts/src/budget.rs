@@ -64,16 +64,12 @@ pub struct Budget {
     /// starts after the deadline, and the run reports
     /// [`StepOutcome::Done`] once in-flight work has drained.
     pub time: Option<Duration>,
-    /// Hard tree-memory bound in nodes for the run's tree (`None` ⇒
-    /// [`MctsConfig::max_nodes`]). Applies to a run that starts from a
+    /// Hard tree-memory bound in bytes for the run's tree (`None` ⇒
+    /// [`MctsConfig::arena_budget_bytes`]; turned into slots by
+    /// [`MctsConfig::node_budget`]). Applies to a run that starts from a
     /// bare root — its tree is built, or the kept one reset and re-bound,
     /// for the run; a retained reuse tree keeps the bound it was built
     /// with.
-    pub max_nodes: Option<usize>,
-    /// Hard tree-memory bound in **bytes** for the run's tree (`None` ⇒
-    /// [`MctsConfig::arena_budget_bytes`]). The byte-denominated twin of
-    /// `max_nodes` — when both are set the tighter slot bound wins. Same
-    /// retained-tree caveat as `max_nodes`.
     pub max_bytes: Option<usize>,
 }
 
@@ -107,12 +103,6 @@ impl Budget {
         self
     }
 
-    /// Builder-style tree-memory bound.
-    pub fn with_max_nodes(mut self, nodes: usize) -> Self {
-        self.max_nodes = Some(nodes);
-        self
-    }
-
     /// Builder-style tree-memory bound in bytes.
     pub fn with_max_bytes(mut self, bytes: usize) -> Self {
         self.max_bytes = Some(bytes);
@@ -129,9 +119,6 @@ impl Budget {
         }
         if let Some(t) = self.time {
             out.time_budget_ms = Some((t.as_millis() as u64).max(1));
-        }
-        if let Some(n) = self.max_nodes {
-            out.max_nodes = Some(n);
         }
         if let Some(b) = self.max_bytes {
             out.arena_budget_bytes = Some(b);
@@ -328,11 +315,9 @@ mod tests {
         let gate = RunGate::new(&cfg, &b, false);
         assert_eq!(gate.target(), 3);
         assert_eq!(gate.remaining(), 3);
-        let run_cfg = b.with_max_nodes(500).apply_to(&cfg);
-        assert_eq!(run_cfg.playouts, 3);
-        assert_eq!(run_cfg.max_nodes, Some(500));
-        assert_eq!(run_cfg.time_budget_ms, Some(10_000));
         let run_cfg = b.with_max_bytes(1 << 20).apply_to(&cfg);
+        assert_eq!(run_cfg.playouts, 3);
+        assert_eq!(run_cfg.time_budget_ms, Some(10_000));
         assert_eq!(run_cfg.arena_budget_bytes, Some(1 << 20));
         assert!(run_cfg.node_budget().unwrap() > 0);
     }

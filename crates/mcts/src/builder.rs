@@ -176,15 +176,6 @@ impl SearchBuilder {
         self
     }
 
-    /// Hard node-capacity bound: single-owner trees evict their coldest
-    /// subtree instead of growing past `nodes`; the shared tree
-    /// pre-allocates exactly `nodes` slots. See
-    /// [`MctsConfig::max_nodes`].
-    pub fn max_nodes(mut self, nodes: usize) -> Self {
-        self.cfg.max_nodes = Some(nodes);
-        self
-    }
-
     /// AlphaZero-style Dirichlet root noise for self-play.
     pub fn root_noise(mut self, noise: RootNoise) -> Self {
         self.cfg.root_noise = Some(noise);
@@ -201,7 +192,7 @@ impl SearchBuilder {
     }
 
     /// Fold a unified [`Budget`] into the configuration: `playouts`,
-    /// `time` and `max_nodes` map onto the corresponding
+    /// `time` and `max_bytes` map onto the corresponding
     /// [`MctsConfig`] fields (fields left `None` keep their current
     /// values). The same `Budget` type can also be passed per run via
     /// [`SearchScheme::begin`].
@@ -388,7 +379,6 @@ mod tests {
             .c_puct(2.5)
             .virtual_loss(VirtualLoss::VisitTracking)
             .lock_kind(LockKind::Atomic)
-            .max_nodes(9999)
             .time_budget_ms(250);
         let cfg = b.current_config();
         assert_eq!(cfg.playouts, 123);
@@ -396,7 +386,6 @@ mod tests {
         assert_eq!(cfg.c_puct, 2.5);
         assert_eq!(cfg.virtual_loss, VirtualLoss::VisitTracking);
         assert_eq!(cfg.lock_kind, LockKind::Atomic);
-        assert_eq!(cfg.max_nodes, Some(9999));
         assert_eq!(cfg.time_budget_ms, Some(250));
     }
 

@@ -48,28 +48,23 @@ pub struct MctsConfig {
     pub lock_kind: LockKind,
     /// Q value assumed for unvisited edges (first-play urgency).
     pub q_init: f32,
-    /// Hard bound on tree memory, in nodes. For the single-owner tree
-    /// this caps the arena: when an expansion cannot be served, the
+    /// Hard bound on tree memory, in bytes — the one memory bound, turned
+    /// into slots by [`MctsConfig::node_budget`]. For the single-owner
+    /// tree it caps the arena: when an expansion cannot be served, the
     /// coldest live subtree is evicted (an intrusive LRU list tracks
     /// every block-owning node; the victim reverts to an unexpanded
     /// leaf, stats preserved) and the search continues under the fixed
-    /// budget. For the shared tree it sizes
-    /// the pre-allocated per-move arena. `None` ⇒ single-owner trees
-    /// grow on demand (unless [`MctsConfig::arena_budget_bytes`] bounds
-    /// them); the shared tree derives its size from `playouts × fanout`.
+    /// budget. For the shared tree it caps the pre-allocated per-move
+    /// arena ([`MctsConfig::arena_capacity`]). `None` ⇒ single-owner
+    /// trees grow on demand; the shared tree derives its size from
+    /// `playouts × fanout`. Per-session arena budgets and admission
+    /// byte quotas in the serve layer speak the same unit.
     ///
     /// The bound is *hard*: a search panics rather than exceed it, so it
     /// must leave room for the unevictable working set — at minimum the
-    /// root plus one full expansion (`action_space + 1` nodes), and for
+    /// root plus one full expansion (`action_space + 1` slots), and for
     /// pipelined schemes (local tree) one expansion per in-flight leaf,
     /// since subtrees holding pending evaluations are never evicted.
-    pub max_nodes: Option<usize>,
-    /// Hard bound on tree memory, in **bytes** — the byte-denominated
-    /// twin of [`MctsConfig::max_nodes`], converted to a slot bound via
-    /// [`NodeArena::slot_bytes`](crate::arena::NodeArena::slot_bytes).
-    /// When both bounds are set the tighter one wins. This is the knob
-    /// the serve layer speaks: per-session arena budgets and admission
-    /// byte quotas are denominated in bytes, not slots.
     pub arena_budget_bytes: Option<usize>,
     /// AlphaZero-style Dirichlet noise mixed into the root priors during
     /// self-play (None ⇒ deterministic evaluation-time search).
@@ -107,7 +102,6 @@ impl Default for MctsConfig {
             virtual_loss: VirtualLoss::default(),
             lock_kind: LockKind::default(),
             q_init: 0.0,
-            max_nodes: None,
             arena_budget_bytes: None,
             root_noise: None,
             time_budget_ms: None,
@@ -126,32 +120,26 @@ impl MctsConfig {
         }
     }
 
-    /// Arena capacity for a game with the given action-space size.
-    /// `max_nodes` wins over the playout-derived estimate; a byte budget
-    /// tightens whichever of those applies.
+    /// Arena slots a run of this configuration can need for a game with
+    /// the given action-space size: the worst case for its playouts
+    /// (every playout and every worker's in-flight leaf expands one
+    /// block of `action_space` children), tightened by
+    /// [`MctsConfig::node_budget`] — a byte bound never raises it.
+    /// Saturates rather than overflows.
     pub fn arena_capacity(&self, action_space: usize) -> usize {
-        let slots = self
-            .max_nodes
-            .unwrap_or_else(|| 1 + (self.playouts + self.workers + 1) * (action_space + 1));
-        match self.byte_bound_slots() {
-            Some(b) => slots.min(b),
-            None => slots,
-        }
+        let worst = self
+            .playouts
+            .saturating_add(self.workers)
+            .saturating_add(1)
+            .saturating_mul(action_space.saturating_add(1))
+            .saturating_add(1);
+        self.node_budget().map_or(worst, |b| worst.min(b))
     }
 
-    /// The hard slot bound this configuration imposes on a single-owner
-    /// arena: the tighter of [`MctsConfig::max_nodes`] and
-    /// [`MctsConfig::arena_budget_bytes`] (converted to slots), `None`
-    /// when neither is set.
+    /// The hard slot bound [`MctsConfig::arena_budget_bytes`] imposes on
+    /// a tree: `bytes / NodeArena::slot_bytes()`, `None` when unbounded.
+    /// The one place a memory bound turns from bytes into slots.
     pub fn node_budget(&self) -> Option<usize> {
-        match (self.max_nodes, self.byte_bound_slots()) {
-            (Some(n), Some(b)) => Some(n.min(b)),
-            (Some(n), None) => Some(n),
-            (None, b) => b,
-        }
-    }
-
-    fn byte_bound_slots(&self) -> Option<usize> {
         self.arena_budget_bytes
             .map(|b| b / crate::arena::NodeArena::slot_bytes())
     }
@@ -170,9 +158,6 @@ impl MctsConfig {
         }
         if let Some(ms) = self.time_budget_ms {
             assert!(ms > 0, "time budget must be positive");
-        }
-        if let Some(n) = self.max_nodes {
-            assert!(n > 0, "max_nodes must allow at least the root");
         }
         if let Some(b) = self.arena_budget_bytes {
             assert!(
@@ -214,15 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_max_nodes_wins() {
-        let c = MctsConfig {
-            max_nodes: Some(123),
-            ..Default::default()
-        };
-        assert_eq!(c.arena_capacity(225), 123);
-    }
-
-    #[test]
     fn byte_budget_tightens_capacity() {
         let slot = crate::arena::NodeArena::slot_bytes();
         let c = MctsConfig {
@@ -231,20 +207,42 @@ mod tests {
         };
         assert_eq!(c.node_budget(), Some(100));
         assert_eq!(c.arena_capacity(225), 100);
-        // The tighter of the two bounds wins in both directions.
+        // A partial slot's worth of bytes buys nothing.
         let c = MctsConfig {
-            max_nodes: Some(50),
-            arena_budget_bytes: Some(100 * slot),
-            ..Default::default()
-        };
-        assert_eq!(c.node_budget(), Some(50));
-        let c = MctsConfig {
-            max_nodes: Some(500),
-            arena_budget_bytes: Some(100 * slot),
+            arena_budget_bytes: Some(100 * slot + slot - 1),
             ..Default::default()
         };
         assert_eq!(c.node_budget(), Some(100));
-        assert_eq!(c.arena_capacity(225), 100);
+    }
+
+    #[test]
+    fn byte_budget_never_raises_capacity() {
+        let c = MctsConfig {
+            playouts: 10,
+            workers: 2,
+            ..Default::default()
+        };
+        let worst = c.arena_capacity(9);
+        assert_eq!(worst, 1 + 13 * 10);
+        let roomy = MctsConfig {
+            arena_budget_bytes: Some(usize::MAX),
+            ..c
+        };
+        assert_eq!(roomy.arena_capacity(9), worst);
+    }
+
+    #[test]
+    fn capacity_saturates_instead_of_overflowing() {
+        let c = MctsConfig {
+            playouts: usize::MAX,
+            ..Default::default()
+        };
+        assert_eq!(c.arena_capacity(81), usize::MAX);
+        let bounded = MctsConfig {
+            arena_budget_bytes: Some(2_000 * crate::arena::NodeArena::slot_bytes()),
+            ..c
+        };
+        assert_eq!(bounded.arena_capacity(81), 2_000);
     }
 
     #[test]

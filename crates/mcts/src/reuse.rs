@@ -25,8 +25,8 @@
 //! In steady state a whole search → [`ReusableSearch::advance`] → search
 //! cycle performs zero heap allocations (see
 //! `tests/alloc_steady_state.rs`), and with
-//! [`MctsConfig::max_nodes`] set the retained tree searches under a hard
-//! memory bound across the entire game.
+//! [`MctsConfig::arena_budget_bytes`] set the retained tree searches
+//! under a hard memory bound across the entire game.
 
 use crate::budget::{Budget, RootSlot, StepOutcome};
 use crate::config::MctsConfig;
@@ -54,7 +54,7 @@ use std::sync::Arc;
 /// the second search on it allocates nothing and touches no page the
 /// first one did not fault in. What is kept is memory, never statistics:
 /// the search from a reset arena is bit for bit the search from a new
-/// one. Per-run [`Budget::max_nodes`]/`max_bytes` apply at every `begin`:
+/// one. A per-run [`Budget::max_bytes`] applies at every `begin`:
 /// the reset re-bounds the arena, so a bound *smaller* than the tree the
 /// previous search grew still binds (the columns keep their capacity and
 /// refuse to grow past it), and a later unbounded run grows again. The
@@ -528,12 +528,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_reuse_game_respects_max_nodes() {
+    fn bounded_reuse_game_respects_its_byte_bound() {
         let cap = 300usize;
         let mut s = ReusableSearch::new(
             MctsConfig {
                 playouts: 200,
-                max_nodes: Some(cap),
+                arena_budget_bytes: Some(cap * crate::NodeArena::slot_bytes()),
                 ..Default::default()
             },
             Arc::new(UniformEvaluator::for_game(&TicTacToe::new())),
@@ -685,7 +685,10 @@ mod tests {
     #[test]
     fn one_shot_applies_per_run_memory_budgets() {
         let mut s = one_shot(300);
-        s.begin(&TicTacToe::new(), Budget::default().with_max_nodes(120));
+        s.begin(
+            &TicTacToe::new(),
+            Budget::default().with_max_bytes(120 * crate::NodeArena::slot_bytes()),
+        );
         while s.step(64) == StepOutcome::Running {}
         let r = s.partial_result();
         assert_eq!(r.stats.playouts, 300);
@@ -770,23 +773,23 @@ mod tests {
             grown > 120,
             "the kept arena is larger than the bounds below"
         );
-        for budget in [
-            Budget::default().with_max_nodes(120),
-            Budget::default().with_max_bytes(120 * crate::NodeArena::slot_bytes()),
-        ] {
+        for slots in [120, 90] {
             let evicted_before = s.tree_stats().unwrap().evicted;
-            s.begin(&g, budget);
+            s.begin(
+                &g,
+                Budget::default().with_max_bytes(slots * crate::NodeArena::slot_bytes()),
+            );
             while SearchScheme::<TicTacToe>::step(&mut s, 64) == StepOutcome::Running {}
             let r = SearchScheme::<TicTacToe>::partial_result(&s);
             assert_eq!(r.stats.playouts, 300);
             let stats = s.tree_stats().unwrap();
             assert!(
-                stats.high_water <= 120,
+                stats.high_water <= slots,
                 "a bound smaller than the kept arena still binds: {}",
                 stats.high_water
             );
             let evicted = stats.evicted - evicted_before;
-            assert!(evicted > 0, "300 playouts under 120 slots must evict");
+            assert!(evicted > 0, "300 playouts under {slots} slots must evict");
             assert_eq!(r.stats.reclaimed, evicted, "per run: this run's evictions");
         }
         // And a later unbounded run grows again, to the same tree.

@@ -16,8 +16,12 @@
 //! Expansion bump-allocates a contiguous child block with a single
 //! `fetch_add`, then publishes it with a release store on the parent's
 //! phase flag; readers acquire-load the flag before touching children.
-//! The arena is pre-sized for one move's expansion, so shared-tree
-//! searches run under a fixed memory bound by construction.
+//! The arena is pre-sized for one move's expansion —
+//! [`MctsConfig::arena_capacity`]: the worst case for the run's playouts,
+//! tightened by its `arena_budget_bytes` — so shared-tree searches run
+//! under a fixed memory bound by construction. The shared tree never
+//! evicts: a byte bound below the worst case must still cover what the
+//! run actually expands, or the run panics.
 
 use crate::arena::{phase, AtomicColumns, W_SCALE};
 use crate::budget::{Budget, RootSlot, RunGate, StepOutcome};
@@ -36,14 +40,14 @@ use std::time::Instant;
 const NIL: u32 = crate::arena::NIL;
 
 /// Cap on the pre-allocated shared arena for **deadline-bounded** runs
-/// with no explicit [`MctsConfig::max_nodes`]. The arena is sized for
+/// with no [`MctsConfig::arena_budget_bytes`]. The arena is sized for
 /// the worst-case expansion of the whole run, and a time-budgeted run's
 /// playout cap is aspirational — without this bound a `Budget::time`
 /// run with a huge playout ceiling would allocate gigabytes of atomic
 /// columns up front. Deadline-free runs keep the exact worst-case
 /// sizing (they can never exhaust the arena); a deadline run genuinely
 /// expanding more than this many nodes before its deadline must set
-/// `max_nodes` explicitly.
+/// `arena_budget_bytes` explicitly.
 pub const DEFAULT_SHARED_ARENA_SLOTS: usize = 1 << 22;
 
 /// The concurrent arena tree shared by all rollout workers for one move.
@@ -97,7 +101,7 @@ impl SharedTree {
         let start = self.next.fetch_add(count, Ordering::Relaxed);
         assert!(
             start + count <= self.cols.capacity(),
-            "shared-tree arena exhausted ({} nodes); raise MctsConfig::max_nodes",
+            "shared-tree arena exhausted ({} nodes); raise MctsConfig::arena_budget_bytes",
             self.cols.capacity()
         );
         start as u32
@@ -459,7 +463,7 @@ impl<G: Game> SearchScheme<G> for SharedTreeSearch {
         // huge ceiling inflate the worst-case arena sizing into
         // gigabytes (see DEFAULT_SHARED_ARENA_SLOTS). Deadline-free
         // runs keep the exact worst-case estimate.
-        if gate.deadline().is_some() && run_cfg.max_nodes.is_none() {
+        if gate.deadline().is_some() && run_cfg.arena_budget_bytes.is_none() {
             let per_playout = root.action_space() + 1;
             let max_sized = (DEFAULT_SHARED_ARENA_SLOTS / per_playout)
                 .saturating_sub(run_cfg.workers + 1)

@@ -439,9 +439,9 @@ pub struct Tree {
 
 impl Tree {
     /// Fresh tree containing only an unexpanded root. With
-    /// [`MctsConfig::max_nodes`] or [`MctsConfig::arena_budget_bytes`]
-    /// set, the arena never exceeds the derived slot bound (expansion
-    /// evicts the coldest live subtree when full).
+    /// [`MctsConfig::arena_budget_bytes`] set, the arena never exceeds
+    /// its slot bound ([`MctsConfig::node_budget`]; expansion evicts the
+    /// coldest live subtree when full).
     pub fn new(cfg: MctsConfig) -> Self {
         let mut a = NodeArena::new(1024, cfg.node_budget());
         let root = a
@@ -1676,10 +1676,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_evicts_coldest_by_default() {
+    fn byte_bound_evicts_coldest_by_default() {
+        let slot = NodeArena::slot_bytes();
         let cap = 200usize;
+        let budget = cap * slot;
         let mut t = Tree::new(MctsConfig {
-            max_nodes: Some(cap),
+            arena_budget_bytes: Some(budget),
             ..cfg(500)
         });
         let base = TicTacToe::new();
@@ -1690,6 +1692,12 @@ mod tests {
             "hard bound respected: {} > {cap}",
             s.high_water
         );
+        assert!(
+            s.bytes <= budget,
+            "byte bound respected: {} > {budget}",
+            s.bytes
+        );
+        assert_eq!(s.bytes, s.high_water * slot);
         assert!(s.evicted > 0, "bounded search must have evicted");
         t.check_invariants();
         // Root statistics survive eviction untouched: every playout is
@@ -1700,32 +1708,12 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_bounds_the_arena() {
-        let slot = NodeArena::slot_bytes();
-        let budget = 200 * slot;
-        let mut t = Tree::new(MctsConfig {
-            arena_budget_bytes: Some(budget),
-            ..cfg(500)
-        });
-        grow(&mut t, &TicTacToe::new(), 500);
-        let s = t.stats();
-        assert!(
-            s.bytes <= budget,
-            "byte bound respected: {} > {budget}",
-            s.bytes
-        );
-        assert_eq!(s.bytes, s.high_water * slot);
-        assert!(s.evicted > 0, "tight byte budget must force eviction");
-        t.check_invariants();
-    }
-
-    #[test]
     fn eviction_preserves_detached_stats_and_allows_reexpansion() {
         // Drive a bounded LRU search, then keep searching: detached
         // victims must come back (re-expansion) without tripping the
         // exact visit identity.
         let mut t = Tree::new(MctsConfig {
-            max_nodes: Some(150),
+            arena_budget_bytes: Some(150 * NodeArena::slot_bytes()),
             ..cfg(800)
         });
         let base = TicTacToe::new();

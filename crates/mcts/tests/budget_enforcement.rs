@@ -7,7 +7,8 @@
 use games::tictactoe::TicTacToe;
 use mcts::evaluator::DelayedEvaluator;
 use mcts::{
-    BatchEvaluator, Budget, MctsConfig, Scheme, SearchBuilder, StepOutcome, UniformEvaluator,
+    BatchEvaluator, Budget, MctsConfig, NodeArena, Scheme, SearchBuilder, StepOutcome,
+    UniformEvaluator,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,12 +75,12 @@ fn builder_budget_knob_reaches_the_config() {
     let b = SearchBuilder::new(Scheme::Serial).budget(
         Budget::playouts(77)
             .with_time(Duration::from_millis(9))
-            .with_max_nodes(1234),
+            .with_max_bytes(1234 * NodeArena::slot_bytes()),
     );
     let cfg = b.current_config();
     assert_eq!(cfg.playouts, 77);
     assert_eq!(cfg.time_budget_ms, Some(9));
-    assert_eq!(cfg.max_nodes, Some(1234));
+    assert_eq!(cfg.node_budget(), Some(1234));
 }
 
 #[test]
@@ -103,12 +104,15 @@ fn playout_budget_via_begin_caps_the_run() {
 }
 
 #[test]
-fn max_nodes_budget_bounds_the_run_tree() {
+fn byte_budget_bounds_the_run_tree() {
     let mut s = SearchBuilder::new(Scheme::Serial)
         .playouts(500)
         .evaluator(Arc::new(UniformEvaluator::for_game(&TicTacToe::new())))
         .build::<TicTacToe>();
-    s.begin(&TicTacToe::new(), Budget::playouts(500).with_max_nodes(200));
+    s.begin(
+        &TicTacToe::new(),
+        Budget::playouts(500).with_max_bytes(200 * NodeArena::slot_bytes()),
+    );
     while s.step(usize::MAX) == StepOutcome::Running {}
     let r = s.partial_result();
     s.cancel();

@@ -11,7 +11,7 @@ use games::tictactoe::TicTacToe;
 use games::{Game, Status};
 use mcts::analysis::principal_variation;
 use mcts::tree::{SelectOutcome, Tree};
-use mcts::{MctsConfig, NodeState};
+use mcts::{MctsConfig, NodeArena, NodeState};
 use proptest::prelude::*;
 
 /// Deterministic fake evaluator: priors/value are a pure function of the
@@ -68,7 +68,7 @@ proptest! {
         // ≥ 48: the bound must cover the unevictable working set — the
         // current selection path holds virtual loss on every node it
         // descended, and a full-depth TicTacToe path owns 46 slots of
-        // child blocks (see the `MctsConfig::max_nodes` contract).
+        // child blocks (see the `MctsConfig::arena_budget_bytes` contract).
         bound in 48usize..90,
         playouts in 50usize..300,
     ) {
@@ -86,7 +86,7 @@ proptest! {
 
         let bounded_cfg = MctsConfig {
             playouts,
-            max_nodes: Some(bound),
+            arena_budget_bytes: Some(bound * NodeArena::slot_bytes()),
             ..Default::default()
         };
         let unbounded_cfg = MctsConfig { playouts, ..Default::default() };
@@ -135,7 +135,7 @@ proptest! {
 
         let cfg = MctsConfig {
             playouts,
-            max_nodes: Some(bound),
+            arena_budget_bytes: Some(bound * NodeArena::slot_bytes()),
             ..Default::default()
         };
         let mut tree = Tree::new(cfg);

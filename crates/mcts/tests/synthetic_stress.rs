@@ -93,14 +93,14 @@ fn collision_rate_stays_bounded_under_contention() {
 }
 
 #[test]
-fn explicit_max_nodes_is_honored() {
+fn byte_bound_is_honored() {
     // Give plenty of room: search must stay within the configured arena.
     let game = SyntheticGame::new(4, 6, 3);
     let eval = Arc::new(UniformEvaluator::for_game(&game));
     let cfg = MctsConfig {
         playouts: 100,
         workers: 2,
-        max_nodes: Some(100 * 5 + 16),
+        arena_budget_bytes: Some((100 * 5 + 16) * mcts::NodeArena::slot_bytes()),
         ..Default::default()
     };
     let mut s = Scheme::SharedTree.build::<SyntheticGame>(cfg, eval);

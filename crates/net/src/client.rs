@@ -31,7 +31,9 @@ pub struct WireRequest {
     pub playouts: u64,
     /// 0 = no deadline.
     pub time_ms: u64,
-    /// 0 = inherit the server default.
+    /// Tree-memory bound in slots; the server converts it to bytes
+    /// (`n × NodeArena::slot_bytes()`, saturating). 0 = inherit the
+    /// server default.
     pub max_nodes: u64,
     pub priority: Priority,
 }

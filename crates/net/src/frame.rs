@@ -349,7 +349,9 @@ pub enum Frame {
     Hello { proto: u32, token: String },
     /// Start a search. `id` is client-chosen and scopes every later
     /// frame about this session. `time_ms`/`max_nodes` of 0 mean
-    /// "unbounded"/"inherit"; `priority` is 0 Low / 1 Normal / 2 High.
+    /// "unbounded"/"inherit"; `max_nodes` counts tree slots, which the
+    /// server turns into a byte bound on arrival. `priority` is 0 Low /
+    /// 1 Normal / 2 High.
     Submit {
         id: u64,
         spec: GameSpec,

@@ -36,7 +36,7 @@ use games::hex::Hex;
 use games::othello::Othello;
 use games::tictactoe::TicTacToe;
 use games::{connect4::Connect4, Game};
-use mcts::{BatchEvaluator, Budget, MctsConfig, SearchError, UniformEvaluator};
+use mcts::{BatchEvaluator, Budget, MctsConfig, NodeArena, SearchError, UniformEvaluator};
 use parking_lot::{Condvar, Mutex};
 use serve::{
     AdmissionConfig, AdmissionController, ClusterTicket, DrainReport, Priority, Rejection,
@@ -688,11 +688,18 @@ fn handle_submit(
         1 => Priority::Normal,
         _ => Priority::High,
     };
+    // The wire counts tree memory in slots; everything behind it counts
+    // bytes. Converted here, once, saturating: `n` slots are exactly the
+    // `n × slot_bytes` bytes that `MctsConfig::node_budget` turns back
+    // into `n`, and a count no arena can hold prices as "all of memory".
     let budget = Budget {
         playouts: Some(playouts),
         time: (time_ms > 0).then(|| Duration::from_millis(time_ms)),
-        max_nodes: (max_nodes > 0).then_some(max_nodes as usize),
-        max_bytes: None,
+        max_bytes: (max_nodes > 0).then(|| {
+            usize::try_from(max_nodes)
+                .unwrap_or(usize::MAX)
+                .saturating_mul(NodeArena::slot_bytes())
+        }),
     };
     let submitted = match spec {
         GameSpec::TicTacToe => {

@@ -5,7 +5,7 @@
 
 use net::frame::{read_frame, write_frame};
 use net::{
-    Client, Frame, GameSpec, NetServer, Outcome, RejectCode, ServerConfig, WireRequest,
+    Client, Event, Frame, GameSpec, NetServer, Outcome, RejectCode, ServerConfig, WireRequest,
     PROTOCOL_VERSION,
 };
 use serve::{AdmissionConfig, ClusterConfig, ServeCluster, ServeConfig};
@@ -254,5 +254,67 @@ fn submit_before_hello_is_refused() {
     let reply = read_frame(&mut raw, net::MAX_FRAME).unwrap();
     assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
     assert_eq!(server.stats().admitted, 0);
+    server.shutdown(Duration::from_secs(5));
+}
+
+#[test]
+fn oversized_max_nodes_is_priced_not_wrapped() {
+    // `max_nodes` is a slot count; the server turns it into bytes once.
+    // A count whose byte figure overflows must price as "all of memory"
+    // — a terminal OverMemory shed — not panic the connection's reader
+    // (debug) or wrap to a small price that admits an unbounded tree
+    // (release). The connection stays usable afterwards.
+    let quota = 1 << 20;
+    let cluster = Arc::new(ServeCluster::new(ClusterConfig {
+        shards: 1,
+        shard: ServeConfig {
+            workers: 2,
+            step_quota: 64,
+            ..Default::default()
+        },
+        admission: Some(AdmissionConfig {
+            playouts_per_sec: 1e9,
+            burst_playouts: 1_000_000_000,
+            max_pending: 1024,
+            session_byte_quota: Some(quota),
+            ..Default::default()
+        }),
+    }));
+    let mut server = NetServer::bind("127.0.0.1:0", cluster, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), "").unwrap();
+    // Every event of one session up to its terminal one, with a deadline:
+    // a server that never answers fails here instead of hanging the test.
+    let mut terminal = |req: &WireRequest| -> Event {
+        let id = client.submit(req).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            assert!(Instant::now() < deadline, "no terminal frame for {req:?}");
+            match client.recv_timeout(Duration::from_millis(200)) {
+                Ok(Some(ev)) if ev.id() == id && ev.is_terminal() => return ev,
+                Ok(_) => {}
+                Err(e) => panic!("connection lost waiting on {req:?}: {e}"),
+            }
+        }
+    };
+    let slot = mcts::NodeArena::slot_bytes() as u64;
+    for max_nodes in [u64::MAX, u64::MAX / slot + 1] {
+        match terminal(&request(2_000).max_nodes(max_nodes)) {
+            Event::Rejected { code, .. } => assert_eq!(code, RejectCode::OverMemory),
+            other => panic!("max_nodes {max_nodes}: expected OverMemory, got {other:?}"),
+        }
+    }
+    // Ordinary submits on the same connection still run to the end, one
+    // under the quota by its playouts, one by its own slot bound.
+    for req in [request(100), request(2_000).max_nodes(2_000)] {
+        match terminal(&req) {
+            Event::Final { result, .. } => {
+                assert_eq!(result.playouts, req.playouts);
+                assert!(req.max_nodes == 0 || result.nodes <= req.max_nodes);
+            }
+            other => panic!("{req:?}: expected Final, got {other:?}"),
+        }
+    }
+    let stats = server.stats();
+    assert_eq!((stats.rejected, stats.admitted), (2, 2), "{stats:?}");
     server.shutdown(Duration::from_secs(5));
 }

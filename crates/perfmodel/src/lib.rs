@@ -6,8 +6,8 @@
 //!   for the shared-tree and local-tree schemes on CPU-only and CPU+GPU
 //!   platforms, and the compile-time scheme chooser built on them;
 //! * [`profiler`] — design-time measurement of `T_select`, `T_backup`
-//!   (on a synthetic tree with the target fanout/depth and random UCT
-//!   scores, §4.2), `T_DNN` (random-parameter network), and the shared-
+//!   (a real serial search over a synthetic tree with the target
+//!   fanout/depth, §4.2), `T_DNN` (random-parameter network), and the shared-
 //!   memory access latency (pointer chase);
 //! * [`vsearch`] — Algorithm 4: O(log N) minimum search over the
 //!   "V-sequence" of per-iteration latency as a function of the

@@ -2,19 +2,24 @@
 //! host.
 //!
 //! * `T_select` / `T_backup` are measured on a **synthetic tree** with the
-//!   target algorithm's fanout and depth limit, filled with random UCT
-//!   statistics — no game or network needed, exactly as the paper
-//!   prescribes ("a synthetic tree constructed for one episode with
-//!   random-generated UCT scores, emulating the same fanout and depth").
+//!   target algorithm's fanout and depth limit — no board game or network
+//!   needed, as the paper prescribes ("a synthetic tree constructed for
+//!   one episode …, emulating the same fanout and depth"): a real serial
+//!   search over [`SyntheticGame`] with uniform priors, timed by its own
+//!   stage clocks, so the profile measures the selection code the schemes
+//!   run rather than a model of it.
 //! * `T^CPU_DNN` is measured by timing inference through a network with
 //!   random parameters and correctly-shaped random inputs.
 //! * `T_shared tree access` is estimated with a dependent-load pointer
 //!   chase over a buffer much larger than the last-level cache,
 //!   approximating the documented DDR access latency.
 
+use games::synthetic::SyntheticGame;
+use mcts::{Scheme, SearchBuilder, UniformEvaluator};
 use nn::PolicyValueNet;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Profiled in-tree and inference costs (nanoseconds, amortized).
@@ -30,119 +35,27 @@ pub struct ProfiledCosts {
     pub t_dnn_cpu_ns: f64,
 }
 
-/// A synthetic UCT tree: `depth` levels, `fanout` children per node, with
-/// random priors/values. Mirrors the arena layout of the real tree so the
-/// measured selection/backup walks touch memory the same way.
-pub struct SyntheticTree {
-    /// Flattened statistics per node: (prior, q, n).
-    prior: Vec<f32>,
-    q: Vec<f32>,
-    n: Vec<u32>,
-    fanout: usize,
-    depth: usize,
-}
-
-impl SyntheticTree {
-    /// Build a complete `fanout`-ary tree of the given depth with random
-    /// UCT statistics (deterministic for a seed).
-    pub fn new(fanout: usize, depth: usize, seed: u64) -> Self {
-        assert!(fanout >= 1 && depth >= 1, "degenerate synthetic tree");
-        // Nodes in a complete tree: (f^(d+1)-1)/(f-1); cap to keep the
-        // profile cheap while still exceeding L1/L2.
-        let mut count = 1usize;
-        let mut level = 1usize;
-        for _ in 0..depth {
-            level = level.saturating_mul(fanout).min(4_000_000);
-            count = count.saturating_add(level).min(4_000_000);
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        SyntheticTree {
-            prior: (0..count).map(|_| rng.gen_range(0.0..1.0)).collect(),
-            q: (0..count).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-            n: (0..count).map(|_| rng.gen_range(0..1000)).collect(),
-            fanout,
-            depth,
-        }
-    }
-
-    /// Number of nodes materialized.
-    pub fn len(&self) -> usize {
-        self.prior.len()
-    }
-
-    /// True when the tree is trivial.
-    pub fn is_empty(&self) -> bool {
-        self.prior.is_empty()
-    }
-
-    /// One selection walk: UCT argmax over `fanout` children per level.
-    /// Returns the leaf index (also used as a do-not-optimize sink).
-    pub fn select_walk(&self, c_puct: f32) -> usize {
-        let mut cur = 0usize;
-        for _ in 0..self.depth {
-            let first = cur * self.fanout + 1;
-            if first >= self.len() {
-                break;
-            }
-            let count = self.fanout.min(self.len() - first);
-            let sum_n: u32 = self.n[first..first + count].iter().sum();
-            let sqrt_sum = (sum_n as f32).sqrt();
-            let mut best = first;
-            let mut best_score = f32::NEG_INFINITY;
-            for i in first..first + count {
-                let u = self.q[i] + c_puct * self.prior[i] * sqrt_sum / (1.0 + self.n[i] as f32);
-                if u > best_score {
-                    best_score = u;
-                    best = i;
-                }
-            }
-            cur = best;
-        }
-        cur
-    }
-
-    /// One backup walk from `leaf` to the root, updating statistics.
-    pub fn backup_walk(&mut self, leaf: usize, value: f32) {
-        let mut cur = leaf;
-        let mut v = value;
-        loop {
-            self.n[cur] += 1;
-            let n = self.n[cur] as f32;
-            self.q[cur] += (v - self.q[cur]) / n;
-            if cur == 0 {
-                break;
-            }
-            cur = (cur - 1) / self.fanout;
-            v = -v;
-        }
-    }
-}
-
-/// Measure `T_select` and `T_backup` on a synthetic tree (ns/iteration).
+/// Measure `T_select` and `T_backup` (ns per playout) with the real
+/// search: one `iters`-playout one-shot serial search over the §4.2
+/// synthetic tree — [`SyntheticGame`] with the target's fanout and depth
+/// limit — read off the run's chained stage clocks
+/// ([`SearchStats::select_ns`](mcts::SearchStats::select_ns) and
+/// [`backup_ns`](mcts::SearchStats::backup_ns)). Selection runs through
+/// the same dispatched PUCT kernel and arena every scheme uses; the
+/// evaluator is uniform, so no inference cost leaks into either figure.
 pub fn profile_in_tree(fanout: usize, depth: usize, iters: usize) -> (f64, f64) {
     assert!(iters > 0);
-    let mut tree = SyntheticTree::new(fanout, depth, 0xC0FFEE);
-    // Warm-up and leaf collection.
-    let mut leaves = Vec::with_capacity(iters);
-    for _ in 0..iters.min(64) {
-        leaves.push(tree.select_walk(5.0));
-    }
-
-    let t0 = Instant::now();
-    let mut sink = 0usize;
-    for _ in 0..iters {
-        sink = sink.wrapping_add(tree.select_walk(5.0));
-    }
-    let t_select = t0.elapsed().as_nanos() as f64 / iters as f64;
-    std::hint::black_box(sink);
-
-    let t1 = Instant::now();
-    for i in 0..iters {
-        let leaf = leaves[i % leaves.len()];
-        tree.backup_walk(leaf, if i % 2 == 0 { 1.0 } else { -1.0 });
-    }
-    let t_backup = t1.elapsed().as_nanos() as f64 / iters as f64;
-    (t_select, t_backup)
+    let game = SyntheticGame::new(fanout, depth, 0xC0FFEE);
+    let mut search = SearchBuilder::new(Scheme::Serial)
+        .playouts(iters)
+        .evaluator(Arc::new(UniformEvaluator::for_game(&game)))
+        .build::<SyntheticGame>();
+    let stats = search.search(&game).stats;
+    let playouts = stats.playouts.max(1) as f64;
+    (
+        stats.select_ns as f64 / playouts,
+        stats.backup_ns as f64 / playouts,
+    )
 }
 
 /// Measure single-sample CPU inference latency of `net` (ns/inference),
@@ -223,34 +136,6 @@ pub fn profile_host(
 mod tests {
     use super::*;
     use nn::NetConfig;
-
-    #[test]
-    fn synthetic_tree_size_bounded() {
-        let t = SyntheticTree::new(225, 4, 1);
-        assert!(t.len() <= 4_000_000);
-        assert!(t.len() > 225);
-    }
-
-    #[test]
-    fn select_walk_reaches_a_leafish_node() {
-        let t = SyntheticTree::new(3, 5, 2);
-        let leaf = t.select_walk(5.0);
-        assert!(leaf > 0, "walk must descend");
-        assert!(leaf < t.len());
-    }
-
-    #[test]
-    fn backup_updates_statistics() {
-        let mut t = SyntheticTree::new(3, 4, 3);
-        let leaf = t.select_walk(5.0);
-        let n_before = t.n[leaf];
-        t.backup_walk(leaf, 1.0);
-        assert_eq!(t.n[leaf], n_before + 1);
-        assert_eq!(t.n[0], {
-            // root also incremented
-            t.n[0]
-        });
-    }
 
     #[test]
     fn in_tree_profile_returns_positive_times() {

@@ -66,8 +66,8 @@ pub struct AdmissionConfig {
     /// Largest worst-case arena footprint (bytes) a single session may
     /// ask for. Violations are terminal for that request shape
     /// ([`RejectReason::OverMemory`] with zero `retry_after` — waiting
-    /// cannot shrink the request); resubmit with a smaller `max_nodes`
-    /// or byte budget. `None` ⇒ no per-session cap.
+    /// cannot shrink the request); resubmit with a smaller byte budget
+    /// or fewer playouts. `None` ⇒ no per-session cap.
     pub session_byte_quota: Option<u64>,
     /// Total arena bytes a model may have reserved across its
     /// admitted-but-unfinished sessions. Admission reserves each
@@ -184,7 +184,7 @@ impl std::fmt::Display for Rejection {
                 if self.retry_after.is_zero() {
                     write!(
                         f,
-                        "request shed (arena bytes exceed the per-session quota); lower max_nodes or the byte budget"
+                        "request shed (arena bytes exceed the per-session quota); lower the byte budget or the playouts"
                     )
                 } else {
                     write!(

@@ -414,8 +414,9 @@ impl ServeCluster {
         // resolved config would provision, in bytes. This is what the
         // byte quotas meter — reserved at admission, returned when the
         // session finalizes (the arena itself is freed or recycled then).
-        let bytes = (run_cfg.arena_capacity(req.root.action_space())
-            * mcts::NodeArena::slot_bytes()) as u64;
+        let bytes = run_cfg
+            .arena_capacity(req.root.action_space())
+            .saturating_mul(mcts::NodeArena::slot_bytes()) as u64;
         // Health gate first: a backend cooling down behind an open
         // breaker is shed before it spends admission tokens. The check
         // admits once the breaker is probe-eligible, so the session

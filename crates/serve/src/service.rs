@@ -83,9 +83,10 @@ pub struct ServeConfig {
     /// [`mcts::MctsConfig::arena_budget_bytes`] are clamped down to
     /// this, so a single unbounded analysis session cannot grow its
     /// arena without limit on a shared worker pool — past the ceiling
-    /// the search recycles cold subtrees in place (see
-    /// [`mcts::MctsConfig::max_nodes`]). `None` (the default) leaves session
-    /// configs untouched.
+    /// the search recycles cold subtrees in place. The same clamp applies
+    /// to a request's per-run [`mcts::Budget::max_bytes`], which is where
+    /// the wire's slot count lands once the server has converted it.
+    /// `None` (the default) leaves session configs untouched.
     pub session_arena_bytes: Option<usize>,
 }
 
@@ -390,9 +391,8 @@ impl SearchService {
         // a built scheme starts from it, cost and deadline are read off it.
         let cfg = run_config(&req.budget, &req.config, self.inner.cfg.session_arena_bytes);
         // `begin` folds its budget into the config again: the memory
-        // bounds are in `cfg` already, clamped, and must not be widened.
+        // bound is in `cfg` already, clamped, and must not be widened.
         let budget = Budget {
-            max_nodes: None,
             max_bytes: None,
             ..req.budget
         };

@@ -720,7 +720,7 @@ fn session_byte_quota_is_terminal_with_zero_retry() {
     // is admitted: the quota prices the arena, not the playout count.
     let small = MctsConfig {
         playouts: 100,
-        max_nodes: Some(64),
+        arena_budget_bytes: Some(64 * mcts::NodeArena::slot_bytes()),
         ..Default::default()
     };
     let t = cluster

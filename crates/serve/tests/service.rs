@@ -173,26 +173,22 @@ fn time_budget_resolves_promptly() {
 #[test]
 fn every_pooled_session_is_held_to_its_own_memory_bound() {
     // Regression: a pooled searcher took the request's config without its
-    // budget, so `max_nodes` / `max_bytes` bound the first session on a
-    // fresh searcher and no later one (request 2 held 31 684 nodes).
+    // budget, so `max_bytes` bound the first session on a fresh searcher
+    // and no later one (request 2 held 31 684 nodes).
     let bound = 2_000;
     let game = Gomoku::new(9, 5);
-    for budget in [
-        Budget::playouts(400).with_max_nodes(bound),
-        Budget::playouts(400).with_max_bytes(bound * mcts::NodeArena::slot_bytes()),
-    ] {
-        let s = service(1, 64);
-        let eval = Arc::new(UniformEvaluator::for_game(&game));
-        for request in 1..=3 {
-            let t = s.submit(SearchRequest::new(game.clone(), eval.clone()).budget(budget));
-            let r = t.wait();
-            assert_eq!(r.stats.playouts, 400);
-            assert!(
-                r.stats.nodes as usize <= bound,
-                "request {request} under {budget:?}: {} nodes",
-                r.stats.nodes
-            );
-        }
+    let budget = Budget::playouts(400).with_max_bytes(bound * mcts::NodeArena::slot_bytes());
+    let s = service(1, 64);
+    let eval = Arc::new(UniformEvaluator::for_game(&game));
+    for request in 1..=3 {
+        let t = s.submit(SearchRequest::new(game.clone(), eval.clone()).budget(budget));
+        let r = t.wait();
+        assert_eq!(r.stats.playouts, 400);
+        assert!(
+            r.stats.nodes as usize <= bound,
+            "request {request}: {} nodes over a {bound}-slot bound",
+            r.stats.nodes
+        );
     }
 }
 

@@ -70,7 +70,7 @@ impl BatchEvaluator for FlakyBackend {
 fn cfg(playouts: usize) -> MctsConfig {
     MctsConfig {
         playouts,
-        max_nodes: Some(100_000),
+        arena_budget_bytes: Some(8 << 20),
         ..Default::default()
     }
 }

@@ -17,7 +17,7 @@ use std::time::Duration;
 fn cfg(playouts: usize) -> MctsConfig {
     MctsConfig {
         playouts,
-        max_nodes: Some(100_000), // bounded per-session tree memory
+        arena_budget_bytes: Some(8 << 20), // bounded per-session tree memory
         ..Default::default()
     }
 }

@@ -10,52 +10,12 @@
 
 use crate::latency::LatencyModel;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use nn::resnet::ResNetPolicyValueNet;
-use nn::PolicyValueNet;
+use nn::{Architecture, PolicyValueNet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tensor::Tensor;
-
-/// A policy-value model the device can serve: anything that maps a batch
-/// of encoded states to (softmax policies, values). Implemented for both
-/// network architectures in `nn`; custom models can plug in too.
-pub trait BatchModel: Send + Sync + 'static {
-    /// Input sample shape `(channels, h, w)`.
-    fn input_shape(&self) -> (usize, usize, usize);
-
-    /// Policy output width.
-    fn actions(&self) -> usize;
-
-    /// Batched inference: `x` is `[b, c, h, w]`; returns softmax policies
-    /// `[b, actions]` and values `[b, 1]`. Must be pure and thread-safe.
-    fn predict_batch(&self, x: &Tensor) -> (Tensor, Tensor);
-}
-
-impl BatchModel for PolicyValueNet {
-    fn input_shape(&self) -> (usize, usize, usize) {
-        (self.config.in_c, self.config.h, self.config.w)
-    }
-    fn actions(&self) -> usize {
-        self.config.actions
-    }
-    fn predict_batch(&self, x: &Tensor) -> (Tensor, Tensor) {
-        self.predict(x)
-    }
-}
-
-impl BatchModel for ResNetPolicyValueNet {
-    fn input_shape(&self) -> (usize, usize, usize) {
-        (self.config.in_c, self.config.h, self.config.w)
-    }
-    fn actions(&self) -> usize {
-        self.config.actions
-    }
-    fn predict_batch(&self, x: &Tensor) -> (Tensor, Tensor) {
-        self.predict(x)
-    }
-}
+use tensor::{Tensor, Workspace};
 
 /// Where the device delivers a finished evaluation.
 pub enum ReplyTo {
@@ -194,23 +154,17 @@ pub struct Device {
 }
 
 impl Device {
-    /// Spawn the device stream thread(s) serving `net` (the paper's
-    /// 5-conv/3-FC network).
-    pub fn new(net: Arc<PolicyValueNet>, config: DeviceConfig) -> Self {
-        Self::with_model(net as Arc<dyn BatchModel>, config)
-    }
-
-    /// Spawn the device serving any [`BatchModel`] (e.g. the residual
-    /// tower, or a custom user model).
-    pub fn with_model(net: Arc<dyn BatchModel>, config: DeviceConfig) -> Self {
+    /// Spawn the device stream thread(s) serving `net`, of any
+    /// architecture (the paper's 5-conv/3-FC net or the residual tower).
+    pub fn new<A: Architecture>(net: Arc<PolicyValueNet<A>>, config: DeviceConfig) -> Self {
         assert!(config.batch_size >= 1, "batch size must be >= 1");
         assert!(config.streams >= 1, "need at least one stream");
         let (tx, rx) = unbounded::<EvalRequest>();
         let batch_size = Arc::new(AtomicUsize::new(config.batch_size));
         let stats = Arc::new(StatsInner::default());
-        let (in_c, h, w) = net.input_shape();
+        let (in_c, h, w) = net.config.input_shape();
         let input_len = in_c * h * w;
-        let action_space = net.actions();
+        let action_space = net.config.actions();
 
         let handles = (0..config.streams)
             .map(|i| {
@@ -386,16 +340,19 @@ impl Drop for Device {
     }
 }
 
-fn device_loop(
-    net: Arc<dyn BatchModel>,
+fn device_loop<A: Architecture>(
+    net: Arc<PolicyValueNet<A>>,
     rx: Receiver<EvalRequest>,
     config: DeviceConfig,
     batch_size: Arc<AtomicUsize>,
     stats: Arc<StatsInner>,
 ) {
-    let (in_c, h, w) = net.input_shape();
-    let sample_len = in_c * h * w;
+    let (in_c, h, w) = net.config.input_shape();
+    let actions = net.config.actions();
     let mut batch: Vec<EvalRequest> = Vec::new();
+    // The stream's own forward scratch and staging, reused batch to batch.
+    let mut ws = Workspace::new();
+    let (mut flat, mut policy, mut values) = (Vec::new(), Vec::new(), Vec::new());
 
     loop {
         // Block for the first request of the next batch.
@@ -434,12 +391,13 @@ fn device_loop(
 
         // Pack the batch and run the real network.
         let b = batch.len();
-        let mut flat = Vec::with_capacity(b * sample_len);
+        flat.clear();
         for req in &batch {
             flat.extend_from_slice(&req.input);
         }
-        let x = Tensor::from_vec(flat, &[b, in_c, h, w]);
-        let (pi, v) = net.predict_batch(&x);
+        let x = Tensor::from_vec(std::mem::take(&mut flat), &[b, in_c, h, w]);
+        net.predict_into(&x, &mut ws, &mut policy, &mut values);
+        flat = x.into_vec();
 
         // Update counters BEFORE delivering replies: a client that
         // returns from recv() must observe its own request in the stats.
@@ -451,8 +409,8 @@ fn device_loop(
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
         for (i, req) in batch.drain(..).enumerate() {
-            let priors = pi.row(i).to_vec();
-            let value = v.data()[i];
+            let priors = policy[i * actions..(i + 1) * actions].to_vec();
+            let value = values[i];
             let response = EvalResponse { priors, value };
             // A dropped receiver just means the client gave up; ignore.
             match req.reply {
@@ -475,6 +433,15 @@ mod tests {
     use super::*;
     use nn::NetConfig;
 
+    /// The net's own forward of one sample: (softmax policy, value).
+    fn predict_one<A: Architecture>(net: &PolicyValueNet<A>, input: &[f32]) -> (Vec<f32>, f32) {
+        let (c, h, w) = net.config.input_shape();
+        let x = Tensor::from_vec(input.to_vec(), &[1, c, h, w]);
+        let (mut policy, mut values) = (Vec::new(), Vec::new());
+        net.predict_into(&x, &mut Workspace::new(), &mut policy, &mut values);
+        (policy, values[0])
+    }
+
     fn tiny_device(batch: usize) -> (Device, Arc<PolicyValueNet>) {
         let net = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 3));
         let dev = Device::new(Arc::clone(&net), DeviceConfig::instant(batch));
@@ -488,13 +455,8 @@ mod tests {
         let resp = dev.evaluate(input.clone());
         assert_eq!(resp.priors.len(), 9);
         assert!((resp.priors.iter().sum::<f32>() - 1.0).abs() < 1e-4);
-        // Must match a direct forward pass exactly.
-        let x = Tensor::from_vec(input, &[1, 4, 3, 3]);
-        let (pi, v) = net.predict(&x);
-        for (a, b) in resp.priors.iter().zip(pi.row(0)) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        assert!((resp.value - v.data()[0]).abs() < 1e-6);
+        // A batch of one is the direct forward, bit for bit.
+        assert_eq!((resp.priors, resp.value), predict_one(&net, &input));
     }
 
     #[test]
@@ -510,12 +472,11 @@ mod tests {
         let rxs: Vec<_> = inputs.iter().map(|inp| dev.submit(inp.clone())).collect();
         for (inp, rx) in inputs.iter().zip(rxs) {
             let resp = rx.recv().unwrap();
-            let x = Tensor::from_vec(inp.clone(), &[1, 4, 3, 3]);
-            let (pi, v) = net.predict(&x);
-            for (a, b) in resp.priors.iter().zip(pi.row(0)) {
+            let (pi, v) = predict_one(&net, inp);
+            for (a, b) in resp.priors.iter().zip(&pi) {
                 assert!((a - b).abs() < 1e-4, "batched vs single priors differ");
             }
-            assert!((resp.value - v.data()[0]).abs() < 1e-4);
+            assert!((resp.value - v).abs() < 1e-4);
         }
     }
 
@@ -624,12 +585,7 @@ mod tests {
         );
         let input: Vec<f32> = (0..dev.input_len()).map(|i| (i % 4) as f32 * 0.3).collect();
         let resp = dev.evaluate(input.clone());
-        let x = Tensor::from_vec(input, &[1, 4, 3, 3]);
-        let (pi, v) = net.predict(&x);
-        for (a, b) in resp.priors.iter().zip(pi.row(0)) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        assert!((resp.value - v.data()[0]).abs() < 1e-5);
+        assert_eq!((resp.priors, resp.value), predict_one(&net, &input));
     }
 
     #[test]
@@ -639,20 +595,12 @@ mod tests {
             ResNetConfig::tiny(3, 4, 4, 16),
             7,
         ));
-        let dev = Device::with_model(
-            Arc::clone(&net) as Arc<dyn BatchModel>,
-            DeviceConfig::instant(2),
-        );
+        let dev = Device::new(Arc::clone(&net), DeviceConfig::instant(2));
         assert_eq!(dev.input_len(), 3 * 4 * 4);
         assert_eq!(dev.action_space(), 16);
         let input: Vec<f32> = (0..dev.input_len()).map(|i| (i % 5) as f32 * 0.2).collect();
         let resp = dev.evaluate(input.clone());
-        let x = Tensor::from_vec(input, &[1, 3, 4, 4]);
-        let (pi, v) = net.predict(&x);
-        for (a, b) in resp.priors.iter().zip(pi.row(0)) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        assert!((resp.value - v.data()[0]).abs() < 1e-5);
+        assert_eq!((resp.priors, resp.value), predict_one(&net, &input));
     }
 
     #[test]
@@ -708,12 +656,11 @@ mod tests {
             assert!(!got[i], "duplicate completion for tag {i}");
             got[i] = true;
             // Must match a direct forward pass.
-            let x = Tensor::from_vec(inputs[i].clone(), &[1, 4, 3, 3]);
-            let (pi, v) = net.predict(&x);
-            for (a, b) in t.response.priors.iter().zip(pi.row(0)) {
+            let (pi, v) = predict_one(&net, &inputs[i]);
+            for (a, b) in t.response.priors.iter().zip(&pi) {
                 assert!((a - b).abs() < 1e-5);
             }
-            assert!((t.response.value - v.data()[0]).abs() < 1e-5);
+            assert!((t.response.value - v).abs() < 1e-5);
         }
         assert!(got.iter().all(|&g| g));
         // One submitting thread, threshold 4: real batches must form.

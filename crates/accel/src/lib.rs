@@ -17,16 +17,17 @@
 //!    producing in-tree work while inference is "on the device", and
 //!    worker threads (shared-tree scheme) naturally form full batches.
 //!
-//! The *numerical* results are exact: the device executes the real
-//! [`nn::PolicyValueNet`] on the submitted inputs; only the *timing* is
-//! simulated (optionally — zero latency parameters make it a plain batched
-//! CPU evaluator).
+//! The *numerical* results are exact: each device stream runs the real
+//! [`nn::PolicyValueNet`] — of either architecture — on the submitted
+//! inputs through the same `predict_into` the CPU evaluator serves, on a
+//! workspace of its own; only the *timing* is simulated (optionally — zero
+//! latency parameters make it a plain batched CPU evaluator).
 
 pub mod device;
 pub mod latency;
 
 pub use device::{
-    BatchModel, Device, DeviceClient, DeviceConfig, DeviceStats, EvalRequest, EvalResponse,
-    ReplyTo, TaggedResponse,
+    Device, DeviceClient, DeviceConfig, DeviceStats, EvalRequest, EvalResponse, ReplyTo,
+    TaggedResponse,
 };
 pub use latency::LatencyModel;

@@ -13,7 +13,7 @@ use nn::resnet::{ResNetConfig, ResNetPolicyValueNet};
 use nn::{NetConfig, PolicyValueNet};
 use std::sync::Arc;
 use std::time::Duration;
-use tensor::Tensor;
+use tensor::{Tensor, Workspace};
 
 fn short_group<'a>(
     c: &'a mut Criterion,
@@ -113,8 +113,14 @@ fn bench_architectures(c: &mut Criterion) {
         2,
     );
     let x = Tensor::ones(&[4, 4, 9, 9]);
-    group.bench_function("plain_5conv3fc", |b| b.iter(|| plain.forward(&x)));
-    group.bench_function("resnet_tower", |b| b.iter(|| tower.forward(&x)));
+    let mut ws = Workspace::new();
+    let (mut policy, mut values) = (Vec::new(), Vec::new());
+    group.bench_function("plain_5conv3fc", |b| {
+        b.iter(|| plain.predict_into(&x, &mut ws, &mut policy, &mut values))
+    });
+    group.bench_function("resnet_tower", |b| {
+        b.iter(|| tower.predict_into(&x, &mut ws, &mut policy, &mut values))
+    });
     group.finish();
 }
 

@@ -1,7 +1,7 @@
 //! Kernel and batch-forward throughput: the packed register-blocked GEMM
 //! (single- and multi-threaded) against the retained baseline kernel, and
-//! `PolicyValueNet` batch-forward throughput on the fast path vs the
-//! pre-rewrite reference path.
+//! `PolicyValueNet::predict_into` batch throughput — the forward every
+//! server runs.
 //!
 //! Set `BENCH_SMOKE=1` (CI) to run each benchmark once with a minimal
 //! budget — enough to prove the bench code executes, no timing value.
@@ -69,13 +69,7 @@ fn bench_batch_forward(c: &mut Criterion) {
             &[batch, net.config.in_c, net.config.h, net.config.w],
         );
         group.throughput(Throughput::Elements(batch as u64));
-        group.bench_with_input(BenchmarkId::new("reference", batch), &batch, |bch, _| {
-            bch.iter(|| net.forward_reference(&x));
-        });
-        group.bench_with_input(BenchmarkId::new("fast", batch), &batch, |bch, _| {
-            bch.iter(|| net.forward(&x));
-        });
-        group.bench_with_input(BenchmarkId::new("fast_ws", batch), &batch, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("predict_into", batch), &batch, |bch, _| {
             let mut ws = Workspace::new();
             let mut policy = Vec::new();
             let mut values = Vec::new();

@@ -9,7 +9,7 @@ use nn::{NetConfig, PolicyValueNet};
 use perfmodel::profiler::profile_in_tree;
 use std::time::Duration;
 use tensor::ops::gemm;
-use tensor::Tensor;
+use tensor::{Tensor, Workspace};
 
 fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
     group
@@ -32,14 +32,16 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_net_forward(c: &mut Criterion) {
-    let mut group = c.benchmark_group("net_forward");
+fn bench_net_predict(c: &mut Criterion) {
+    let mut group = c.benchmark_group("net_predict");
     configure(&mut group);
     let net = PolicyValueNet::new(NetConfig::gomoku15(), 1);
     for batch in [1usize, 8, 32] {
         let x = Tensor::full(&[batch, 4, 15, 15], 0.3);
         group.bench_with_input(BenchmarkId::new("gomoku15", batch), &batch, |b, _| {
-            b.iter(|| net.predict(&x));
+            let mut ws = Workspace::new();
+            let (mut policy, mut values) = (Vec::new(), Vec::new());
+            b.iter(|| net.predict_into(&x, &mut ws, &mut policy, &mut values));
         });
     }
     group.finish();
@@ -88,7 +90,7 @@ fn bench_synthetic_tree(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gemm,
-    bench_net_forward,
+    bench_net_predict,
     bench_game_ops,
     bench_synthetic_tree
 );

@@ -1,13 +1,13 @@
-//! Emit `BENCH_inference.json` (schema v2): the machine-readable
-//! before/after record for the inference fast path.
+//! Emit `BENCH_inference.json` (schema v3): the machine-readable
+//! record of the inference fast path.
 //!
 //! Measures, on this machine:
 //! * GEMM GFLOP/s (square sizes) — retained baseline kernel vs the packed
 //!   register-blocked kernel (and its MT variant) vs the int8-quantized
 //!   kernel with fused dequant epilogue;
-//! * `PolicyValueNet` batch-forward throughput (paper-size gomoku15 net) —
-//!   pre-rewrite reference path vs the fast path vs the zero-alloc
-//!   workspace path, in both f32 and int8 precision (`precision` field);
+//! * `PolicyValueNet` batch-forward throughput (paper-size gomoku15 net)
+//!   on the served `predict_into`, in both f32 and int8 precision
+//!   (`precision` field);
 //! * steady-state `NnEvaluator::evaluate_batch` throughput per precision.
 //!
 //! Usage: `bench_inference [--smoke] [out_path]` (default
@@ -79,7 +79,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"meta\": {{\"schema_version\": 2, \"tensor_threads\": {}, \"smoke\": {smoke}, \
+        "  \"meta\": {{\"schema_version\": 3, \"tensor_threads\": {}, \"smoke\": {smoke}, \
          \"cpu\": {{\"avx2\": {}, \"fma\": {}, \"int8_simd\": {}, \"int8_kernel\": \"{}\"}}}},",
         tensor::pool::parallelism(),
         cpu_has_avx2(),
@@ -149,12 +149,6 @@ fn main() {
             rand_vec(batch * sample, 10 + batch as u64),
             &[batch, net.config.in_c, net.config.h, net.config.w],
         );
-        let t_ref = time_median(warm, reps, || {
-            std::hint::black_box(net.forward_reference(&x));
-        });
-        let t_fast = time_median(warm, reps, || {
-            std::hint::black_box(net.forward(&x));
-        });
         let mut ws = Workspace::new();
         let (mut policy, mut values) = (Vec::new(), Vec::new());
         let t_ws = time_median(warm, reps, || {
@@ -166,12 +160,8 @@ fn main() {
         let b = batch as f64;
         let _ = writeln!(
             json,
-            "    {{\"batch\": {batch}, \"precision\": \"f32\", \"reference_sps\": {:.1}, \
-             \"fast_sps\": {:.1}, \"workspace_sps\": {:.1}, \"speedup\": {:.2}}},",
-            b / t_ref,
-            b / t_fast,
+            "    {{\"batch\": {batch}, \"precision\": \"f32\", \"workspace_sps\": {:.1}}},",
             b / t_ws,
-            t_ref / t_fast,
         );
         let _ = writeln!(
             json,
@@ -182,11 +172,8 @@ fn main() {
             if i + 1 < batches.len() { "," } else { "" }
         );
         println!(
-            "forward b={batch}: reference {:.1} samples/s, fast {:.1} samples/s ({:.2}x), \
-             int8 {:.1} samples/s ({:.2}x over f32)",
-            b / t_ref,
-            b / t_fast,
-            t_ref / t_fast,
+            "forward b={batch}: f32 {:.1} samples/s, int8 {:.1} samples/s ({:.2}x over f32)",
+            b / t_ws,
             b / t_q,
             t_ws / t_q
         );

@@ -479,9 +479,10 @@ mod tests {
         let input: Vec<f32> = (0..36).map(|i| (i % 3) as f32).collect();
         let o = e.evaluate_one(&input);
         let x = Tensor::from_vec(input, &[1, 4, 3, 3]);
-        let (pi, vv) = net.predict(&x);
-        assert_eq!(o.priors, pi.into_vec());
-        assert_eq!(o.value, vv.data()[0]);
+        let (mut pi, mut vv) = (Vec::new(), Vec::new());
+        net.predict_into(&x, &mut Workspace::new(), &mut pi, &mut vv);
+        assert_eq!(o.priors, pi);
+        assert_eq!(o.value, vv[0]);
     }
 
     #[test]

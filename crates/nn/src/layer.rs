@@ -4,8 +4,9 @@
 //! set is small and fixed, enum dispatch is faster, and serialization stays
 //! trivial. Each layer exposes:
 //!
-//! * `forward(&self, x) -> y` — pure, `&self`, thread-safe (used by parallel
-//!   inference workers);
+//! * `forward(&self, x) -> y` — pure, `&self`, thread-safe (the training
+//!   forward, and through [`forward_stack`] the oracle of the fused
+//!   inference path [`forward_stack_ws`]);
 //! * `backward(&self, x, grad_y, grads) -> grad_x` — consumes the *input*
 //!   activation cached by the caller during the forward pass, accumulating
 //!   parameter gradients into `grads`.
@@ -13,7 +14,7 @@
 use crate::norm::BatchNorm2d;
 use crate::residual::ResidualBlock;
 use serde::{Deserialize, Serialize};
-use tensor::conv::{conv2d_backward, conv2d_forward, conv2d_forward_ref, Conv2dSpec};
+use tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
 use tensor::ops::{gemm, gemm_ep, Epilogue};
 use tensor::{Tensor, Workspace};
 
@@ -101,16 +102,6 @@ impl Conv2d {
         out
     }
 
-    /// Pre-rewrite forward (per-image im2col + baseline GEMM). Retained for
-    /// numerical-parity tests and before/after benchmarks.
-    pub fn forward_reference(&self, x: &Tensor) -> Tensor {
-        let (b, _, h, w) = dims4(x);
-        let spec = self.spec(h, w);
-        let mut out = Tensor::zeros(&[b, self.out_c, spec.out_h(), spec.out_w()]);
-        conv2d_forward_ref(&spec, x, &self.weight, Some(&self.bias), &mut out);
-        out
-    }
-
     /// Convolution backward: accumulates `dW` into `gw` and `db` into `gb`,
     /// returns `dL/dx`. Scratch comes from the thread's shared workspace.
     pub fn backward(
@@ -193,33 +184,6 @@ impl Linear {
                 relu,
             },
         );
-    }
-
-    /// Pre-rewrite forward (baseline GEMM, separate bias pass). Retained
-    /// for numerical-parity tests and before/after benchmarks.
-    pub fn forward_reference(&self, x: &Tensor) -> Tensor {
-        let b = x.dims()[0];
-        assert_eq!(x.dims(), &[b, self.in_dim], "linear input shape");
-        let mut out = Tensor::zeros(&[b, self.out_dim]);
-        tensor::ops::baseline::gemm(
-            false,
-            true,
-            b,
-            self.out_dim,
-            self.in_dim,
-            1.0,
-            x.data(),
-            self.weight.data(),
-            0.0,
-            out.data_mut(),
-        );
-        for r in 0..b {
-            let row = &mut out.data_mut()[r * self.out_dim..(r + 1) * self.out_dim];
-            for (v, &bv) in row.iter_mut().zip(self.bias.data()) {
-                *v += bv;
-            }
-        }
-        out
     }
 
     /// Linear backward: accumulates `dW`/`db`, returns `dL/dx`.
@@ -447,21 +411,10 @@ fn dims4(x: &Tensor) -> (usize, usize, usize, usize) {
     (d[0], d[1], d[2], d[3])
 }
 
-/// Run `layers` forward, caching every layer's *input*; returns the caches
-/// (length = layers.len()) and the final output.
-pub fn forward_cached(layers: &[LayerKind], x: &Tensor) -> (Vec<Tensor>, Tensor) {
-    let mut caches = Vec::with_capacity(layers.len());
-    let mut cur = x.clone();
-    for l in layers {
-        let next = l.forward(&cur);
-        caches.push(cur);
-        cur = next;
-    }
-    (caches, cur)
-}
-
-/// Training-mode variant of [`forward_cached`]: batch-norm layers use
-/// current-batch statistics, matching what [`backward_stack`] assumes.
+/// Run `layers` forward in training mode, caching every layer's *input*;
+/// returns the caches (length = layers.len()) and the final output.
+/// Batch-norm layers use current-batch statistics, matching what
+/// [`backward_stack`] assumes; every other layer runs its pure forward.
 pub fn forward_cached_train(layers: &[LayerKind], x: &Tensor) -> (Vec<Tensor>, Tensor) {
     let mut caches = Vec::with_capacity(layers.len());
     let mut cur = x.clone();
@@ -565,21 +518,6 @@ pub fn forward_stack_ws(layers: &[LayerKind], x: &Tensor, ws: &mut Workspace) ->
         buf.copy_from_slice(x.data());
         Tensor::from_vec(buf, x.dims())
     })
-}
-
-/// Pre-rewrite forward through a layer stack (per-image convs, baseline
-/// GEMM, fresh allocations per layer). Retained as the "before" side of
-/// benchmark comparisons.
-pub fn forward_stack_reference(layers: &[LayerKind], x: &Tensor) -> Tensor {
-    let mut cur = x.clone();
-    for l in layers {
-        cur = match l {
-            LayerKind::Conv2d(c) => c.forward_reference(&cur),
-            LayerKind::Linear(lin) => lin.forward_reference(&cur),
-            other => other.forward(&cur),
-        };
-    }
-    cur
 }
 
 /// Backward through a layer stack given the forward caches. `grads` is a
@@ -740,7 +678,7 @@ mod tests {
             LayerKind::Linear(Linear::new(&mut r, 4 * 5 * 5, 7)),
         ];
         let x = rand_t(&[3, 2, 5, 5], 8);
-        let (caches, y) = forward_cached(&layers, &x);
+        let (caches, y) = forward_cached_train(&layers, &x);
         assert_eq!(y.dims(), &[3, 7]);
         assert_eq!(caches.len(), 4);
         let mut grads: Vec<Vec<Tensor>> = layers.iter().map(|l| l.grad_buffers()).collect();
@@ -760,7 +698,7 @@ mod tests {
         ];
         let x = rand_t(&[1, 2, 5, 5], 9);
         let y1 = forward_stack(&layers, &x);
-        let (_, y2) = forward_cached(&layers, &x);
+        let (_, y2) = forward_cached_train(&layers, &x);
         assert_eq!(y1.data(), y2.data());
     }
 }

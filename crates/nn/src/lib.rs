@@ -11,7 +11,9 @@
 //! ```
 //!
 //! (= 5 convs + 3 FCs). [`model::PolicyValueNet`] implements it generically
-//! over board shape so small test games reuse the same code.
+//! over board shape so small test games reuse the same code, and over
+//! [`model::Architecture`], so the AlphaZero residual tower
+//! ([`resnet::ResNetConfig`]) is the same type with other layers.
 //!
 //! Everything needed for the full training pipeline is here: cached forward
 //! passes, exact backward passes (validated against finite differences),
@@ -19,30 +21,31 @@
 //!
 //! # Performance notes (inference)
 //!
-//! Inference rides the `tensor` crate's fast path:
+//! A net has one inference entry,
+//! [`PolicyValueNet::predict_into`](model::PolicyValueNet::predict_into),
+//! and its int8 snapshot one more,
+//! [`QuantPolicyValueNet::predict_into`](quant::QuantPolicyValueNet::predict_into).
+//! Every server runs them: the CPU evaluator, the accelerator's streams and
+//! the profiler. Training runs `forward_train`. The forward rides the
+//! `tensor` crate's fast path:
 //!
 //! * **Batched convolutions** — each `Conv2d` forward issues **one GEMM per
 //!   batch** (the whole `[B, C, H, W]` input is unfolded at once), so
 //!   batching leaf evaluations pays off inside the network, not just at the
 //!   search boundary.
-//! * **Workspace reuse** — [`layer::forward_stack_ws`] /
-//!   [`PolicyValueNet::forward_ws`](model::PolicyValueNet::forward_ws) /
-//!   [`PolicyValueNet::predict_into`](model::PolicyValueNet::predict_into)
+//! * **Workspace reuse** — [`layer::forward_stack_ws`] and `predict_into`
 //!   lease every intermediate activation (and the im2col/staging scratch)
 //!   from a `tensor::Workspace`, so steady-state forward passes allocate
-//!   nothing. The plain `forward` APIs stay pure and use the calling
-//!   thread's shared workspace for scratch.
+//!   nothing.
 //! * **Epilogue fusion** — `Conv2d`/`Linear` followed by `ReLU` execute as
 //!   a single GEMM with bias+ReLU fused into the output loop (numerically
-//!   identical to the separate passes).
+//!   identical to the separate passes, which [`layer::forward_stack`] keeps
+//!   as the test oracle).
 //! * **Conv+BN folding** — [`fuse`] folds inference-mode batch norms into
 //!   the preceding convolution;
 //!   [`PolicyValueNet::folded_for_inference`](model::PolicyValueNet::folded_for_inference)
 //!   snapshots a whole net. Folded layers are inference-only;
 //!   `forward_train` on the *original* layers is untouched.
-//! * **Before/after** — the pre-rewrite path is retained as
-//!   `forward_reference`/`forward_stack_reference` for parity tests and
-//!   the `BENCH_inference.json` speedup record.
 
 pub mod fuse;
 pub mod layer;
@@ -58,6 +61,6 @@ pub mod serialize;
 
 pub use layer::{Conv2d, Layer, LayerKind, Linear};
 pub use loss::{alphazero_loss, LossParts};
-pub use model::{NetConfig, PolicyValueNet};
+pub use model::{Architecture, NetConfig, PolicyValueNet};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use schedule::LrSchedule;

@@ -1,16 +1,36 @@
-//! The paper's policy-value network: 5 convolutions + 3 fully-connected
-//! layers with a policy head and a value head (§5.1).
+//! The policy-value network: a convolutional trunk feeding a policy head
+//! and a value head. One type, [`PolicyValueNet`], runs every
+//! architecture; an [`Architecture`] only says how to build the three
+//! layer stacks. The paper's 5-conv / 3-FC net (§5.1) is [`NetConfig`],
+//! the residual tower is [`crate::resnet::ResNetConfig`].
 
 use crate::layer::{
-    backward_stack, forward_cached, forward_stack_reference, forward_stack_ws, Conv2d, Layer,
-    LayerKind, Linear,
+    backward_stack, forward_cached_train, forward_stack_ws, update_stack_running_stats, Conv2d,
+    Layer, LayerKind, Linear,
 };
 use crate::loss::{alphazero_loss_backward, LossParts};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tensor::{Tensor, Workspace};
 
-/// Architecture hyper-parameters. Defaults follow the paper's Gomoku setup.
+/// What differs between two policy-value nets: the input shape, the
+/// action space, and the layers of the trunk and the two heads.
+pub trait Architecture: Copy + std::fmt::Debug + Send + Sync + 'static {
+    /// Input sample shape `(channels, h, w)`.
+    fn input_shape(&self) -> (usize, usize, usize);
+
+    /// Policy output width (action-space size).
+    fn actions(&self) -> usize;
+
+    /// The trunk, policy head and value head, in that order, with fresh
+    /// parameters drawn from `rng`. The policy head ends in logits
+    /// `[b, actions]`, the value head in tanh values `[b, 1]`.
+    fn build(&self, rng: &mut StdRng) -> [Vec<LayerKind>; 3];
+}
+
+/// Architecture hyper-parameters of the paper's 5-conv / 3-FC net.
+/// Defaults follow the paper's Gomoku setup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetConfig {
     /// Input channels (encoding planes).
@@ -75,14 +95,53 @@ impl NetConfig {
     }
 }
 
+impl Architecture for NetConfig {
+    fn input_shape(&self) -> (usize, usize, usize) {
+        (self.in_c, self.h, self.w)
+    }
+
+    fn actions(&self) -> usize {
+        self.actions
+    }
+
+    fn build(&self, r: &mut StdRng) -> [Vec<LayerKind>; 3] {
+        let [t1, t2, t3] = self.trunk;
+        let plane = self.h * self.w;
+        let trunk = vec![
+            LayerKind::Conv2d(Conv2d::new(r, self.in_c, t1, 3, 1)),
+            LayerKind::ReLU,
+            LayerKind::Conv2d(Conv2d::new(r, t1, t2, 3, 1)),
+            LayerKind::ReLU,
+            LayerKind::Conv2d(Conv2d::new(r, t2, t3, 3, 1)),
+            LayerKind::ReLU,
+        ];
+        let policy_head = vec![
+            LayerKind::Conv2d(Conv2d::new(r, t3, self.policy_c, 1, 0)),
+            LayerKind::ReLU,
+            LayerKind::Flatten,
+            LayerKind::Linear(Linear::new(r, self.policy_c * plane, self.actions)),
+        ];
+        let value_head = vec![
+            LayerKind::Conv2d(Conv2d::new(r, t3, self.value_c, 1, 0)),
+            LayerKind::ReLU,
+            LayerKind::Flatten,
+            LayerKind::Linear(Linear::new(r, self.value_c * plane, self.value_hidden)),
+            LayerKind::ReLU,
+            LayerKind::Linear(Linear::new(r, self.value_hidden, 1)),
+            LayerKind::Tanh,
+        ];
+        [trunk, policy_head, value_head]
+    }
+}
+
 /// Policy-value network with a shared convolutional trunk and two heads.
 ///
-/// `forward` is pure (`&self`) so a single network can serve concurrent
-/// inference requests from many worker threads, exactly like a frozen
-/// inference model on an accelerator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolicyValueNet {
-    pub config: NetConfig,
+/// Inference ([`PolicyValueNet::predict_into`]) is pure (`&self`), so a
+/// single network serves concurrent requests from many worker threads,
+/// exactly like a frozen inference model on an accelerator.
+#[derive(Debug, Clone)]
+pub struct PolicyValueNet<A = NetConfig> {
+    pub config: A,
     trunk: Vec<LayerKind>,
     policy_head: Vec<LayerKind>,
     value_head: Vec<LayerKind>,
@@ -110,12 +169,8 @@ pub struct NetGrads {
 impl NetGrads {
     /// Zero all gradient buffers (call between optimizer steps).
     pub fn zero(&mut self) {
-        for stack in [&mut self.trunk, &mut self.policy, &mut self.value] {
-            for layer in stack.iter_mut() {
-                for g in layer.iter_mut() {
-                    g.zero_();
-                }
-            }
+        for g in self.flat_mut() {
+            g.zero_();
         }
     }
 
@@ -123,118 +178,55 @@ impl NetGrads {
     pub fn flat(&self) -> Vec<&Tensor> {
         self.trunk
             .iter()
-            .chain(self.policy.iter())
-            .chain(self.value.iter())
-            .flat_map(|layer| layer.iter())
+            .chain(&self.policy)
+            .chain(&self.value)
+            .flatten()
+            .collect()
+    }
+
+    /// Mutable flat gradient list (same order; for clipping).
+    pub fn flat_mut(&mut self) -> Vec<&mut Tensor> {
+        self.trunk
+            .iter_mut()
+            .chain(&mut self.policy)
+            .chain(&mut self.value)
+            .flatten()
             .collect()
     }
 
     /// Scale every gradient (e.g. 1/batch for mean reduction).
     pub fn scale(&mut self, s: f32) {
-        for stack in [&mut self.trunk, &mut self.policy, &mut self.value] {
-            for layer in stack.iter_mut() {
-                for g in layer.iter_mut() {
-                    g.scale(s);
-                }
-            }
+        for g in self.flat_mut() {
+            g.scale(s);
         }
     }
 }
 
-/// Trunk + two-heads workspace forward, shared by [`PolicyValueNet`] and
-/// [`crate::resnet::ResNetPolicyValueNet`]. Returned tensors are leased
-/// from `ws`.
-pub(crate) fn net_forward_ws(
-    trunk: &[LayerKind],
-    policy_head: &[LayerKind],
-    value_head: &[LayerKind],
-    x: &Tensor,
-    ws: &mut Workspace,
-) -> (Tensor, Tensor) {
-    let feat = forward_stack_ws(trunk, x, ws);
-    let logits = forward_stack_ws(policy_head, &feat, ws);
-    let values = forward_stack_ws(value_head, &feat, ws);
-    ws.release(feat.into_vec());
-    (logits, values)
-}
-
-/// Pure-API wrapper over [`net_forward_ws`]: runs on the calling thread's
-/// shared workspace, allocating only the two returned tensors.
-pub(crate) fn net_forward(
-    trunk: &[LayerKind],
-    policy_head: &[LayerKind],
-    value_head: &[LayerKind],
-    x: &Tensor,
-) -> (Tensor, Tensor) {
-    Workspace::with_thread(|ws| {
-        let (logits, values) = net_forward_ws(trunk, policy_head, value_head, x, ws);
-        let out = (
-            Tensor::from_vec(logits.data().to_vec(), logits.dims()),
-            Tensor::from_vec(values.data().to_vec(), values.dims()),
-        );
-        ws.release(logits.into_vec());
-        ws.release(values.into_vec());
-        out
-    })
-}
-
-/// Allocation-free batched prediction shared by the policy-value nets:
-/// softmaxed policies (`[b·actions]`, row-major) into `policy`, values
-/// (`[b]`) into `values`, reusing their capacity across calls.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn net_predict_into(
-    trunk: &[LayerKind],
-    policy_head: &[LayerKind],
-    value_head: &[LayerKind],
+/// Copy a forward's leased logits and values into the caller's vectors,
+/// hand the leases back to `ws`, and softmax every policy row.
+pub(crate) fn write_predictions(
+    logits: Tensor,
+    vals: Tensor,
     actions: usize,
-    x: &Tensor,
     ws: &mut Workspace,
     policy: &mut Vec<f32>,
     values: &mut Vec<f32>,
 ) {
-    let b = x.dims()[0];
-    let (logits, vals) = net_forward_ws(trunk, policy_head, value_head, x, ws);
     policy.clear();
     policy.extend_from_slice(logits.data());
     values.clear();
     values.extend_from_slice(vals.data());
     ws.release(logits.into_vec());
     ws.release(vals.into_vec());
-    for r in 0..b {
-        tensor::ops::softmax_inplace(&mut policy[r * actions..(r + 1) * actions]);
+    for row in policy.chunks_exact_mut(actions) {
+        tensor::ops::softmax_inplace(row);
     }
 }
 
-impl PolicyValueNet {
+impl<A: Architecture> PolicyValueNet<A> {
     /// Build a network with freshly initialized parameters.
-    pub fn new(config: NetConfig, seed: u64) -> Self {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let r = &mut rng;
-        let [t1, t2, t3] = config.trunk;
-        let plane = config.h * config.w;
-        let trunk = vec![
-            LayerKind::Conv2d(Conv2d::new(r, config.in_c, t1, 3, 1)),
-            LayerKind::ReLU,
-            LayerKind::Conv2d(Conv2d::new(r, t1, t2, 3, 1)),
-            LayerKind::ReLU,
-            LayerKind::Conv2d(Conv2d::new(r, t2, t3, 3, 1)),
-            LayerKind::ReLU,
-        ];
-        let policy_head = vec![
-            LayerKind::Conv2d(Conv2d::new(r, t3, config.policy_c, 1, 0)),
-            LayerKind::ReLU,
-            LayerKind::Flatten,
-            LayerKind::Linear(Linear::new(r, config.policy_c * plane, config.actions)),
-        ];
-        let value_head = vec![
-            LayerKind::Conv2d(Conv2d::new(r, t3, config.value_c, 1, 0)),
-            LayerKind::ReLU,
-            LayerKind::Flatten,
-            LayerKind::Linear(Linear::new(r, config.value_c * plane, config.value_hidden)),
-            LayerKind::ReLU,
-            LayerKind::Linear(Linear::new(r, config.value_hidden, 1)),
-            LayerKind::Tanh,
-        ];
+    pub fn new(config: A, seed: u64) -> Self {
+        let [trunk, policy_head, value_head] = config.build(&mut StdRng::seed_from_u64(seed));
         PolicyValueNet {
             config,
             trunk,
@@ -243,24 +235,38 @@ impl PolicyValueNet {
         }
     }
 
-    /// Number of convolution layers (should be 5 per the paper).
+    fn layers(&self) -> impl Iterator<Item = &LayerKind> {
+        self.trunk
+            .iter()
+            .chain(&self.policy_head)
+            .chain(&self.value_head)
+    }
+
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut LayerKind> {
+        self.trunk
+            .iter_mut()
+            .chain(&mut self.policy_head)
+            .chain(&mut self.value_head)
+    }
+
+    fn count(&self, kind: fn(&LayerKind) -> bool) -> usize {
+        self.layers().filter(|l| kind(l)).count()
+    }
+
+    /// Number of convolution layers outside residual blocks (5 for the
+    /// paper's net).
     pub fn conv_count(&self) -> usize {
-        self.all_stacks()
-            .flat_map(|s| s.iter())
-            .filter(|l| matches!(l, LayerKind::Conv2d(_)))
-            .count()
+        self.count(|l| matches!(l, LayerKind::Conv2d(_)))
     }
 
-    /// Number of fully-connected layers (should be 3 per the paper).
+    /// Number of fully-connected layers (3 for the paper's net).
     pub fn fc_count(&self) -> usize {
-        self.all_stacks()
-            .flat_map(|s| s.iter())
-            .filter(|l| matches!(l, LayerKind::Linear(_)))
-            .count()
+        self.count(|l| matches!(l, LayerKind::Linear(_)))
     }
 
-    fn all_stacks(&self) -> impl Iterator<Item = &Vec<LayerKind>> {
-        [&self.trunk, &self.policy_head, &self.value_head].into_iter()
+    /// Number of residual blocks (0 for the paper's net).
+    pub fn block_count(&self) -> usize {
+        self.count(|l| matches!(l, LayerKind::Residual(_)))
     }
 
     /// Total parameter scalar count.
@@ -270,25 +276,32 @@ impl PolicyValueNet {
 
     /// Flat immutable parameter list (trunk, policy head, value head order).
     pub fn params(&self) -> Vec<&Tensor> {
-        self.all_stacks()
-            .flat_map(|s| s.iter())
-            .flat_map(|l| l.param_views())
-            .collect()
+        self.layers().flat_map(|l| l.param_views()).collect()
     }
 
     /// Flat mutable parameter list (same order as [`PolicyValueNet::params`]).
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.trunk
-            .iter_mut()
-            .chain(self.policy_head.iter_mut())
-            .chain(self.value_head.iter_mut())
+        self.layers_mut()
             .flat_map(|l| l.param_views_mut())
+            .collect()
+    }
+
+    /// Flat list of non-trainable state (batch-norm running statistics;
+    /// empty for a net without norms).
+    pub fn state_tensors(&self) -> Vec<&Tensor> {
+        self.layers().flat_map(|l| l.state_views()).collect()
+    }
+
+    /// Mutable non-trainable state (same order).
+    pub fn state_tensors_mut(&mut self) -> Vec<&mut Tensor> {
+        self.layers_mut()
+            .flat_map(|l| l.state_views_mut())
             .collect()
     }
 
     /// Fresh zeroed gradient buffers.
     pub fn grad_buffers(&self) -> NetGrads {
-        let make = |stack: &Vec<LayerKind>| stack.iter().map(|l| l.grad_buffers()).collect();
+        let make = |stack: &[LayerKind]| stack.iter().map(|l| l.grad_buffers()).collect();
         NetGrads {
             trunk: make(&self.trunk),
             policy: make(&self.policy_head),
@@ -296,28 +309,12 @@ impl PolicyValueNet {
         }
     }
 
-    /// Inference: `x` is `[b, in_c, h, w]`; returns policy logits `[b, A]`
-    /// and tanh values `[b, 1]`. Pure and thread-safe.
-    ///
-    /// Runs on the workspace fast path (batched convs, fused epilogues,
-    /// recycled intermediate buffers from the calling thread's shared
-    /// [`Workspace`]); only the two returned tensors are allocated.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Tensor) {
-        net_forward(&self.trunk, &self.policy_head, &self.value_head, x)
-    }
-
-    /// Workspace inference: like [`PolicyValueNet::forward`] but every
-    /// buffer — including the returned logits/values — is leased from `ws`,
-    /// so steady-state calls perform no heap allocation. Release both
-    /// returned tensors with `ws.release(t.into_vec())` when done.
-    pub fn forward_ws(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
-        net_forward_ws(&self.trunk, &self.policy_head, &self.value_head, x, ws)
-    }
-
-    /// Allocation-free batched prediction: writes softmaxed policies
-    /// (`[b·A]`, row-major) into `policy` and values (`[b]`) into `values`,
-    /// reusing their capacity across calls. The workhorse behind batch
-    /// evaluators.
+    /// Batched inference, the one forward every server runs: `x` is
+    /// `[b, c, h, w]`; softmaxed policies (`[b·A]`, row-major) go into
+    /// `policy` and tanh values (`[b]`) into `values`. Every intermediate
+    /// activation is leased from `ws` and the two vectors keep their
+    /// capacity, so steady-state calls allocate nothing. Batch norms use
+    /// their running statistics.
     pub fn predict_into(
         &self,
         x: &Tensor,
@@ -325,33 +322,18 @@ impl PolicyValueNet {
         policy: &mut Vec<f32>,
         values: &mut Vec<f32>,
     ) {
-        net_predict_into(
-            &self.trunk,
-            &self.policy_head,
-            &self.value_head,
-            self.config.actions,
-            x,
-            ws,
-            policy,
-            values,
-        );
-    }
-
-    /// Pre-rewrite forward (per-image convolutions, baseline GEMM, fresh
-    /// allocations per layer). Retained as the "before" measurement for
-    /// benchmark comparisons and kernel-parity tests.
-    pub fn forward_reference(&self, x: &Tensor) -> (Tensor, Tensor) {
-        let feat = forward_stack_reference(&self.trunk, x);
-        let logits = forward_stack_reference(&self.policy_head, &feat);
-        let values = forward_stack_reference(&self.value_head, &feat);
-        (logits, values)
+        let feat = forward_stack_ws(&self.trunk, x, ws);
+        let logits = forward_stack_ws(&self.policy_head, &feat, ws);
+        let vals = forward_stack_ws(&self.value_head, &feat, ws);
+        ws.release(feat.into_vec());
+        write_predictions(logits, vals, self.config.actions(), ws, policy, values);
     }
 
     /// Inference snapshot with every `Conv2d → BatchNorm2d` pair (and the
     /// norms inside residual blocks) folded into single convolutions — see
     /// [`crate::fuse`]. The folded net computes the same eval-mode function
     /// within float rounding; its training-mode passes are meaningless.
-    pub fn folded_for_inference(&self) -> PolicyValueNet {
+    pub fn folded_for_inference(&self) -> Self {
         PolicyValueNet {
             config: self.config,
             trunk: crate::fuse::fold_stack(&self.trunk),
@@ -366,15 +348,13 @@ impl PolicyValueNet {
     /// GEMM consumes (see [`crate::quant`]). Returns `None` when the net
     /// contains layer kinds the int8 path does not support (residual
     /// blocks); callers fall back to the f32 snapshot.
-    pub fn quantized_for_inference(&self) -> Option<crate::quant::QuantPolicyValueNet> {
-        let trunk = crate::fuse::fold_stack(&self.trunk);
-        let policy_head = crate::fuse::fold_stack(&self.policy_head);
-        let value_head = crate::fuse::fold_stack(&self.value_head);
+    pub fn quantized_for_inference(&self) -> Option<crate::quant::QuantPolicyValueNet<A>> {
+        let folded = self.folded_for_inference();
         crate::quant::QuantPolicyValueNet::from_folded_stacks(
             self.config,
-            &trunk,
-            &policy_head,
-            &value_head,
+            &folded.trunk,
+            &folded.policy_head,
+            &folded.value_head,
         )
     }
 
@@ -383,31 +363,22 @@ impl PolicyValueNet {
     /// residual blocks). Lets wrappers skip snapshotting a folded copy of
     /// a net that has nothing to fold.
     pub fn has_foldable_norms(&self) -> bool {
-        self.all_stacks()
-            .flat_map(|s| s.iter())
+        self.layers()
             .any(|l| matches!(l, LayerKind::BatchNorm2d(_) | LayerKind::Residual(_)))
     }
 
-    /// Inference returning softmax policies instead of logits.
-    pub fn predict(&self, x: &Tensor) -> (Tensor, Tensor) {
-        let (mut logits, values) = self.forward(x);
-        let b = logits.dims()[0];
-        let a = logits.dims()[1];
-        for r in 0..b {
-            tensor::ops::softmax_inplace(&mut logits.data_mut()[r * a..(r + 1) * a]);
-        }
-        (logits, values)
-    }
-
-    /// Training-mode forward: caches every layer input for `backward`.
+    /// Training-mode forward: batch norms normalize with the current
+    /// batch's statistics, and every layer input is cached for `backward`.
+    /// For a net without norms the logits and values equal the eval-mode
+    /// forward's bit for bit.
     pub fn forward_train(&self, x: &Tensor) -> ForwardCaches {
-        let (trunk_caches, feat) = forward_cached(&self.trunk, x);
-        let (policy_caches, policy_logits) = forward_cached(&self.policy_head, &feat);
-        let (value_caches, values) = forward_cached(&self.value_head, &feat);
+        let (trunk, feat) = forward_cached_train(&self.trunk, x);
+        let (policy, policy_logits) = forward_cached_train(&self.policy_head, &feat);
+        let (value, values) = forward_cached_train(&self.value_head, &feat);
         ForwardCaches {
-            trunk: trunk_caches,
-            policy: policy_caches,
-            value: value_caches,
+            trunk,
+            policy,
+            value,
             policy_logits,
             values,
         }
@@ -427,8 +398,7 @@ impl PolicyValueNet {
     ) -> LossParts {
         let (parts, grad_logits, grad_values) =
             alphazero_loss_backward(&caches.policy_logits, &caches.values, target_pi, target_r);
-
-        let g_feat_p = backward_stack(
+        let mut g_feat = backward_stack(
             &self.policy_head,
             &caches.policy,
             &mut grads.policy,
@@ -440,25 +410,38 @@ impl PolicyValueNet {
             &mut grads.value,
             grad_values,
         );
-        let mut g_feat = g_feat_p;
         g_feat.add_assign(&g_feat_v);
         backward_stack(&self.trunk, &caches.trunk, &mut grads.trunk, g_feat);
         parts
+    }
+
+    /// Fold the running batch-norm statistics for the step that produced
+    /// `caches` (call once per optimizer step, after `backward`). A no-op
+    /// for a net without norms.
+    pub fn update_running_stats(&mut self, caches: &ForwardCaches) {
+        update_stack_running_stats(&mut self.trunk, &caches.trunk);
+        update_stack_running_stats(&mut self.policy_head, &caches.policy);
+        update_stack_running_stats(&mut self.value_head, &caches.value);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn tiny_net() -> PolicyValueNet {
         PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 42)
     }
 
     fn rand_t(dims: &[usize], seed: u64) -> Tensor {
-        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut r = StdRng::seed_from_u64(seed);
         tensor::init::uniform(&mut r, dims, -1.0, 1.0)
+    }
+
+    fn predict(net: &PolicyValueNet, x: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let (mut policy, mut values) = (Vec::new(), Vec::new());
+        net.predict_into(x, &mut Workspace::new(), &mut policy, &mut values);
+        (policy, values)
     }
 
     #[test]
@@ -466,27 +449,20 @@ mod tests {
         let net = PolicyValueNet::new(NetConfig::gomoku15(), 1);
         assert_eq!(net.conv_count(), 5, "paper: 5 convolution layers");
         assert_eq!(net.fc_count(), 3, "paper: 3 fully-connected layers");
+        assert_eq!(net.block_count(), 0);
+        assert!(net.state_tensors().is_empty() && !net.has_foldable_norms());
     }
 
     #[test]
-    fn forward_shapes() {
-        let net = tiny_net();
-        let x = rand_t(&[2, 4, 3, 3], 1);
-        let (logits, values) = net.forward(&x);
-        assert_eq!(logits.dims(), &[2, 9]);
-        assert_eq!(values.dims(), &[2, 1]);
-        assert!(values.data().iter().all(|v| (-1.0..=1.0).contains(v)));
-    }
-
-    #[test]
-    fn predict_rows_are_distributions() {
+    fn predict_shapes_and_rows_are_distributions() {
         let net = tiny_net();
         let x = rand_t(&[3, 4, 3, 3], 2);
-        let (pi, _) = net.predict(&x);
-        for r in 0..3 {
-            let s: f32 = pi.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-            assert!(pi.row(r).iter().all(|&p| p >= 0.0));
+        let (pi, values) = predict(&net, &x);
+        assert_eq!((pi.len(), values.len()), (27, 3));
+        assert!(values.iter().all(|v| (-1.0..=1.0).contains(v)));
+        for row in pi.chunks(9) {
+            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+            assert!(row.iter().all(|&p| p >= 0.0));
         }
     }
 
@@ -495,19 +471,21 @@ mod tests {
         let a = PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 7);
         let b = PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 7);
         let x = rand_t(&[1, 4, 3, 3], 3);
-        assert_eq!(a.forward(&x).0.data(), b.forward(&x).0.data());
+        assert_eq!(predict(&a, &x), predict(&b, &x));
         let c = PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 8);
-        assert_ne!(a.forward(&x).0.data(), c.forward(&x).0.data());
+        assert_ne!(predict(&a, &x).0, predict(&c, &x).0);
     }
 
     #[test]
-    fn train_and_pure_forward_agree() {
+    fn train_and_predict_forwards_agree() {
         let net = tiny_net();
         let x = rand_t(&[2, 4, 3, 3], 4);
-        let (logits, values) = net.forward(&x);
+        let (policy, values) = predict(&net, &x);
         let caches = net.forward_train(&x);
-        assert_eq!(logits.data(), caches.policy_logits.data());
-        assert_eq!(values.data(), caches.values.data());
+        let mut logits = caches.policy_logits.into_vec();
+        logits.chunks_mut(9).for_each(tensor::ops::softmax_inplace);
+        assert_eq!(policy, logits);
+        assert_eq!(values, caches.values.data());
     }
 
     #[test]

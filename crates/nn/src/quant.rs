@@ -27,7 +27,7 @@
 //! back to the f32 snapshot.
 
 use crate::layer::LayerKind;
-use crate::model::NetConfig;
+use crate::model::{write_predictions, Architecture, NetConfig};
 use tensor::conv::Conv2dSpec;
 use tensor::quant::{qconv2d, qlinear, QuantizedWeights};
 use tensor::{Tensor, Workspace};
@@ -120,18 +120,18 @@ fn quantize_stack(layers: &[LayerKind]) -> Option<Vec<QLayer>> {
 /// quantized GEMM. Frozen (inference only) and thread-safe, like the
 /// folded f32 snapshot it is built from.
 #[derive(Debug, Clone)]
-pub struct QuantPolicyValueNet {
-    pub config: NetConfig,
+pub struct QuantPolicyValueNet<A = NetConfig> {
+    pub config: A,
     trunk: Vec<QLayer>,
     policy_head: Vec<QLayer>,
     value_head: Vec<QLayer>,
 }
 
-impl QuantPolicyValueNet {
+impl<A: Architecture> QuantPolicyValueNet<A> {
     /// Build from already-folded stacks. `None` if any stack contains a
     /// layer kind the int8 path cannot represent.
     pub(crate) fn from_folded_stacks(
-        config: NetConfig,
+        config: A,
         trunk: &[LayerKind],
         policy_head: &[LayerKind],
         value_head: &[LayerKind],
@@ -168,39 +168,11 @@ impl QuantPolicyValueNet {
         policy: &mut Vec<f32>,
         values: &mut Vec<f32>,
     ) {
-        let b = x.dims()[0];
-        let actions = self.config.actions;
         let feat = forward_stack_q(&self.trunk, x, ws);
         let logits = forward_stack_q(&self.policy_head, &feat, ws);
         let vals = forward_stack_q(&self.value_head, &feat, ws);
         ws.release(feat.into_vec());
-        policy.clear();
-        policy.extend_from_slice(logits.data());
-        values.clear();
-        values.extend_from_slice(vals.data());
-        ws.release(logits.into_vec());
-        ws.release(vals.into_vec());
-        for r in 0..b {
-            tensor::ops::softmax_inplace(&mut policy[r * actions..(r + 1) * actions]);
-        }
-    }
-
-    /// Forward returning freshly allocated policy-logit and value tensors
-    /// (convenience for tests; the serving path uses `predict_into`).
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Tensor) {
-        Workspace::with_thread(|ws| {
-            let feat = forward_stack_q(&self.trunk, x, ws);
-            let logits = forward_stack_q(&self.policy_head, &feat, ws);
-            let vals = forward_stack_q(&self.value_head, &feat, ws);
-            ws.release(feat.into_vec());
-            let out = (
-                Tensor::from_vec(logits.data().to_vec(), logits.dims()),
-                Tensor::from_vec(vals.data().to_vec(), vals.dims()),
-            );
-            ws.release(logits.into_vec());
-            ws.release(vals.into_vec());
-            out
-        })
+        write_predictions(logits, vals, self.config.actions(), ws, policy, values);
     }
 }
 
@@ -305,7 +277,7 @@ fn forward_stack_q(layers: &[QLayer], x: &Tensor, ws: &mut Workspace) -> Tensor 
 #[cfg(test)]
 mod tests {
     use crate::model::{NetConfig, PolicyValueNet};
-    use tensor::Tensor;
+    use tensor::{Tensor, Workspace};
 
     fn rand_input(cfg: &NetConfig, b: usize, seed: u64) -> Tensor {
         let len = b * cfg.in_c * cfg.h * cfg.w;
@@ -334,6 +306,9 @@ mod tests {
         let qnet = net
             .quantized_for_inference()
             .expect("standard net quantizes");
+        let mut ws = Workspace::new();
+        let (mut fp, mut fv, mut qp, mut qv) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let a = cfg.actions;
         let mut agree = 0usize;
         let mut top3 = 0usize;
         let mut total = 0usize;
@@ -341,22 +316,11 @@ mod tests {
         for seed in 0..20u64 {
             for &b in &[1usize, 3] {
                 let x = rand_input(&cfg, b, 1000 + seed);
-                let (fp, fv) = {
-                    let (mut logits, values) = net.forward(&x);
-                    let a = logits.dims()[1];
-                    for r in 0..b {
-                        tensor::ops::softmax_inplace(&mut logits.data_mut()[r * a..(r + 1) * a]);
-                    }
-                    (logits, values)
-                };
-                let (mut qp, qv) = qnet.forward(&x);
-                let a = qp.dims()[1];
+                net.predict_into(&x, &mut ws, &mut fp, &mut fv);
+                qnet.predict_into(&x, &mut ws, &mut qp, &mut qv);
                 for r in 0..b {
-                    tensor::ops::softmax_inplace(&mut qp.data_mut()[r * a..(r + 1) * a]);
-                }
-                for r in 0..b {
-                    let frow = &fp.data()[r * a..(r + 1) * a];
-                    let qrow = &qp.data()[r * a..(r + 1) * a];
+                    let frow = &fp[r * a..(r + 1) * a];
+                    let qrow = &qp[r * a..(r + 1) * a];
                     let fmax = argmax(frow);
                     let qmax = argmax(qrow);
                     total += 1;
@@ -366,7 +330,7 @@ mod tests {
                     if top_k(frow, 3).contains(&qmax) {
                         top3 += 1;
                     }
-                    value_err += (fv.data()[r] - qv.data()[r]).abs();
+                    value_err += (fv[r] - qv[r]).abs();
                 }
             }
         }
@@ -394,18 +358,20 @@ mod tests {
         for (r, sample) in x3.data_mut().chunks_mut(img).enumerate() {
             sample.iter_mut().for_each(|v| *v *= [1.0, 0.01, 30.0][r]);
         }
-        let (p3, v3) = qnet.forward(&x3);
+        let mut ws = Workspace::new();
+        let (mut p3, mut v3, mut p1, mut v1) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        qnet.predict_into(&x3, &mut ws, &mut p3, &mut v3);
+        let a = cfg.actions;
         for r in 0..3 {
             let x1 = Tensor::from_vec(
                 x3.data()[r * img..(r + 1) * img].to_vec(),
                 &[1, cfg.in_c, cfg.h, cfg.w],
             );
-            let (p1, v1) = qnet.forward(&x1);
-            let a = p1.dims()[1];
+            qnet.predict_into(&x1, &mut ws, &mut p1, &mut v1);
             // Every layer quantizes each sample with that sample's own
             // scale, so a row of a batch is the forward of its sample alone.
-            assert_eq!(p1.data(), &p3.data()[r * a..(r + 1) * a], "row {r}");
-            assert_eq!(v1.data()[0], v3.data()[r], "row {r}");
+            assert_eq!(p1, &p3[r * a..(r + 1) * a], "row {r}");
+            assert_eq!(v1[0], v3[r], "row {r}");
         }
     }
 

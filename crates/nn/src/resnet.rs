@@ -1,22 +1,21 @@
-//! AlphaZero-style residual-tower policy-value network.
+//! AlphaZero-style residual tower: a second architecture of
+//! [`PolicyValueNet`].
 //!
-//! The paper evaluates the plain 5-conv/3-FC network ([`crate::model::PolicyValueNet`]),
+//! The paper evaluates the plain 5-conv/3-FC network ([`crate::NetConfig`]),
 //! but positions its framework as serving *any* DNN-MCTS algorithm (§1).
-//! This model is the obvious second architecture a user would bring: a
+//! This is the obvious second architecture a user would bring: a
 //! conv-bn-relu stem, a tower of residual blocks, and the AlphaZero policy
 //! and value heads. It exercises the batch-norm / residual machinery and
-//! gives the benchmarks a heavier inference workload to schedule.
+//! gives the benchmarks a heavier inference workload to schedule. Training,
+//! inference, folding and checkpoints are [`PolicyValueNet`]'s own; only
+//! the layers are built here.
 
-use crate::layer::{
-    backward_stack, forward_cached_train, update_stack_running_stats, Conv2d, Layer, LayerKind,
-    Linear,
-};
-use crate::loss::{alphazero_loss_backward, LossParts};
+use crate::layer::{Conv2d, LayerKind, Linear};
+use crate::model::{Architecture, PolicyValueNet};
 use crate::norm::BatchNorm2d;
 use crate::residual::ResidualBlock;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use tensor::{Tensor, Workspace};
 
 /// Residual-tower hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,6 +35,9 @@ pub struct ResNetConfig {
     /// Hidden width of the value head.
     pub value_hidden: usize,
 }
+
+/// The residual tower: a [`PolicyValueNet`] built from a [`ResNetConfig`].
+pub type ResNetPolicyValueNet = PolicyValueNet<ResNetConfig>;
 
 impl ResNetConfig {
     /// A small tower for the 15×15 Gomoku benchmark.
@@ -65,89 +67,25 @@ impl ResNetConfig {
     }
 }
 
-/// Residual-tower policy-value network. `forward` is pure (`&self`) so the
-/// same instance serves concurrent inference workers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ResNetPolicyValueNet {
-    pub config: ResNetConfig,
-    trunk: Vec<LayerKind>,
-    policy_head: Vec<LayerKind>,
-    value_head: Vec<LayerKind>,
-}
-
-/// Caches from a training-mode forward pass, consumed by `backward`.
-pub struct ResNetCaches {
-    trunk: Vec<Tensor>,
-    policy: Vec<Tensor>,
-    value: Vec<Tensor>,
-    /// Policy logits `[b, actions]` (pre-softmax).
-    pub policy_logits: Tensor,
-    /// Value output `[b, 1]` (post-tanh).
-    pub values: Tensor,
-}
-
-/// Per-layer gradient buffers matching the network's parameter layout.
-#[derive(Debug, Clone)]
-pub struct ResNetGrads {
-    trunk: Vec<Vec<Tensor>>,
-    policy: Vec<Vec<Tensor>>,
-    value: Vec<Vec<Tensor>>,
-}
-
-impl ResNetGrads {
-    /// Zero all gradient buffers (call between optimizer steps).
-    pub fn zero(&mut self) {
-        for stack in [&mut self.trunk, &mut self.policy, &mut self.value] {
-            for layer in stack.iter_mut() {
-                for g in layer.iter_mut() {
-                    g.zero_();
-                }
-            }
-        }
+impl Architecture for ResNetConfig {
+    fn input_shape(&self) -> (usize, usize, usize) {
+        (self.in_c, self.h, self.w)
     }
 
-    /// Flat gradient list matching [`ResNetPolicyValueNet::params`].
-    pub fn flat(&self) -> Vec<&Tensor> {
-        self.trunk
-            .iter()
-            .chain(self.policy.iter())
-            .chain(self.value.iter())
-            .flat_map(|layer| layer.iter())
-            .collect()
+    fn actions(&self) -> usize {
+        self.actions
     }
 
-    /// Mutable flat gradient list (for clipping).
-    pub fn flat_mut(&mut self) -> Vec<&mut Tensor> {
-        self.trunk
-            .iter_mut()
-            .chain(self.policy.iter_mut())
-            .chain(self.value.iter_mut())
-            .flat_map(|layer| layer.iter_mut())
-            .collect()
-    }
-
-    /// Scale every gradient (e.g. 1/batch for mean reduction).
-    pub fn scale(&mut self, s: f32) {
-        for g in self.flat_mut() {
-            g.scale(s);
-        }
-    }
-}
-
-impl ResNetPolicyValueNet {
-    /// Build a tower with freshly initialized parameters.
-    pub fn new(config: ResNetConfig, seed: u64) -> Self {
-        assert!(config.blocks >= 1, "need at least one residual block");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let r = &mut rng;
-        let f = config.filters;
-        let plane = config.h * config.w;
+    fn build(&self, r: &mut StdRng) -> [Vec<LayerKind>; 3] {
+        assert!(self.blocks >= 1, "need at least one residual block");
+        let f = self.filters;
+        let plane = self.h * self.w;
         let mut trunk = vec![
-            LayerKind::Conv2d(Conv2d::new(r, config.in_c, f, 3, 1)),
+            LayerKind::Conv2d(Conv2d::new(r, self.in_c, f, 3, 1)),
             LayerKind::BatchNorm2d(BatchNorm2d::new(f)),
             LayerKind::ReLU,
         ];
-        for _ in 0..config.blocks {
+        for _ in 0..self.blocks {
             trunk.push(LayerKind::Residual(Box::new(ResidualBlock::new(r, f))));
         }
         let policy_head = vec![
@@ -155,204 +93,19 @@ impl ResNetPolicyValueNet {
             LayerKind::BatchNorm2d(BatchNorm2d::new(2)),
             LayerKind::ReLU,
             LayerKind::Flatten,
-            LayerKind::Linear(Linear::new(r, 2 * plane, config.actions)),
+            LayerKind::Linear(Linear::new(r, 2 * plane, self.actions)),
         ];
         let value_head = vec![
             LayerKind::Conv2d(Conv2d::new(r, f, 1, 1, 0)),
             LayerKind::BatchNorm2d(BatchNorm2d::new(1)),
             LayerKind::ReLU,
             LayerKind::Flatten,
-            LayerKind::Linear(Linear::new(r, plane, config.value_hidden)),
+            LayerKind::Linear(Linear::new(r, plane, self.value_hidden)),
             LayerKind::ReLU,
-            LayerKind::Linear(Linear::new(r, config.value_hidden, 1)),
+            LayerKind::Linear(Linear::new(r, self.value_hidden, 1)),
             LayerKind::Tanh,
         ];
-        ResNetPolicyValueNet {
-            config,
-            trunk,
-            policy_head,
-            value_head,
-        }
-    }
-
-    fn all_stacks(&self) -> impl Iterator<Item = &Vec<LayerKind>> {
-        [&self.trunk, &self.policy_head, &self.value_head].into_iter()
-    }
-
-    /// Number of residual blocks in the tower.
-    pub fn block_count(&self) -> usize {
-        self.trunk
-            .iter()
-            .filter(|l| matches!(l, LayerKind::Residual(_)))
-            .count()
-    }
-
-    /// Total parameter scalar count.
-    pub fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.numel()).sum()
-    }
-
-    /// Flat immutable parameter list (trunk, policy head, value head order).
-    pub fn params(&self) -> Vec<&Tensor> {
-        self.all_stacks()
-            .flat_map(|s| s.iter())
-            .flat_map(|l| l.param_views())
-            .collect()
-    }
-
-    /// Flat mutable parameter list (same order as `params`).
-    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        self.trunk
-            .iter_mut()
-            .chain(self.policy_head.iter_mut())
-            .chain(self.value_head.iter_mut())
-            .flat_map(|l| l.param_views_mut())
-            .collect()
-    }
-
-    /// Flat list of non-trainable state (batch-norm running statistics).
-    pub fn state_tensors(&self) -> Vec<&Tensor> {
-        self.all_stacks()
-            .flat_map(|s| s.iter())
-            .flat_map(|l| l.state_views())
-            .collect()
-    }
-
-    /// Mutable non-trainable state (same order).
-    pub fn state_tensors_mut(&mut self) -> Vec<&mut Tensor> {
-        self.trunk
-            .iter_mut()
-            .chain(self.policy_head.iter_mut())
-            .chain(self.value_head.iter_mut())
-            .flat_map(|l| l.state_views_mut())
-            .collect()
-    }
-
-    /// Fresh zeroed gradient buffers.
-    pub fn grad_buffers(&self) -> ResNetGrads {
-        let make = |stack: &Vec<LayerKind>| stack.iter().map(|l| l.grad_buffers()).collect();
-        ResNetGrads {
-            trunk: make(&self.trunk),
-            policy: make(&self.policy_head),
-            value: make(&self.value_head),
-        }
-    }
-
-    /// Inference: `x` is `[b, in_c, h, w]`; returns policy logits `[b, A]`
-    /// and tanh values `[b, 1]`. Pure and thread-safe; batch norm uses
-    /// running statistics.
-    ///
-    /// Runs on the workspace fast path (batched convs, fused epilogues,
-    /// recycled buffers from the calling thread's shared [`Workspace`]);
-    /// only the two returned tensors are allocated.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Tensor) {
-        crate::model::net_forward(&self.trunk, &self.policy_head, &self.value_head, x)
-    }
-
-    /// Workspace inference: every buffer, including the returned
-    /// logits/values, is leased from `ws` (zero steady-state allocation).
-    /// Release both returned tensors with `ws.release(t.into_vec())`.
-    pub fn forward_ws(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
-        crate::model::net_forward_ws(&self.trunk, &self.policy_head, &self.value_head, x, ws)
-    }
-
-    /// Allocation-free batched prediction: softmaxed policies (`[b·A]`,
-    /// row-major) into `policy`, values (`[b]`) into `values`, reusing
-    /// their capacity across calls.
-    pub fn predict_into(
-        &self,
-        x: &Tensor,
-        ws: &mut Workspace,
-        policy: &mut Vec<f32>,
-        values: &mut Vec<f32>,
-    ) {
-        crate::model::net_predict_into(
-            &self.trunk,
-            &self.policy_head,
-            &self.value_head,
-            self.config.actions,
-            x,
-            ws,
-            policy,
-            values,
-        );
-    }
-
-    /// Inference snapshot with every batch norm (stem, heads, and inside
-    /// each residual block) folded into its convolution — see
-    /// [`crate::fuse`]. Same eval-mode function within float rounding; the
-    /// folded net's training-mode passes are meaningless. This is the net
-    /// to hand to an inference server (e.g. `accel::Device::with_model`).
-    pub fn folded_for_inference(&self) -> ResNetPolicyValueNet {
-        ResNetPolicyValueNet {
-            config: self.config,
-            trunk: crate::fuse::fold_stack(&self.trunk),
-            policy_head: crate::fuse::fold_stack(&self.policy_head),
-            value_head: crate::fuse::fold_stack(&self.value_head),
-        }
-    }
-
-    /// Inference returning softmax policies instead of logits.
-    pub fn predict(&self, x: &Tensor) -> (Tensor, Tensor) {
-        let (mut logits, values) = self.forward(x);
-        let b = logits.dims()[0];
-        let a = logits.dims()[1];
-        for r in 0..b {
-            tensor::ops::softmax_inplace(&mut logits.data_mut()[r * a..(r + 1) * a]);
-        }
-        (logits, values)
-    }
-
-    /// Training-mode forward: batch-norm layers use batch statistics, and
-    /// every layer input is cached for `backward`.
-    pub fn forward_train(&self, x: &Tensor) -> ResNetCaches {
-        let (trunk_caches, feat) = forward_cached_train(&self.trunk, x);
-        let (policy_caches, policy_logits) = forward_cached_train(&self.policy_head, &feat);
-        let (value_caches, values) = forward_cached_train(&self.value_head, &feat);
-        ResNetCaches {
-            trunk: trunk_caches,
-            policy: policy_caches,
-            value: value_caches,
-            policy_logits,
-            values,
-        }
-    }
-
-    /// Full backward pass for the AlphaZero loss (Eq. 2). Accumulates
-    /// parameter gradients into `grads` and returns the loss decomposition.
-    pub fn backward(
-        &self,
-        caches: &ResNetCaches,
-        target_pi: &Tensor,
-        target_r: &Tensor,
-        grads: &mut ResNetGrads,
-    ) -> LossParts {
-        let (parts, grad_logits, grad_values) =
-            alphazero_loss_backward(&caches.policy_logits, &caches.values, target_pi, target_r);
-        let g_feat_p = backward_stack(
-            &self.policy_head,
-            &caches.policy,
-            &mut grads.policy,
-            grad_logits,
-        );
-        let g_feat_v = backward_stack(
-            &self.value_head,
-            &caches.value,
-            &mut grads.value,
-            grad_values,
-        );
-        let mut g_feat = g_feat_p;
-        g_feat.add_assign(&g_feat_v);
-        backward_stack(&self.trunk, &caches.trunk, &mut grads.trunk, g_feat);
-        parts
-    }
-
-    /// Fold the running batch-norm statistics for the step that produced
-    /// `caches` (call once per optimizer step, after `backward`).
-    pub fn update_running_stats(&mut self, caches: &ResNetCaches) {
-        update_stack_running_stats(&mut self.trunk, &caches.trunk);
-        update_stack_running_stats(&mut self.policy_head, &caches.policy);
-        update_stack_running_stats(&mut self.value_head, &caches.value);
+        [trunk, policy_head, value_head]
     }
 }
 
@@ -360,24 +113,34 @@ impl ResNetPolicyValueNet {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use tensor::{Tensor, Workspace};
 
     fn tiny_net() -> ResNetPolicyValueNet {
         ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), 21)
     }
 
     fn rand_t(dims: &[usize], seed: u64) -> Tensor {
-        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut r = StdRng::seed_from_u64(seed);
         tensor::init::uniform(&mut r, dims, -1.0, 1.0)
     }
 
+    fn predict(net: &ResNetPolicyValueNet, x: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let (mut policy, mut values) = (Vec::new(), Vec::new());
+        net.predict_into(x, &mut Workspace::new(), &mut policy, &mut values);
+        (policy, values)
+    }
+
     #[test]
-    fn forward_shapes_and_value_range() {
+    fn predict_shapes_value_range_and_distributions() {
         let net = tiny_net();
-        let x = rand_t(&[2, 3, 4, 4], 1);
-        let (logits, values) = net.forward(&x);
-        assert_eq!(logits.dims(), &[2, 16]);
-        assert_eq!(values.dims(), &[2, 1]);
-        assert!(values.data().iter().all(|v| (-1.0..=1.0).contains(v)));
+        let x = rand_t(&[3, 3, 4, 4], 2);
+        let (pi, values) = predict(&net, &x);
+        assert_eq!((pi.len(), values.len()), (48, 3));
+        assert!(values.iter().all(|v| (-1.0..=1.0).contains(v)));
+        for row in pi.chunks(16) {
+            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+            assert!(row.iter().all(|&p| p >= 0.0));
+        }
     }
 
     #[test]
@@ -386,18 +149,7 @@ mod tests {
         assert_eq!(net.block_count(), 2);
         let big = ResNetPolicyValueNet::new(ResNetConfig::gomoku15(), 3);
         assert_eq!(big.block_count(), 4);
-    }
-
-    #[test]
-    fn predict_rows_are_distributions() {
-        let net = tiny_net();
-        let x = rand_t(&[3, 3, 4, 4], 2);
-        let (pi, _) = net.predict(&x);
-        for r in 0..3 {
-            let s: f32 = pi.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-            assert!(pi.row(r).iter().all(|&p| p >= 0.0));
-        }
+        assert!(big.has_foldable_norms());
     }
 
     #[test]
@@ -419,6 +171,11 @@ mod tests {
         let net = tiny_net();
         // stem bn (2) + 2 blocks × 2 bns × 2 (4 each = 8) + policy bn (2) + value bn (2).
         assert_eq!(net.state_tensors().len(), 2 + 8 + 2 + 2);
+    }
+
+    #[test]
+    fn int8_snapshot_is_refused() {
+        assert!(tiny_net().quantized_for_inference().is_none());
     }
 
     #[test]
@@ -458,13 +215,12 @@ mod tests {
     fn running_stats_update_changes_inference() {
         let mut net = tiny_net();
         let x = rand_t(&[4, 3, 4, 4], 7);
-        let before = net.forward(&x).0;
+        let before = predict(&net, &x).0;
         for _ in 0..20 {
             let caches = net.forward_train(&x);
             net.update_running_stats(&caches);
         }
-        let after = net.forward(&x).0;
-        assert_ne!(before.data(), after.data());
+        assert_ne!(before, predict(&net, &x).0);
     }
 
     #[test]
@@ -472,45 +228,23 @@ mod tests {
         let a = ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), 9);
         let b = ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), 9);
         let x = rand_t(&[1, 3, 4, 4], 3);
-        assert_eq!(a.forward(&x).0.data(), b.forward(&x).0.data());
+        assert_eq!(predict(&a, &x), predict(&b, &x));
     }
 
-    /// A net whose batch norms hold non-trivial running statistics (so
-    /// folding actually has something to fold).
-    fn trained_net() -> ResNetPolicyValueNet {
+    #[test]
+    fn folded_tower_matches_unfolded_eval() {
         let mut net = tiny_net();
         let x = rand_t(&[4, 3, 4, 4], 33);
         for _ in 0..10 {
             let caches = net.forward_train(&x);
             net.update_running_stats(&caches);
         }
-        net
-    }
-
-    #[test]
-    fn folded_tower_matches_unfolded_eval() {
-        let net = trained_net();
         let folded = net.folded_for_inference();
         let x = rand_t(&[3, 3, 4, 4], 34);
-        let (l_ref, v_ref) = net.forward(&x);
-        let (l_fold, v_fold) = folded.forward(&x);
-        for (f, u) in l_fold.data().iter().zip(l_ref.data()) {
-            assert!((f - u).abs() < 1e-4, "logits {f} vs {u}");
+        let (p_ref, v_ref) = predict(&net, &x);
+        let (p_fold, v_fold) = predict(&folded, &x);
+        for (f, u) in p_fold.iter().zip(&p_ref).chain(v_fold.iter().zip(&v_ref)) {
+            assert!((f - u).abs() < 1e-4, "{f} vs {u}");
         }
-        for (f, u) in v_fold.data().iter().zip(v_ref.data()) {
-            assert!((f - u).abs() < 1e-4, "values {f} vs {u}");
-        }
-    }
-
-    #[test]
-    fn predict_into_matches_predict() {
-        let net = trained_net();
-        let x = rand_t(&[2, 3, 4, 4], 35);
-        let (pi, v) = net.predict(&x);
-        let mut ws = Workspace::new();
-        let (mut policy, mut values) = (Vec::new(), Vec::new());
-        net.predict_into(&x, &mut ws, &mut policy, &mut values);
-        assert_eq!(policy, pi.data());
-        assert_eq!(values, v.data());
     }
 }

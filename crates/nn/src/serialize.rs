@@ -2,11 +2,12 @@
 //!
 //! A tiny self-describing little-endian format (magic, version, tensor
 //! count, then `rank, dims…, f32 data…` per tensor) built on the `bytes`
-//! crate. Only parameter *values* are stored; the architecture comes from
-//! `NetConfig`, so loading checks that shapes line up.
+//! crate. Only tensor *values* are stored: a net's parameters followed by
+//! its running statistics (none for the paper's net). The architecture
+//! comes from the net's config, so loading checks that shapes line up —
+//! all of them, before anything is written.
 
-use crate::model::PolicyValueNet;
-use crate::resnet::ResNetPolicyValueNet;
+use crate::model::{Architecture, PolicyValueNet};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tensor::Tensor;
 
@@ -65,12 +66,10 @@ pub fn save_tensor_list(tensors: &[&Tensor]) -> Bytes {
     buf.freeze()
 }
 
-/// Load a tensor list saved by [`save_tensor_list`] into pre-shaped
-/// destination tensors (count and every shape must match).
-pub fn load_tensor_list(
-    tensors: &mut [&mut Tensor],
-    mut data: &[u8],
-) -> Result<(), CheckpointError> {
+/// Check a checkpoint against the expected tensor shapes without writing
+/// anything: header, count, every rank and shape, and every payload
+/// length. Returns each tensor's f32 payload bytes, in order.
+fn validate<'a>(mut data: &'a [u8], shapes: &[&[usize]]) -> Result<Vec<&'a [u8]>, CheckpointError> {
     if data.remaining() < 12 {
         return Err(CheckpointError::Truncated);
     }
@@ -81,70 +80,72 @@ pub fn load_tensor_list(
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let count = data.get_u32_le() as usize;
-    if count != tensors.len() {
+    if data.get_u32_le() as usize != shapes.len() {
         return Err(CheckpointError::ShapeMismatch { index: 0 });
     }
-    for (index, p) in tensors.iter_mut().enumerate() {
+    let mut payloads = Vec::with_capacity(shapes.len());
+    for (index, dims) in shapes.iter().enumerate() {
         if data.remaining() < 4 {
             return Err(CheckpointError::Truncated);
         }
         let rank = data.get_u32_le() as usize;
-        if data.remaining() < 8 * rank {
+        if data.remaining() / 8 < rank {
             return Err(CheckpointError::Truncated);
         }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(data.get_u64_le() as usize);
-        }
-        if dims != p.dims() {
+        let mut stored = (0..rank).map(|_| data.get_u64_le());
+        if rank != dims.len() || !dims.iter().all(|&d| stored.next() == Some(d as u64)) {
             return Err(CheckpointError::ShapeMismatch { index });
         }
-        if data.remaining() < 4 * p.numel() {
+        let len = 4 * dims.iter().product::<usize>();
+        if data.remaining() < len {
             return Err(CheckpointError::Truncated);
         }
-        for v in p.data_mut() {
-            *v = data.get_f32_le();
+        let (payload, rest) = data.split_at(len);
+        payloads.push(payload);
+        data = rest;
+    }
+    Ok(payloads)
+}
+
+/// Write validated payloads into their tensors.
+fn fill<'t>(tensors: impl IntoIterator<Item = &'t mut Tensor>, payloads: &[&[u8]]) {
+    for (t, &(mut payload)) in tensors.into_iter().zip(payloads) {
+        for v in t.data_mut() {
+            *v = payload.get_f32_le();
         }
     }
+}
+
+/// Load a tensor list saved by [`save_tensor_list`] into pre-shaped
+/// destination tensors (count and every shape must match). On error no
+/// tensor has been written.
+pub fn load_tensor_list(tensors: &mut [&mut Tensor], data: &[u8]) -> Result<(), CheckpointError> {
+    let shapes: Vec<&[usize]> = tensors.iter().map(|t| t.dims()).collect();
+    let payloads = validate(data, &shapes)?;
+    fill(tensors.iter_mut().map(|t| &mut **t), &payloads);
     Ok(())
 }
 
-/// Serialize the network's parameters.
-pub fn save_params(net: &PolicyValueNet) -> Bytes {
-    save_tensor_list(&net.params())
-}
-
-/// Load parameters into an existing network (architecture must match).
-pub fn load_params(net: &mut PolicyValueNet, data: &[u8]) -> Result<(), CheckpointError> {
-    load_tensor_list(&mut net.params_mut(), data)
-}
-
-/// Serialize a residual-tower network: parameters *plus* the batch-norm
-/// running statistics (without them, loaded models would normalize with
-/// the identity statistics at inference).
-pub fn save_resnet(net: &ResNetPolicyValueNet) -> Bytes {
+/// Serialize a network: its parameters, then its running statistics.
+pub fn save_params<A: Architecture>(net: &PolicyValueNet<A>) -> Bytes {
     let mut tensors = net.params();
     tensors.extend(net.state_tensors());
     save_tensor_list(&tensors)
 }
 
-/// Load a residual-tower checkpoint saved by [`save_resnet`].
-pub fn load_resnet(net: &mut ResNetPolicyValueNet, data: &[u8]) -> Result<(), CheckpointError> {
-    // Two disjoint mutable borrows of `net` are not expressible through the
-    // accessor methods, so load into clones and write back.
-    let mut params: Vec<Tensor> = net.params().into_iter().cloned().collect();
-    let mut states: Vec<Tensor> = net.state_tensors().into_iter().cloned().collect();
-    {
-        let mut dst: Vec<&mut Tensor> = params.iter_mut().chain(states.iter_mut()).collect();
-        load_tensor_list(&mut dst, data)?;
-    }
-    for (p, src) in net.params_mut().into_iter().zip(&params) {
-        *p = src.clone();
-    }
-    for (s, src) in net.state_tensors_mut().into_iter().zip(&states) {
-        *s = src.clone();
-    }
+/// Load a checkpoint saved by [`save_params`] into a network of the same
+/// architecture. The whole buffer is checked first, so on error the net
+/// is untouched.
+pub fn load_params<A: Architecture>(
+    net: &mut PolicyValueNet<A>,
+    data: &[u8],
+) -> Result<(), CheckpointError> {
+    let (params, states) = (net.params(), net.state_tensors());
+    let shapes: Vec<&[usize]> = params.iter().chain(&states).map(|t| t.dims()).collect();
+    let payloads = validate(data, &shapes)?;
+    let (param_bytes, state_bytes) = payloads.split_at(params.len());
+    fill(net.params_mut(), param_bytes);
+    fill(net.state_tensors_mut(), state_bytes);
     Ok(())
 }
 
@@ -152,10 +153,36 @@ pub fn load_resnet(net: &mut ResNetPolicyValueNet, data: &[u8]) -> Result<(), Ch
 mod tests {
     use super::*;
     use crate::model::NetConfig;
-    use tensor::Tensor;
+    use crate::resnet::{ResNetConfig, ResNetPolicyValueNet};
+    use tensor::{Tensor, Workspace};
 
     fn tiny() -> PolicyValueNet {
         PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 5)
+    }
+
+    /// A tower whose running statistics are off their initial values, so
+    /// a checkpoint that forgot them would show.
+    fn trained_tower(seed: u64) -> ResNetPolicyValueNet {
+        let mut net = ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), seed);
+        let caches = net.forward_train(&Tensor::ones(&[2, 3, 4, 4]));
+        net.update_running_stats(&caches);
+        net
+    }
+
+    fn predict<A: Architecture>(net: &PolicyValueNet<A>, x: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let (mut policy, mut values) = (Vec::new(), Vec::new());
+        net.predict_into(x, &mut Workspace::new(), &mut policy, &mut values);
+        (policy, values)
+    }
+
+    /// Every parameter and state tensor, as bits.
+    fn bits<A: Architecture>(net: &PolicyValueNet<A>) -> Vec<Vec<u32>> {
+        let (params, states) = (net.params(), net.state_tensors());
+        params
+            .iter()
+            .chain(&states)
+            .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
     }
 
     #[test]
@@ -165,8 +192,7 @@ mod tests {
         let mut dst = PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 999);
         load_params(&mut dst, &bytes).unwrap();
         let x = Tensor::ones(&[1, 4, 3, 3]);
-        assert_eq!(src.forward(&x).0.data(), dst.forward(&x).0.data());
-        assert_eq!(src.forward(&x).1.data(), dst.forward(&x).1.data());
+        assert_eq!(predict(&src, &x), predict(&dst, &x));
     }
 
     #[test]
@@ -193,45 +219,85 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncated_payload() {
-        let src = tiny();
+    fn tower_roundtrip_preserves_outputs_and_running_stats() {
+        let src = trained_tower(1);
         let bytes = save_params(&src);
-        let cut = &bytes[..bytes.len() / 2];
-        let mut dst = tiny();
-        assert_eq!(load_params(&mut dst, cut), Err(CheckpointError::Truncated));
-    }
-
-    #[test]
-    fn resnet_roundtrip_preserves_outputs_and_running_stats() {
-        use crate::resnet::{ResNetConfig, ResNetPolicyValueNet};
-        let mut src = ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), 1);
-        // Move the running stats off their init values so the test catches
-        // checkpoints that forget them.
-        let x = Tensor::ones(&[2, 3, 4, 4]);
-        let caches = src.forward_train(&x);
-        src.update_running_stats(&caches);
-
-        let bytes = save_resnet(&src);
         let mut dst = ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), 999);
-        load_resnet(&mut dst, &bytes).unwrap();
-        assert_eq!(src.forward(&x).0.data(), dst.forward(&x).0.data());
-        assert_eq!(src.forward(&x).1.data(), dst.forward(&x).1.data());
-        for (a, b) in src.state_tensors().iter().zip(dst.state_tensors()) {
-            assert_eq!(a.data(), b.data());
-        }
+        load_params(&mut dst, &bytes).unwrap();
+        assert_eq!(bits(&src), bits(&dst));
+        let x = Tensor::ones(&[2, 3, 4, 4]);
+        assert_eq!(predict(&src, &x), predict(&dst, &x));
     }
 
     #[test]
-    fn resnet_rejects_plain_param_checkpoint() {
-        use crate::resnet::{ResNetConfig, ResNetPolicyValueNet};
+    fn tower_rejects_plain_param_checkpoint() {
         let src = ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), 1);
         // A tensor list missing the running stats must be rejected.
         let bytes = save_tensor_list(&src.params());
         let mut dst = ResNetPolicyValueNet::new(ResNetConfig::tiny(3, 4, 4, 16), 2);
         assert!(matches!(
-            load_resnet(&mut dst, &bytes),
+            load_params(&mut dst, &bytes),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
+    }
+
+    /// Byte offsets at which each tensor's record starts, and the end.
+    fn tensor_boundaries<A: Architecture>(net: &PolicyValueNet<A>) -> Vec<usize> {
+        let (params, states) = (net.params(), net.state_tensors());
+        let mut at = 12;
+        let mut out = vec![at];
+        for t in params.iter().chain(&states) {
+            at += 4 + 8 * t.dims().len() + 4 * t.numel();
+            out.push(at);
+        }
+        out
+    }
+
+    /// Loads of `src`'s checkpoint cut at and around every tensor
+    /// boundary, and with a wrong dim in the last tensor, all fail and
+    /// leave `dst` bit for bit as it was.
+    fn failed_loads_leave_net_untouched<A: Architecture>(
+        src: &PolicyValueNet<A>,
+        mut dst: PolicyValueNet<A>,
+    ) {
+        let bytes = save_params(src);
+        let before = bits(&dst);
+        let boundaries = tensor_boundaries(src);
+        assert_eq!(*boundaries.last().unwrap(), bytes.len());
+        let cuts = boundaries
+            .iter()
+            .flat_map(|&b| [b - 1, b, b + 1])
+            .filter(|&c| c < bytes.len());
+        for cut in cuts {
+            assert!(
+                load_params(&mut dst, &bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+            assert!(bits(&dst) == before, "cut at {cut} wrote into the net");
+        }
+        // The first dim of the last tensor, off by one.
+        let mut wrong = bytes.to_vec();
+        let last = boundaries[boundaries.len() - 2] + 4;
+        wrong[last] ^= 1;
+        let index = boundaries.len() - 2;
+        assert_eq!(
+            load_params(&mut dst, &wrong),
+            Err(CheckpointError::ShapeMismatch { index })
+        );
+        assert!(bits(&dst) == before, "a wrong last dim wrote into the net");
+    }
+
+    #[test]
+    fn failed_plain_loads_leave_the_net_untouched() {
+        failed_loads_leave_net_untouched(
+            &PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 6),
+            tiny(),
+        );
+    }
+
+    #[test]
+    fn failed_tower_loads_leave_the_net_untouched() {
+        failed_loads_leave_net_untouched(&trained_tower(1), trained_tower(2));
     }
 
     #[test]
@@ -244,6 +310,11 @@ mod tests {
         load_tensor_list(&mut [&mut a2, &mut b2], &bytes).unwrap();
         assert_eq!(a.data(), a2.data());
         assert_eq!(b.data(), b2.data());
+        // Cut inside `b`: `a` is not written either.
+        let mut a3 = Tensor::zeros(&[3]);
+        let cut = &bytes[..bytes.len() - 1];
+        assert!(load_tensor_list(&mut [&mut a3, &mut b2], cut).is_err());
+        assert_eq!(a3.data(), &[0.0; 3]);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   stage clocks, so the profile measures the selection code the schemes
 //!   run rather than a model of it.
 //! * `T^CPU_DNN` is measured by timing inference through a network with
-//!   random parameters and correctly-shaped random inputs.
+//!   random parameters and correctly-shaped random inputs, on the forward
+//!   the f32 evaluator serves (`predict_into` on one reused workspace).
 //! * `T_shared tree access` is estimated with a dependent-load pointer
 //!   chase over a buffer much larger than the last-level cache,
 //!   approximating the documented DDR access latency.
@@ -21,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
+use tensor::Workspace;
 
 /// Profiled in-tree and inference costs (nanoseconds, amortized).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,28 +63,29 @@ pub fn profile_in_tree(fanout: usize, depth: usize, iters: usize) -> (f64, f64) 
 /// Measure single-sample CPU inference latency of `net` (ns/inference),
 /// using random inputs of the correct shape.
 pub fn profile_dnn_cpu(net: &PolicyValueNet, iters: usize) -> f64 {
-    assert!(iters > 0);
-    let c = net.config;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let x = tensor::init::uniform(&mut rng, &[1, c.in_c, c.h, c.w], 0.0, 1.0);
-    let _ = net.predict(&x); // warm-up
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(net.predict(&x));
-    }
-    t0.elapsed().as_nanos() as f64 / iters as f64
+    time_predict(net, 1, iters, 7)
 }
 
 /// Measure batched CPU inference latency (ns per *batch* of size `b`).
 pub fn profile_dnn_batch(net: &PolicyValueNet, b: usize, iters: usize) -> f64 {
+    time_predict(net, b, iters, 8)
+}
+
+/// Mean ns per `predict_into` of a random `b`-sample batch on one reused
+/// workspace, after one warm-up call — the forward an f32 `NnEvaluator`
+/// serves.
+fn time_predict(net: &PolicyValueNet, b: usize, iters: usize, seed: u64) -> f64 {
     assert!(b > 0 && iters > 0);
     let c = net.config;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let x = tensor::init::uniform(&mut rng, &[b, c.in_c, c.h, c.w], 0.0, 1.0);
-    let _ = net.predict(&x);
+    let mut ws = Workspace::new();
+    let (mut policy, mut values) = (Vec::new(), Vec::new());
+    net.predict_into(&x, &mut ws, &mut policy, &mut values);
     let t0 = Instant::now();
     for _ in 0..iters {
-        std::hint::black_box(net.predict(&x));
+        net.predict_into(&x, &mut ws, &mut policy, &mut values);
+        std::hint::black_box(&values);
     }
     t0.elapsed().as_nanos() as f64 / iters as f64
 }

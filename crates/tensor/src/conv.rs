@@ -264,8 +264,7 @@ pub fn conv2d_forward(
 
 /// Pre-rewrite forward convolution: one im2col + one baseline GEMM **per
 /// image**, bias applied in a separate pass. Retained as the numerical
-/// reference for parity tests and the "before" side of the
-/// `BENCH_inference.json` speedup record.
+/// reference for parity tests.
 pub fn conv2d_forward_ref(
     spec: &Conv2dSpec,
     input: &Tensor,

@@ -208,7 +208,10 @@ mod tests {
         assert!(report.wall_sec > 0.0 && report.samples_per_sec > 0.0);
         // Training actually changed the parameters.
         let x = tensor::Tensor::ones(&[1, 4, 3, 3]);
-        assert_ne!(net.forward(&x).0.data(), trained.forward(&x).0.data());
+        assert_ne!(
+            net.forward_train(&x).policy_logits.data(),
+            trained.forward_train(&x).policy_logits.data()
+        );
     }
 
     #[test]

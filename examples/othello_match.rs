@@ -16,7 +16,8 @@ fn main() {
     let (c, h, w) = game.encoded_shape();
 
     // Agent A: residual tower (random weights — in a real setting these
-    // come from training) evaluated through the batching accelerator.
+    // come from training) evaluated through the batching accelerator,
+    // which serves a tower the same way as the paper's net.
     let resnet = Arc::new(ResNetPolicyValueNet::new(
         ResNetConfig {
             in_c: c,
@@ -29,10 +30,7 @@ fn main() {
         },
         7,
     ));
-    let device = Arc::new(Device::with_model(
-        resnet as Arc<dyn BatchModel>,
-        DeviceConfig::instant(4),
-    ));
+    let device = Arc::new(Device::new(resnet, DeviceConfig::instant(4)));
     let cfg = MctsConfig {
         playouts: 96,
         ..Default::default()

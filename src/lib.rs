@@ -87,7 +87,7 @@ pub use train;
 
 /// Commonly-used items, one import away.
 pub mod prelude {
-    pub use accel::{BatchModel, Device, DeviceClient, DeviceConfig, LatencyModel};
+    pub use accel::{Device, DeviceClient, DeviceConfig, LatencyModel};
     pub use games::connect4::Connect4;
     pub use games::gomoku::Gomoku;
     pub use games::hex::Hex;

@@ -36,10 +36,12 @@ impl BatchEvaluator for OneAtATime {
     fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
         for (input, o) in inputs.iter().zip(out.iter_mut()) {
             let x = tensor::Tensor::from_vec(input.to_vec(), &[1, 4, 3, 3]);
-            let (pi, v) = self.0.predict(&x);
+            let mut ws = tensor::Workspace::new();
+            let (mut priors, mut values) = (Vec::new(), Vec::new());
+            self.0.predict_into(&x, &mut ws, &mut priors, &mut values);
             *o = EvalOutput {
-                priors: pi.into_vec(),
-                value: v.data()[0],
+                priors,
+                value: values[0],
             };
         }
     }

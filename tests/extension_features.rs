@@ -76,10 +76,7 @@ fn resnet_device_drives_search() {
         ResNetConfig::tiny(c, h, w, game.action_space()),
         13,
     ));
-    let device = Arc::new(Device::with_model(
-        tower as Arc<dyn BatchModel>,
-        DeviceConfig::instant(2),
-    ));
+    let device = Arc::new(Device::new(tower, DeviceConfig::instant(2)));
     let cfg = MctsConfig {
         playouts: 64,
         workers: 2,
@@ -190,6 +187,7 @@ fn pipeline_network_checkpoint_roundtrip() {
     let mut restored = PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 999);
     nn::serialize::load_params(&mut restored, &bytes).unwrap();
     let x = tensor::Tensor::ones(&[1, 4, 3, 3]);
-    assert_eq!(p.net().forward(&x).0.data(), restored.forward(&x).0.data());
-    assert_eq!(p.net().forward(&x).1.data(), restored.forward(&x).1.data());
+    let (trained, restored) = (p.net().forward_train(&x), restored.forward_train(&x));
+    assert_eq!(trained.policy_logits.data(), restored.policy_logits.data());
+    assert_eq!(trained.values.data(), restored.values.data());
 }

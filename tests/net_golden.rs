@@ -22,9 +22,9 @@
 //! `$CARGO_TARGET_TMPDIR/net_golden.actual.txt`; if the change in
 //! behaviour is intended, copy that file over the golden one.
 
-use adaptive_dnn_mcts::accel::{BatchModel, Device, DeviceConfig};
+use adaptive_dnn_mcts::accel::{Device, DeviceConfig};
 use adaptive_dnn_mcts::nn::resnet::{ResNetConfig, ResNetPolicyValueNet};
-use adaptive_dnn_mcts::nn::serialize::{save_params, save_resnet};
+use adaptive_dnn_mcts::nn::serialize::save_params;
 use adaptive_dnn_mcts::nn::{NetConfig, PolicyValueNet};
 use adaptive_dnn_mcts::tensor::{Tensor, Workspace};
 use std::fmt::Write as _;
@@ -255,8 +255,8 @@ fn nets_reproduce_their_recorded_bits() {
     let served = PolicyValueNet::new(NetConfig::for_board(4, 9, 9, 81), 2);
     write_checkpoint(&mut actual, "plain served", &save_params(&served));
     write_checkpoint(&mut actual, "plain sgd", &save_params(&plain));
-    write_checkpoint(&mut actual, "tower trained", &save_resnet(&tower));
-    write_checkpoint(&mut actual, "tower sgd", &save_resnet(&sgd_tower));
+    write_checkpoint(&mut actual, "tower trained", &save_params(&tower));
+    write_checkpoint(&mut actual, "tower sgd", &save_params(&sgd_tower));
 
     let tiny = Arc::new(PolicyValueNet::new(NetConfig::tiny(4, 3, 3, 9), 5));
     write_response(
@@ -268,7 +268,7 @@ fn nets_reproduce_their_recorded_bits() {
     write_response(
         &mut actual,
         "tower",
-        &Device::with_model(tower as Arc<dyn BatchModel>, DeviceConfig::instant(2)),
+        &Device::new(tower, DeviceConfig::instant(2)),
     );
 
     // Without the recorded f32 kernel only the int8 rows carry over.

@@ -33,7 +33,10 @@ fn overlapped_trainer_with_device_inference() {
 
     // The published snapshots must have diverged from the initial weights.
     let x = tensor::Tensor::ones(&[1, 4, 3, 3]);
-    assert_ne!(net.forward(&x).0.data(), trained.forward(&x).0.data());
+    assert_ne!(
+        net.forward_train(&x).policy_logits.data(),
+        trained.forward_train(&x).policy_logits.data()
+    );
 }
 
 #[test]

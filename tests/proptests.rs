@@ -362,6 +362,30 @@ proptest! {
         }
     }
 
+    // ---------------- checkpoints ----------------
+
+    /// A checkpoint cut anywhere and with any bytes flipped never panics
+    /// the loader, and a load that fails writes nothing: the net keeps
+    /// every parameter and running statistic bit for bit.
+    #[test]
+    fn checkpoint_loads_are_all_or_nothing(
+        tower in proptest::bool::ANY,
+        cut in 0usize..16_000,
+        flips in proptest::collection::vec((0usize..16_000, 1u8..=255), 0..4),
+    ) {
+        let ok = if tower {
+            let cfg = ResNetConfig::tiny(3, 4, 4, 16);
+            let mut src = ResNetPolicyValueNet::new(cfg, 1);
+            let caches = src.forward_train(&tensor::Tensor::ones(&[2, 3, 4, 4]));
+            src.update_running_stats(&caches);
+            load_is_all_or_nothing(&src, ResNetPolicyValueNet::new(cfg, 2), cut, &flips)
+        } else {
+            let cfg = NetConfig::tiny(4, 3, 3, 9);
+            load_is_all_or_nothing(&PolicyValueNet::new(cfg, 1), PolicyValueNet::new(cfg, 2), cut, &flips)
+        };
+        prop_assert!(ok, "a failed load (cut {}, flips {:?}) wrote into the net", cut, flips);
+    }
+
     /// Tree reuse: the extracted subtree of the best move always passes
     /// the arena invariants checker.
     #[test]
@@ -378,4 +402,32 @@ proptest! {
         let r2 = s.search(&g);
         prop_assert_eq!(r2.stats.playouts as usize, playouts);
     }
+}
+
+/// Every parameter and running statistic of `net`, as bits.
+fn net_bits<A: nn::Architecture>(net: &PolicyValueNet<A>) -> Vec<u32> {
+    let (params, states) = (net.params(), net.state_tensors());
+    params
+        .iter()
+        .chain(&states)
+        .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Load `src`'s checkpoint, cut at `cut` and with `flips` applied, into
+/// `dst`: true when the load succeeded or left `dst` as it was.
+fn load_is_all_or_nothing<A: nn::Architecture>(
+    src: &PolicyValueNet<A>,
+    mut dst: PolicyValueNet<A>,
+    cut: usize,
+    flips: &[(usize, u8)],
+) -> bool {
+    let mut bytes = nn::serialize::save_params(src).to_vec();
+    for &(at, mask) in flips {
+        let len = bytes.len();
+        bytes[at % len] ^= mask;
+    }
+    bytes.truncate(cut);
+    let before = net_bits(&dst);
+    nn::serialize::load_params(&mut dst, &bytes).is_ok() || net_bits(&dst) == before
 }

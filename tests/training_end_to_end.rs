@@ -80,8 +80,8 @@ fn trained_network_checkpoint_roundtrips_through_pipeline() {
     load_params(&mut restored, &bytes).expect("load trained checkpoint");
     let x = tensor::Tensor::full(&[1, 4, 3, 3], 0.4);
     assert_eq!(
-        p.net().forward(&x).0.data(),
-        restored.forward(&x).0.data(),
+        p.net().forward_train(&x).policy_logits.data(),
+        restored.forward_train(&x).policy_logits.data(),
         "restored network diverges from trained one"
     );
 }

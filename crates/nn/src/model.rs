@@ -348,10 +348,10 @@ impl<A: Architecture> PolicyValueNet<A> {
     /// GEMM consumes (see [`crate::quant`]). Returns `None` when the net
     /// contains layer kinds the int8 path does not support (residual
     /// blocks); callers fall back to the f32 snapshot.
-    pub fn quantized_for_inference(&self) -> Option<crate::quant::QuantPolicyValueNet<A>> {
+    pub fn quantized_for_inference(&self) -> Option<crate::quant::QuantPolicyValueNet> {
         let folded = self.folded_for_inference();
         crate::quant::QuantPolicyValueNet::from_folded_stacks(
-            self.config,
+            self.config.actions(),
             &folded.trunk,
             &folded.policy_head,
             &folded.value_head,

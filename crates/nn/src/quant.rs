@@ -27,7 +27,7 @@
 //! back to the f32 snapshot.
 
 use crate::layer::LayerKind;
-use crate::model::{write_predictions, Architecture, NetConfig};
+use crate::model::write_predictions;
 use tensor::conv::Conv2dSpec;
 use tensor::quant::{qconv2d, qlinear, QuantizedWeights};
 use tensor::{Tensor, Workspace};
@@ -120,24 +120,25 @@ fn quantize_stack(layers: &[LayerKind]) -> Option<Vec<QLayer>> {
 /// quantized GEMM. Frozen (inference only) and thread-safe, like the
 /// folded f32 snapshot it is built from.
 #[derive(Debug, Clone)]
-pub struct QuantPolicyValueNet<A = NetConfig> {
-    pub config: A,
+pub struct QuantPolicyValueNet {
+    actions: usize,
     trunk: Vec<QLayer>,
     policy_head: Vec<QLayer>,
     value_head: Vec<QLayer>,
 }
 
-impl<A: Architecture> QuantPolicyValueNet<A> {
-    /// Build from already-folded stacks. `None` if any stack contains a
-    /// layer kind the int8 path cannot represent.
+impl QuantPolicyValueNet {
+    /// Build from already-folded stacks of a net with `actions` policy
+    /// outputs. `None` if any stack contains a layer kind the int8 path
+    /// cannot represent.
     pub(crate) fn from_folded_stacks(
-        config: A,
+        actions: usize,
         trunk: &[LayerKind],
         policy_head: &[LayerKind],
         value_head: &[LayerKind],
     ) -> Option<Self> {
         Some(QuantPolicyValueNet {
-            config,
+            actions,
             trunk: quantize_stack(trunk)?,
             policy_head: quantize_stack(policy_head)?,
             value_head: quantize_stack(value_head)?,
@@ -172,7 +173,7 @@ impl<A: Architecture> QuantPolicyValueNet<A> {
         let logits = forward_stack_q(&self.policy_head, &feat, ws);
         let vals = forward_stack_q(&self.value_head, &feat, ws);
         ws.release(feat.into_vec());
-        write_predictions(logits, vals, self.config.actions(), ws, policy, values);
+        write_predictions(logits, vals, self.actions, ws, policy, values);
     }
 }
 

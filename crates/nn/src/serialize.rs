@@ -254,8 +254,9 @@ mod tests {
     }
 
     /// Loads of `src`'s checkpoint cut at and around every tensor
-    /// boundary, and with a wrong dim in the last tensor, all fail and
-    /// leave `dst` bit for bit as it was.
+    /// boundary all fail as truncated, one with a wrong dim in the last
+    /// tensor fails as a shape mismatch, and each leaves `dst` bit for
+    /// bit as it was.
     fn failed_loads_leave_net_untouched<A: Architecture>(
         src: &PolicyValueNet<A>,
         mut dst: PolicyValueNet<A>,
@@ -269,8 +270,9 @@ mod tests {
             .flat_map(|&b| [b - 1, b, b + 1])
             .filter(|&c| c < bytes.len());
         for cut in cuts {
-            assert!(
-                load_params(&mut dst, &bytes[..cut]).is_err(),
+            assert_eq!(
+                load_params(&mut dst, &bytes[..cut]),
+                Err(CheckpointError::Truncated),
                 "cut at {cut}"
             );
             assert!(bits(&dst) == before, "cut at {cut} wrote into the net");

@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §5): per-node mutex (the paper's shared-tree
+//! Ablation: per-node mutex (the paper's shared-tree
 //! design) vs lock-free atomic statistic updates (Mirsoleimani-style).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

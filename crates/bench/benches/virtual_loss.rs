@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §5): constant virtual loss (Chaslot) vs
+//! Ablation: constant virtual loss (Chaslot) vs
 //! visit-tracking virtual loss (WU-UCT) in the shared-tree scheme.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -11,8 +11,9 @@
 //! 1. a discrete-event simulation with paper-like parameters (reproduces
 //!    the figure shape at N up to 64), and
 //! 2. real measured runs of the actual implementations at host-feasible
-//!    scale (this container has one core, so measured parallel speedups
-//!    are limited; the section validates code paths and relative trends).
+//!    scale (the reference host has two vCPUs, so measured parallel
+//!    speedups are limited; the section validates code paths and relative
+//!    trends).
 //!
 //! Run: `cargo run --release -p bench --bin fig4_cpu_latency`
 

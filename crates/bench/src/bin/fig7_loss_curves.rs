@@ -7,9 +7,9 @@
 //! 2. more workers reach a given loss *sooner* in wall-clock time
 //!    (steeper convergence curves).
 //!
-//! This binary performs real training runs (small Gomoku, tiny net — this
-//! host has one core, so worker counts stay small) and writes one CSV per
-//! configuration plus a combined summary.
+//! This binary performs real training runs (small Gomoku, tiny net — the
+//! reference host has two vCPUs, so worker counts stay small) and writes
+//! one CSV per configuration plus a combined summary.
 //!
 //! Run: `cargo run --release -p bench --bin fig7_loss_curves`
 

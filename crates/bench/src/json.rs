@@ -1,10 +1,10 @@
-//! Minimal JSON parsing for the `BENCH_*.json` schema checkers.
+//! Minimal JSON parsing for files the benchmarks read back.
 //!
-//! The workspace builds offline without a JSON crate, so the schema
-//! gates (`check_serve_schema`, `check_search_schema`) share this
-//! ~150-line recursive-descent parser — strict enough for the bench
-//! writers' output (objects, arrays, strings, numbers, bools) — plus
-//! the small accessor helpers their checks are written in.
+//! The workspace builds offline without a JSON crate, so this is a
+//! ~150-line recursive-descent parser, strict enough for the bench
+//! writers' output (objects, arrays, strings, numbers, bools).
+//! `benchmark/tests/shape.rs` reads `BENCHMARK.json` and `stackbench`'s
+//! summary line with it.
 
 use std::collections::BTreeMap;
 
@@ -183,27 +183,6 @@ pub fn parse(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// The value at `path` as an object, or a pathed error.
-pub fn obj<'a>(v: &'a Json, path: &str) -> Result<&'a BTreeMap<String, Json>, String> {
-    match v {
-        Json::Obj(m) => Ok(m),
-        _ => Err(format!("{path}: expected object")),
-    }
-}
-
-/// The field `key` of `m`, or a pathed "missing" error.
-pub fn field<'a>(m: &'a BTreeMap<String, Json>, path: &str, key: &str) -> Result<&'a Json, String> {
-    m.get(key).ok_or_else(|| format!("{path}.{key}: missing"))
-}
-
-/// The field `key` of `m` as a finite number, or a pathed error.
-pub fn num(m: &BTreeMap<String, Json>, path: &str, key: &str) -> Result<f64, String> {
-    match field(m, path, key)? {
-        Json::Num(n) if n.is_finite() => Ok(*n),
-        _ => Err(format!("{path}.{key}: expected finite number")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,9 +190,11 @@ mod tests {
     #[test]
     fn parses_nested_documents() {
         let doc = parse(r#"{"a": [1, 2.5, {"b": "x", "c": true}], "d": null}"#).unwrap();
-        let root = obj(&doc, "$").unwrap();
-        assert!(matches!(field(root, "$", "a").unwrap(), Json::Arr(v) if v.len() == 3));
-        assert_eq!(field(root, "$", "d").unwrap(), &Json::Null);
+        let Json::Obj(root) = doc else {
+            panic!("expected object: {doc:?}")
+        };
+        assert!(matches!(&root["a"], Json::Arr(v) if v.len() == 3));
+        assert_eq!(root["d"], Json::Null);
     }
 
     #[test]
@@ -221,13 +202,5 @@ mod tests {
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("{\"a\": 1,}").is_err());
-    }
-
-    #[test]
-    fn num_rejects_non_numbers() {
-        let doc = parse(r#"{"a": "1"}"#).unwrap();
-        let root = obj(&doc, "$").unwrap();
-        assert!(num(root, "$", "a").is_err());
-        assert!(num(root, "$", "b").unwrap_err().contains("missing"));
     }
 }

@@ -1,8 +1,10 @@
 //! Shared helpers for the figure-regeneration binaries and benches.
 //!
 //! Every figure of the paper's evaluation (§5) has a dedicated binary in
-//! `src/bin/`; see EXPERIMENTS.md for the index. Because this container
-//! has one CPU core and no GPU, each binary prints two kinds of series:
+//! `src/bin/` (`fig3_batch_sweep` … `fig7_loss_curves`, `alg4_vsearch`,
+//! `sec5_5_divergence`, `profile_serial`), whose module docs name the
+//! claim it checks. The reference host has two vCPUs and no GPU, so each
+//! binary prints two kinds of series:
 //!
 //! * **simulated** — the discrete-event timeline simulator from
 //!   `perfmodel::sim` parameterized like the paper's 64-core + A6000

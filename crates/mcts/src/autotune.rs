@@ -372,7 +372,8 @@ mod tests {
 
     #[test]
     fn recorded_serving_curve_keeps_its_knee_beside_two_singles() {
-        // BENCH_serve.json's tuner curve: 2/284 < 4/413 µs.
+        // The int8 9×9 Gomoku net's forward curve as once measured on a
+        // one-core host (batch 1/2/4/8: 284/358/413/1190 µs): 2/284 < 4/413.
         let t = BatchTuner::new(8, 2);
         for (b, us) in [(1, 284), (2, 358), (4, 413), (8, 1190)] {
             t.record(b, Duration::from_micros(us));

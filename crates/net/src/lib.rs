@@ -10,9 +10,7 @@
 //! grammar and the hardened decoder); the server ([`NetServer`]) is a
 //! fixed acceptor plus two threads per connection with strictly
 //! per-connection backpressure; the client ([`Client`]) is a small
-//! blocking handle that multiplexes sessions by id; [`loadgen`] drives
-//! hundreds of loopback clients to *prove* the overload story
-//! end-to-end (offered vs admitted vs shed, p50/p99).
+//! blocking handle that multiplexes sessions by id.
 //!
 //! ```no_run
 //! use net::{Client, GameSpec, NetServer, Outcome, ServerConfig, WireRequest};
@@ -36,7 +34,6 @@
 
 pub mod client;
 pub mod frame;
-pub mod loadgen;
 pub mod server;
 
 pub use client::{Client, Event, Outcome, WireRequest};
@@ -44,5 +41,4 @@ pub use frame::{
     DecodeError, FailKind, Frame, FrameReader, GameSpec, ReadError, RejectCode, WireResult,
     MAX_FRAME, PROTOCOL_VERSION,
 };
-pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{EvalFactory, NetServer, NetStatsSnapshot, ServerConfig};

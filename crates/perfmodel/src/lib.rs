@@ -16,8 +16,8 @@
 //!   execution timelines of Figures 1-b/2-b under arbitrary hardware
 //!   parameters. This is the executable form of the paper's timeline
 //!   analysis and is what regenerates the *shapes* of Figures 3–6 on hosts
-//!   that lack the paper's 64-core CPU + A6000 GPU (this container has a
-//!   single core);
+//!   that lack the paper's 64-core CPU + A6000 GPU (the reference host
+//!   has two vCPUs and no GPU);
 //! * [`configurator`] — the end-to-end design-configuration workflow:
 //!   profile → plug into models → pick scheme → tune `B`.
 

@@ -9,7 +9,7 @@
 //! nanoseconds; no wall-clock, threads, or randomness is involved, so
 //! results are exactly reproducible.
 //!
-//! Modeling assumptions (documented in DESIGN.md / EXPERIMENTS.md):
+//! Modeling assumptions:
 //! * `cores ≥ N` as on the paper's 64-core platform — each worker (and the
 //!   master) has its own hardware thread;
 //! * the local tree is cache-resident (§3.1.2), so the master pays

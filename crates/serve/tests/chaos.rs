@@ -8,13 +8,15 @@
 //!   or `Failed` with a typed error) — no silent losses;
 //! * accounting balances: completed + cancelled + failed equals the
 //!   sessions admitted, outstanding load drains to zero;
+//! * faults stay with their backend: no session of the healthy
+//!   co-resident backend is shed or failed;
 //! * a quiet chaos layer (all fault rates zero) is an exact
 //!   pass-through — fault-free runs are seed-for-seed identical to an
 //!   unwrapped backend.
 //!
 //! Run with `--features invariants` to additionally enable the mcts
 //! crate's internal tree/accounting assertions under fault load (CI's
-//! cluster_smoke job does; see `.github/workflows/ci.yml`). Set
+//! `cache_chaos_demos` job does; see `.github/workflows/ci.yml`). Set
 //! `CHAOS_SMOKE=1` for the bounded smoke-mode session count.
 
 use games::tictactoe::TicTacToe;
@@ -140,7 +142,8 @@ fn cluster_soak_under_injected_faults_terminates_and_balances() {
             1 => Priority::Normal,
             _ => Priority::High,
         };
-        let submitted = if i % 4 == 3 {
+        let healthy = i % 4 == 3;
+        let submitted = if healthy {
             // A healthy co-resident model keeps flowing throughout.
             cluster.submit(
                 SearchRequest::new(Connect4::new(), Arc::clone(&healthy_eval))
@@ -165,11 +168,14 @@ fn cluster_soak_under_injected_faults_terminates_and_balances() {
             )
         };
         match submitted {
-            Ok(t) => tickets.push(t),
-            Err(_) => shed += 1, // breaker-shed while a backend cools down
+            Ok(t) => tickets.push((healthy, t)),
+            Err(r) => {
+                assert!(!healthy, "the healthy backend was shed: {r:?}");
+                shed += 1; // breaker-shed while a backend cools down
+            }
         }
         if i % 7 == 6 {
-            if let Some(t) = tickets.last() {
+            if let Some((_, t)) = tickets.last() {
                 t.cancel(); // cancellation races the faults
             }
         }
@@ -180,7 +186,7 @@ fn cluster_soak_under_injected_faults_terminates_and_balances() {
     let mut done = 0u64;
     let mut cancelled = 0u64;
     let mut failed = 0u64;
-    for t in &tickets {
+    for (healthy, t) in &tickets {
         let outcome = t.wait_timeout(WAIT);
         assert!(outcome.is_finished(), "soak ticket never terminated");
         match t.status() {
@@ -188,9 +194,11 @@ fn cluster_soak_under_injected_faults_terminates_and_balances() {
             TicketStatus::Cancelled => cancelled += 1,
             TicketStatus::Failed(err) => {
                 failed += 1;
-                // Failures are typed, never opaque unwinds.
+                // Failures are typed, never opaque unwinds, and stay
+                // with the faulty backend.
                 let msg = err.to_string();
                 assert!(!msg.is_empty());
+                assert!(!healthy, "the healthy backend failed a session: {msg}");
             }
             other => panic!("non-terminal status after wait: {other:?}"),
         }

@@ -360,8 +360,8 @@ fn a_default_config_serves_a_backend_whose_batches_pay() {
 fn batch_fill_grows_with_offered_concurrency() {
     // Regression: the coalescing bound used to be
     // `preferred_batch().min(workers)`, pinning mean batch at the
-    // worker count (observed as a hard 2.000 plateau in bench_serve)
-    // no matter how many sessions were offered. The bound must track
+    // worker count (a two-worker service measured a hard 2.000 mean
+    // batch) no matter how many sessions were offered. The bound must track
     // the backend's capacity so more offered concurrency keeps
     // filling rounds.
     let at = |workers: usize| coalescing_run(workers, 12);

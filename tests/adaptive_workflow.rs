@@ -102,8 +102,8 @@ fn simulated_speedup_within_paper_band() {
     // With paper-like parameters the simulated adaptive gain over the
     // losing fixed scheme lands in the paper's band (up to 1.5× CPU-only).
     // (The literal closed forms of Eqs. 3/5 are intentionally simpler and
-    // predict smaller margins; the timeline simulator is the figure
-    // source — see EXPERIMENTS.md.)
+    // predict smaller margins; the timeline simulator in
+    // `perfmodel::sim` is the figure source.)
     let mut best: f64 = 1.0;
     for n in [1usize, 2, 4, 8, 16, 32, 64] {
         let p = SimParams::paper_like(n);

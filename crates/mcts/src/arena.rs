@@ -30,22 +30,24 @@
 //! # Free-list and recycling
 //!
 //! Blocks freed by re-rooting or pruning go on a size-bucketed free-list
-//! (`free[len]` = start indices of free ranges of length `len`).
-//! Allocation takes the smallest free range that fits and splits off the
-//! remainder; only when no range fits does the arena grow. In steady
-//! state (search → [`advance`](crate::tree::Tree::advance_root) → search
-//! forever) every expansion is served from recycled slots and the arena
-//! performs **zero heap allocations**. Adjacent free ranges are not
-//! coalesced; fragments re-merge naturally when the tree is cleared
-//! in place ([`NodeArena::clear`] keeps column capacity — which is how a
-//! scheme that starts every search from a bare root searches on one
-//! arena for life: [`Tree::set_config`](crate::tree::Tree::set_config)
-//! re-bounds and clears it, and the next search grows into memory the
-//! previous one already paid for). At the
-//! capacity bound this is a real trade-off: a request larger than every
-//! individual free range triggers pruning even when the *total* free
-//! space would suffice, so size the bound with headroom rather than at
-//! the expected live-tree size.
+//! (`free[len]` = start indices of free ranges of length `len`), and a
+//! free-slot bitmap mirrors it. Allocation takes the smallest free range
+//! that fits (the newest of its size) and splits off the remainder; only
+//! when no range fits does the arena grow. In steady state (search →
+//! [`advance`](crate::tree::Tree::advance_root) → search forever) every
+//! expansion is served from recycled slots and the arena performs **zero
+//! heap allocations**. A freed range is not merged with its free
+//! neighbours on the way in: [`NodeArena::coalesce`] merges them into
+//! maximal runs when a bounded tree finds no range that fits, before it
+//! evicts, at a cost proportional to the ranges freed since its last
+//! call. Fragments also re-merge when the tree is cleared in place
+//! ([`NodeArena::clear`] keeps column capacity — which is how a scheme
+//! that starts every search from a bare root searches on one arena for
+//! life: [`Tree::set_config`](crate::tree::Tree::set_config) re-bounds
+//! and clears it, and the next search grows into memory the previous one
+//! already paid for). At the capacity bound a request larger than every
+//! maximal free run still triggers pruning, so size the bound with
+//! headroom rather than at the expected live-tree size.
 //!
 //! # In-place re-rooting
 //!
@@ -151,18 +153,50 @@ pub struct NodeArena {
     pub(crate) lru_head: u32,
     /// Coldest list member — the eviction scan starts here.
     pub(crate) lru_tail: u32,
-    /// `free[len]` holds the start indices of free ranges of exactly
-    /// `len` slots. `free[0]` is unused.
-    free: Vec<Vec<u32>>,
+    /// `free[len]` holds the free ranges of exactly `len` slots.
+    /// `free[0]` is unused.
+    free: Vec<Bucket>,
+    /// One bit per slot, set while the slot is on the free-list. Sized by
+    /// [`NodeArena::free_range`], so an arena that never frees never
+    /// touches it; bits past its end read as "not free".
+    free_bits: Vec<u64>,
     /// Total slots across all free ranges.
     free_slots: usize,
-    /// Largest bucket that might be non-empty (allocation scan bound).
+    /// Largest non-empty bucket (0 when none): the allocation scan bound.
     largest_free: usize,
     /// Hard slot cap (`usize::MAX` when unbounded).
     cap: usize,
-    /// Scratch for [`NodeArena::coalesce`], retained so defragmentation
-    /// at the capacity bound stays allocation-free in steady state.
-    coalesce_scratch: Vec<(u32, usize)>,
+    /// Scratch for [`NodeArena::coalesce`]: the ranges pushed since its
+    /// last call, sorted by start. Retained so defragmentation at the
+    /// capacity bound stays allocation-free in steady state.
+    fresh: Vec<(u32, usize)>,
+}
+
+/// One size class of the free-list.
+#[derive(Debug, Default, PartialEq)]
+struct Bucket {
+    /// Start indices of the free ranges of this length. The first `runs`
+    /// are maximal free runs left by the last [`NodeArena::coalesce`], in
+    /// ascending order; the rest were pushed since, newest last.
+    starts: Vec<u32>,
+    /// Length of the sorted prefix of `starts`.
+    runs: usize,
+}
+
+/// Set (`on`) or clear the bits of slots `lo..hi`, a word at a time.
+fn fill_bits(bits: &mut [u64], lo: usize, hi: usize, on: bool) {
+    let mut i = lo;
+    while i < hi {
+        let (word, bit) = (i / 64, i % 64);
+        let n = (64 - bit).min(hi - i);
+        let mask = (u64::MAX >> (64 - n)) << bit;
+        if on {
+            bits[word] |= mask;
+        } else {
+            bits[word] &= !mask;
+        }
+        i += n;
+    }
 }
 
 impl NodeArena {
@@ -189,10 +223,11 @@ impl NodeArena {
             lru_head: NIL,
             lru_tail: NIL,
             free: Vec::new(),
+            free_bits: Vec::new(),
             free_slots: 0,
             largest_free: 0,
             cap,
-            coalesce_scratch: Vec::new(),
+            fresh: Vec::new(),
         }
     }
 
@@ -240,14 +275,18 @@ impl NodeArena {
         // nearest larger range, splitting off the remainder.
         let upper = self.largest_free.min(self.free.len().saturating_sub(1));
         for len in count..=upper {
-            if let Some(start) = self.free[len].pop() {
-                if self.free[len].is_empty() && len == self.largest_free {
+            let bucket = &mut self.free[len];
+            if let Some(start) = bucket.starts.pop() {
+                bucket.runs = bucket.runs.min(bucket.starts.len());
+                if bucket.starts.is_empty() && len == self.largest_free {
                     // Keep the scan bound tight once the top bucket drains.
-                    while self.largest_free > 0 && self.free[self.largest_free].is_empty() {
+                    while self.largest_free > 0 && self.free[self.largest_free].starts.is_empty() {
                         self.largest_free -= 1;
                     }
                 }
                 self.free_slots -= count;
+                let lo = start as usize;
+                fill_bits(&mut self.free_bits, lo, lo + count, false);
                 if len > count {
                     // Put the tail of the range back (it stays counted in
                     // `free_slots` and keeps its `Free` state stamps).
@@ -286,54 +325,187 @@ impl NodeArena {
         if count == 0 {
             return;
         }
-        for s in &mut self.state[start as usize..(start + count) as usize] {
+        let (lo, hi) = (start as usize, (start + count) as usize);
+        for s in &mut self.state[lo..hi] {
             *s = NodeState::Free;
         }
+        if self.free_bits.len() * 64 < hi {
+            // Cover every slot the columns have room for, so the map
+            // reallocates only when they do.
+            let slots = self.parent.capacity().max(hi);
+            self.free_bits.resize(slots.div_ceil(64), 0);
+        }
+        fill_bits(&mut self.free_bits, lo, hi, true);
         self.free_slots += count as usize;
         self.push_free(start, count as usize);
     }
 
     fn push_free(&mut self, start: u32, len: usize) {
         if self.free.len() <= len {
-            self.free.resize_with(len + 1, Vec::new);
+            self.free.resize_with(len + 1, Bucket::default);
         }
-        self.free[len].push(start);
+        self.free[len].starts.push(start);
         self.largest_free = self.largest_free.max(len);
     }
 
-    /// Merge adjacent free ranges into maximal ones and rebucket them.
-    /// The free-list never coalesces on the hot path; this is the
-    /// degraded-mode defragmentation step for a capacity-bounded arena
-    /// whose fragments have all become too small for a request (cheaper
-    /// and far less destructive than pruning live subtrees). `O(free
-    /// ranges · log)`; the sort scratch is retained across calls so a
-    /// warmed steady-state session defragments without allocating.
+    /// Merge adjacent free ranges into maximal runs: afterwards every
+    /// bucket holds, in ascending order, the starts of the maximal free
+    /// runs of its length. This is the defragmentation step a
+    /// capacity-bounded arena runs before every eviction (merging
+    /// fragments is cheaper and far less destructive than pruning live
+    /// subtrees) — at the bound, before about every second expansion —
+    /// so it costs only what changed since its last call. The `k` ranges
+    /// pushed since are sorted (`O(k log k)`), each grows to its maximal
+    /// run through the free-slot bitmap (a word per 64 slots), and the
+    /// old runs a merged run swallows leave their buckets as the merged
+    /// run enters its own (a binary search and a shift each). Runs no
+    /// new range touches are not read. The scratch and buckets keep
+    /// their capacity, so a warmed steady-state session defragments
+    /// without allocating.
     pub fn coalesce(&mut self) {
-        let mut ranges = std::mem::take(&mut self.coalesce_scratch);
-        ranges.clear();
-        for (len, bucket) in self.free.iter_mut().enumerate() {
-            ranges.extend(bucket.drain(..).map(|start| (start, len)));
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        for (len, bucket) in self.free.iter_mut().enumerate().take(self.largest_free + 1) {
+            fresh.extend(bucket.starts.drain(bucket.runs..).map(|start| (start, len)));
         }
-        self.largest_free = 0;
-        ranges.sort_unstable_by_key(|&(start, _)| start);
-        let mut merged: Option<(u32, usize)> = None;
-        for &(start, len) in &ranges {
-            match &mut merged {
-                Some((mstart, mlen)) if *mstart as usize + *mlen == start as usize => {
-                    *mlen += len;
-                }
-                _ => {
-                    if let Some((mstart, mlen)) = merged.take() {
-                        self.push_free(mstart, mlen);
+        fresh.sort_unstable_by_key(|&(start, _)| start);
+        let mut next = 0;
+        while next < fresh.len() {
+            let seed = fresh[next].0 as usize;
+            let (lo, hi) = (self.run_start(seed), self.run_end(seed));
+            // Walk the run: the new ranges in it in ascending order, and
+            // between them the old runs. Old runs were maximal, so no two
+            // touch — each gap between new ranges is exactly one old run.
+            let mut at = lo;
+            while at < hi {
+                match fresh.get(next) {
+                    Some(&(start, len)) if start as usize == at => {
+                        at += len;
+                        next += 1;
                     }
-                    merged = Some((start, len));
+                    piece => {
+                        let end = piece.map_or(hi, |&(start, _)| hi.min(start as usize));
+                        self.remove_run(at as u32, end - at);
+                        at = end;
+                    }
                 }
             }
+            self.insert_run(lo as u32, hi - lo);
         }
-        if let Some((mstart, mlen)) = merged {
-            self.push_free(mstart, mlen);
+        self.fresh = fresh;
+    }
+
+    /// Whether slot `i` is on the free-list, read off the bitmap.
+    #[inline]
+    fn is_free(&self, i: usize) -> bool {
+        self.free_bits
+            .get(i / 64)
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+    }
+
+    /// First slot of the free run holding free slot `i`.
+    fn run_start(&self, mut i: usize) -> usize {
+        while i > 0 {
+            let (word, bit) = ((i - 1) / 64, (i - 1) % 64);
+            // Clear bits at or below `bit`: the highest one ends the walk.
+            let clear = !self.free_bits[word] & (u64::MAX >> (63 - bit));
+            if clear != 0 {
+                return word * 64 + 64 - clear.leading_zeros() as usize;
+            }
+            i = word * 64;
         }
-        self.coalesce_scratch = ranges;
+        0
+    }
+
+    /// One past the last slot of the free run holding free slot `i`.
+    fn run_end(&self, mut i: usize) -> usize {
+        while let Some(&w) = self.free_bits.get(i / 64) {
+            let clear = !w & (u64::MAX << (i % 64));
+            if clear != 0 {
+                return i / 64 * 64 + clear.trailing_zeros() as usize;
+            }
+            i = (i / 64 + 1) * 64;
+        }
+        i
+    }
+
+    /// Take a run the last [`NodeArena::coalesce`] left out of its bucket.
+    fn remove_run(&mut self, start: u32, len: usize) {
+        let bucket = &mut self.free[len];
+        let at = bucket.starts[..bucket.runs]
+            .binary_search(&start)
+            .expect("an old run sits in its bucket's sorted prefix");
+        bucket.starts.remove(at);
+        bucket.runs -= 1;
+    }
+
+    /// Put a merged run at its sorted place in its bucket, whose pushed
+    /// tail [`NodeArena::coalesce`] has already drained.
+    fn insert_run(&mut self, start: u32, len: usize) {
+        if self.free.len() <= len {
+            self.free.resize_with(len + 1, Bucket::default);
+        }
+        let bucket = &mut self.free[len];
+        let at = bucket.starts.partition_point(|&s| s < start);
+        bucket.starts.insert(at, start);
+        bucket.runs += 1;
+        self.largest_free = self.largest_free.max(len);
+    }
+
+    /// Assert the free-list's invariants: the listed ranges are disjoint
+    /// and inside the arena; every slot on them is [`NodeState::Free`]
+    /// with its bit set, and no other slot is either; the listed slots,
+    /// `free_slots` and the bitmap's popcount agree; each bucket's sorted
+    /// prefix ascends; and `largest_free` is the largest non-empty bucket.
+    /// Part of [`Tree::check_invariants`](crate::tree::Tree::check_invariants).
+    pub(crate) fn check_free_list(&self) {
+        let hw = self.high_water();
+        let mut listed = vec![false; hw];
+        let mut total = 0usize;
+        for (len, bucket) in self.free.iter().enumerate() {
+            assert!(
+                bucket.runs <= bucket.starts.len(),
+                "bucket {len}: sorted prefix overruns it"
+            );
+            assert!(
+                bucket.starts[..bucket.runs].windows(2).all(|w| w[0] < w[1]),
+                "bucket {len}: sorted prefix does not ascend"
+            );
+            assert!(
+                bucket.starts.is_empty() || (len > 0 && len <= self.largest_free),
+                "bucket {len}: non-empty outside 1..={}",
+                self.largest_free
+            );
+            for &start in &bucket.starts {
+                let lo = start as usize;
+                assert!(lo + len <= hw, "free range {lo}+{len} past high water {hw}");
+                for slot in &mut listed[lo..lo + len] {
+                    assert!(!*slot, "free range {lo}+{len} overlaps another");
+                    *slot = true;
+                }
+                total += len;
+            }
+        }
+        assert!(
+            self.largest_free == 0 || !self.free[self.largest_free].starts.is_empty(),
+            "largest_free {} names an empty bucket",
+            self.largest_free
+        );
+        assert_eq!(total, self.free_slots, "listed free slots vs free_slots");
+        let popcount: usize = self.free_bits.iter().map(|w| w.count_ones() as usize).sum();
+        assert_eq!(
+            popcount, self.free_slots,
+            "free bitmap popcount vs free_slots"
+        );
+        for (slot, &on) in listed.iter().enumerate() {
+            assert_eq!(self.is_free(slot), on, "slot {slot}: free bit vs free-list");
+            assert_eq!(
+                matches!(self.state[slot], NodeState::Free),
+                on,
+                "slot {slot}: state {:?} vs free-list",
+                self.state[slot]
+            );
+        }
     }
 
     /// Drop every node but keep all column and bucket capacity, so
@@ -355,8 +527,10 @@ impl NodeArena {
         self.lru_head = NIL;
         self.lru_tail = NIL;
         for bucket in &mut self.free {
-            bucket.clear();
+            bucket.starts.clear();
+            bucket.runs = 0;
         }
+        self.free_bits.clear();
         self.free_slots = 0;
         self.largest_free = 0;
     }
@@ -594,22 +768,172 @@ mod tests {
         assert_eq!(a.high_water(), 6, "no growth needed");
     }
 
+    impl NodeArena {
+        /// The sort-and-merge [`NodeArena::coalesce`] replaced, kept as its
+        /// oracle: drain every bucket, sort all free ranges by start, merge
+        /// neighbours and re-bucket the maximal runs in ascending order.
+        fn coalesce_oracle(&mut self) {
+            let mut ranges = Vec::new();
+            for (len, bucket) in self.free.iter_mut().enumerate() {
+                ranges.extend(bucket.starts.drain(..).map(|start| (start, len)));
+                bucket.runs = 0;
+            }
+            self.largest_free = 0;
+            ranges.sort_unstable_by_key(|&(start, _)| start);
+            let mut merged: Vec<(u32, usize)> = Vec::new();
+            for (start, len) in ranges {
+                match merged.last_mut() {
+                    Some((mstart, mlen)) if *mstart as usize + *mlen == start as usize => {
+                        *mlen += len;
+                    }
+                    _ => merged.push((start, len)),
+                }
+            }
+            for (start, len) in merged {
+                self.push_free(start, len);
+                self.free[len].runs += 1;
+            }
+        }
+
+        /// The non-empty buckets with their lengths.
+        fn buckets(&self) -> Vec<(usize, &Bucket)> {
+            self.free
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| !b.starts.is_empty())
+                .collect()
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Alloc(usize),
+        Free(u32, u32),
+        Coalesce,
+        Clear,
+    }
+
+    /// Two arenas fed the same calls: one coalesces incrementally, the
+    /// other with the oracle. After every call their free-lists must agree
+    /// entry for entry, and every allocation must land on the same start.
+    struct Twin {
+        fast: NodeArena,
+        oracle: NodeArena,
+    }
+
+    impl Twin {
+        fn new(cap: usize) -> Self {
+            Twin {
+                fast: NodeArena::new(0, Some(cap)),
+                oracle: NodeArena::new(0, Some(cap)),
+            }
+        }
+
+        fn apply(&mut self, op: Op) -> Option<u32> {
+            let got = match op {
+                Op::Alloc(count) => {
+                    let got = self.fast.alloc_block(count);
+                    assert_eq!(
+                        got,
+                        self.oracle.alloc_block(count),
+                        "{op:?} landed elsewhere"
+                    );
+                    got
+                }
+                Op::Free(start, count) => {
+                    self.fast.free_range(start, count);
+                    self.oracle.free_range(start, count);
+                    None
+                }
+                Op::Coalesce => {
+                    self.fast.coalesce();
+                    self.oracle.coalesce_oracle();
+                    None
+                }
+                Op::Clear => {
+                    self.fast.clear();
+                    self.oracle.clear();
+                    None
+                }
+            };
+            assert_eq!(self.fast.buckets(), self.oracle.buckets(), "after {op:?}");
+            assert_eq!(
+                self.fast.largest_free, self.oracle.largest_free,
+                "after {op:?}"
+            );
+            assert_eq!(self.fast.stats(), self.oracle.stats(), "after {op:?}");
+            self.fast.check_free_list();
+            got
+        }
+    }
+
     #[test]
     fn coalesce_merges_adjacent_fragments() {
-        let mut a = NodeArena::new(16, Some(12));
-        let b0 = a.alloc_block(4).unwrap();
-        let b1 = a.alloc_block(4).unwrap();
-        let b2 = a.alloc_block(4).unwrap();
+        let mut t = Twin::new(12);
+        for b in [0, 4, 8] {
+            assert_eq!(t.apply(Op::Alloc(4)), Some(b));
+        }
         // Free all three as separate ranges: no single bucket holds a
         // 12-slot range, and growth is blocked by the cap.
-        a.free_range(b0, 4);
-        a.free_range(b2, 4);
-        a.free_range(b1, 4);
-        assert!(a.alloc_block(12).is_none(), "fragmented: no 12-range yet");
-        a.coalesce();
-        assert_eq!(a.alloc_block(12), Some(0), "merged into one range");
-        assert_eq!(a.stats().free, 0);
-        assert_eq!(a.live(), 12);
+        for b in [0, 8, 4] {
+            t.apply(Op::Free(b, 4));
+        }
+        assert_eq!(t.apply(Op::Alloc(12)), None, "fragmented: no 12-range yet");
+        t.apply(Op::Coalesce);
+        assert_eq!(t.apply(Op::Alloc(12)), Some(0), "merged into one range");
+        assert_eq!(t.fast.stats().free, 0);
+        assert_eq!(t.fast.live(), 12);
+    }
+
+    /// Random call sequences under a cap — allocations with splits, whole,
+    /// split and two-sided frees (the shape `free_subtree_except` leaves
+    /// around a kept child), coalesces and clears — against the oracle.
+    #[test]
+    fn coalesce_matches_sort_and_merge_oracle() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..300 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut t = Twin::new(rng.gen_range(16..=256));
+            // Blocks the twins hold live, as (start, len).
+            let mut live: Vec<(u32, u32)> = Vec::new();
+            for _ in 0..2000 {
+                match rng.gen_range(0..32) {
+                    0..=11 => {
+                        let count = rng.gen_range(1..=12);
+                        if let Some(start) = t.apply(Op::Alloc(count)) {
+                            live.push((start, count as u32));
+                        }
+                    }
+                    12..=21 if !live.is_empty() => {
+                        let (start, len) = live.swap_remove(rng.gen_range(0..live.len()));
+                        match rng.gen_range(0..3) {
+                            0 => {
+                                t.apply(Op::Free(start, len));
+                            }
+                            1 => {
+                                // Two adjacent frees.
+                                let k = rng.gen_range(0..=len);
+                                t.apply(Op::Free(start, k));
+                                t.apply(Op::Free(start + k, len - k));
+                            }
+                            _ => {
+                                let keep = start + rng.gen_range(0..len);
+                                t.apply(Op::Free(start, keep - start));
+                                t.apply(Op::Free(keep + 1, start + len - keep - 1));
+                                live.push((keep, 1));
+                            }
+                        }
+                    }
+                    31 if rng.gen_bool(0.2) => {
+                        t.apply(Op::Clear);
+                        live.clear();
+                    }
+                    _ => {
+                        t.apply(Op::Coalesce);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

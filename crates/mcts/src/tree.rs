@@ -674,6 +674,9 @@ impl Tree {
                 // one serves the request; merging them is far cheaper than
                 // discarding live statistics — so coalesce before every
                 // eviction (each one creates fresh mergeable neighbors).
+                // At the bound that is about every second claim, so
+                // `coalesce` only merges the ranges freed since its last
+                // call; the runs it left stay put.
                 None if !coalesced => {
                     self.a.coalesce();
                     coalesced = true;
@@ -1193,6 +1196,8 @@ impl Tree {
     /// (free-list accounting matches), child/parent links agree, no slot
     /// on a path is free, all virtual losses are released, the intrusive
     /// LRU list is exactly a permutation of the live block-owning nodes,
+    /// the free-list is exactly the free slots (disjoint ranges, bitmap
+    /// and counts agreeing, each bucket's coalesced prefix ascending),
     /// and the visit identity holds **exactly**: for every expanded node
     /// `N == Σ N(children) + n_detached + (0|1)`, and for a detached
     /// node awaiting re-expansion `N == n_detached`. Stats-preserving
@@ -1294,6 +1299,7 @@ impl Tree {
             block_owners, list_len,
             "LRU membership: {block_owners} block owners vs {list_len} listed"
         );
+        self.a.check_free_list();
     }
 }
 

@@ -205,7 +205,8 @@ fn direct_dispatch_phase() {
 }
 
 /// A bounded arena in steady-state eviction: once the LRU list, the
-/// eviction walk stack and the coalesce scratch are warm, recycling
+/// eviction walk stack, the free-list buckets and the scratch that
+/// sorts the ranges freed since the last coalesce are warm, recycling
 /// cold subtrees to make room for hot ones is pure pointer surgery on
 /// preallocated columns — an infinite analysis session under a fixed
 /// byte budget never touches the heap again.

@@ -14,11 +14,10 @@
 //! both the real-time device simulation (rounded to `Duration`) and the
 //! discrete-event simulator in `perfmodel`.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Latency parameters of the modeled accelerator link + device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Fixed cost per batch submission (kernel launch + driver), ns.
     pub launch_ns: f64,

@@ -4,14 +4,12 @@
 //! perfect-information game with a dense action space can be plugged into the
 //! search and training pipeline.
 
-use serde::{Deserialize, Serialize};
-
 /// A move identifier. Actions are dense indices in `0..Game::action_space()`
 /// so the policy head of the network can emit one probability per action.
 pub type Action = u16;
 
 /// The side to move. Games in this crate are two-player and zero-sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Player {
     /// First player (moves first from the initial position).
     Black,
@@ -40,7 +38,7 @@ impl Player {
 }
 
 /// Terminal status of a game state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
     /// Game still in progress.
     Ongoing,

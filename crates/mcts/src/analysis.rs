@@ -5,10 +5,9 @@
 
 use crate::tree::{NodeState, Tree};
 use games::Action;
-use serde::{Deserialize, Serialize};
 
 /// Shape statistics of a search tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeShape {
     /// Total nodes allocated.
     pub nodes: usize,
@@ -28,7 +27,7 @@ pub struct TreeShape {
 /// paper's §5.5 observation that parallel workers acting on stale ("not
 /// the newest") node statistics generate different training samples than
 /// the serial baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyDivergence {
     /// KL(p ‖ q) with ε-smoothing, nats. 0 = identical distributions.
     pub kl: f64,

@@ -2,11 +2,12 @@
 //! every scheme.
 //!
 //! A [`Budget`] bounds one *run* (one `begin`…`step`…`Done` cycle) along
-//! three axes — playouts, wall-clock deadline, tree memory — replacing
-//! the ad-hoc `time_budget_ms` checks that used to be enforced unevenly
-//! per scheme. Every field is optional; `None` inherits the
-//! corresponding [`MctsConfig`] value, so `Budget::default()` means
-//! "whatever the searcher was configured with".
+//! three axes — playouts, wall-clock deadline, tree memory. Every field
+//! is optional. Playouts and bytes left `None` inherit the searcher's
+//! [`MctsConfig`]; a deadline is not inherited, because the config has
+//! none: [`Budget::time`] is the only way to give a run one, so
+//! `Budget::default()` (what one-shot `search()` runs under) means "the
+//! configured playouts and memory, no deadline".
 //!
 //! `RunGate` (crate-internal) is the per-run progress/deadline tracker
 //! the schemes share: it resolves a budget against the config once at
@@ -45,24 +46,24 @@
 //! ```
 
 use crate::config::MctsConfig;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::time::{Duration, Instant};
 
-/// Uniform per-run search budget (see module docs). Fields left `None`
-/// inherit from the scheme's [`MctsConfig`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Uniform per-run search budget (see module docs). `playouts` and
+/// `max_bytes` left `None` inherit from the scheme's [`MctsConfig`];
+/// `time` left `None` means no deadline.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Budget {
     /// Maximum completed playouts for the run (`None` ⇒
     /// [`MctsConfig::playouts`]). Always an upper bound, even when a
     /// deadline is also set.
     pub playouts: Option<u64>,
     /// Wall-clock budget for the run, measured from
-    /// [`SearchScheme::begin`](crate::SearchScheme::begin) (`None` ⇒
-    /// [`MctsConfig::time_budget_ms`]). Enforced by every scheme: no new
-    /// playout (shared tree: rollout ticket; local tree: issued leaf)
-    /// starts after the deadline, and the run reports
-    /// [`StepOutcome::Done`] once in-flight work has drained.
+    /// [`SearchScheme::begin`](crate::SearchScheme::begin) (`None` ⇒ no
+    /// deadline; a duration no clock can reach counts as none). Enforced
+    /// by every scheme: no new playout (shared tree: rollout ticket;
+    /// local tree: issued leaf) starts after the deadline, and the run
+    /// reports [`StepOutcome::Done`] once in-flight work has drained.
     pub time: Option<Duration>,
     /// Hard tree-memory bound in bytes for the run's tree (`None` ⇒
     /// [`MctsConfig::arena_budget_bytes`]; turned into slots by
@@ -82,19 +83,14 @@ impl Budget {
         }
     }
 
-    /// A budget bounding only wall-clock time (playouts stay capped by
-    /// the config — the paper's iteration budget remains an upper bound).
+    /// A budget bounding only wall-clock time. Playouts and bytes stay
+    /// those of the config (the paper's iteration budget remains an
+    /// upper bound).
     pub fn time(d: Duration) -> Self {
         Budget {
             time: Some(d),
             ..Default::default()
         }
-    }
-
-    /// Builder-style playout bound.
-    pub fn with_playouts(mut self, n: u64) -> Self {
-        self.playouts = Some(n);
-        self
     }
 
     /// Builder-style deadline.
@@ -110,15 +106,13 @@ impl Budget {
     }
 
     /// The effective per-run configuration: the scheme's config with this
-    /// budget's overrides folded in. Schemes build their run's tree from
-    /// the returned config so arena sizing and eviction see the budget.
+    /// budget's playout and byte overrides folded in (the deadline lives
+    /// in the run's `RunGate`). Schemes build their run's tree from the
+    /// returned config so arena sizing and eviction see the budget.
     pub fn apply_to(&self, cfg: &MctsConfig) -> MctsConfig {
         let mut out = *cfg;
         if let Some(p) = self.playouts {
             out.playouts = usize::try_from(p).unwrap_or(usize::MAX).max(1);
-        }
-        if let Some(t) = self.time {
-            out.time_budget_ms = Some((t.as_millis() as u64).max(1));
         }
         if let Some(b) = self.max_bytes {
             out.arena_budget_bytes = Some(b);
@@ -171,13 +165,10 @@ impl RunGate {
         } else {
             budget.playouts.unwrap_or(cfg.playouts as u64)
         };
-        let time = budget
-            .time
-            .or_else(|| cfg.time_budget_ms.map(Duration::from_millis));
         RunGate {
             target,
             done: 0,
-            deadline: time.map(|t| Instant::now() + t),
+            deadline: budget.time.and_then(|t| Instant::now().checked_add(t)),
             active_ns: 0,
             steps: 0,
         }
@@ -299,12 +290,11 @@ mod tests {
     fn default_budget_inherits_config() {
         let cfg = MctsConfig {
             playouts: 77,
-            time_budget_ms: Some(5),
             ..Default::default()
         };
         let gate = RunGate::new(&cfg, &Budget::default(), false);
         assert_eq!(gate.target(), 77);
-        assert!(gate.deadline().is_some());
+        assert!(gate.deadline().is_none(), "no deadline is inherited");
         assert!(!gate.exhausted());
     }
 
@@ -315,9 +305,9 @@ mod tests {
         let gate = RunGate::new(&cfg, &b, false);
         assert_eq!(gate.target(), 3);
         assert_eq!(gate.remaining(), 3);
+        assert!(gate.deadline().is_some());
         let run_cfg = b.with_max_bytes(1 << 20).apply_to(&cfg);
         assert_eq!(run_cfg.playouts, 3);
-        assert_eq!(run_cfg.time_budget_ms, Some(10_000));
         assert_eq!(run_cfg.arena_budget_bytes, Some(1 << 20));
         assert!(run_cfg.node_budget().unwrap() > 0);
     }

@@ -8,9 +8,14 @@
 //! and call [`SearchScheme::search`] as usual.
 //!
 //! The schemes' direct constructors differ in shape (devices for the
-//! local scheme, a second model for speculation, statefulness for
-//! reuse). The builder folds all of that behind a fluent API so sweeps
-//! over [`Scheme::ALL`] stay one-liners:
+//! local scheme, statefulness for reuse). The builder folds those behind
+//! a fluent API so sweeps over [`Scheme::ALL`] stay one-liners. The
+//! speculative scheme's second, cheap model is not a builder input: the
+//! builder gives it uniform priors, and a custom one goes through
+//! [`SpeculativeSearch::new`]. Hyper-parameters without a setter of
+//! their own (`c_puct`, `virtual_loss`, `lock_kind`, …) go in through
+//! [`SearchBuilder::config`]; a deadline goes in per run, through
+//! [`Budget::time`](crate::Budget::time) at [`SearchScheme::begin`].
 //!
 //! ```
 //! use games::tictactoe::TicTacToe;
@@ -28,12 +33,10 @@
 //! }
 //! ```
 
-use crate::budget::Budget;
-use crate::config::{LockKind, MctsConfig, VirtualLoss};
+use crate::config::MctsConfig;
 use crate::evaluator::{AccelEvaluator, BatchEvaluator, UniformEvaluator};
 use crate::leaf_parallel::LeafParallelSearch;
 use crate::local::LocalTreeSearch;
-use crate::noise::RootNoise;
 use crate::result::SearchScheme;
 use crate::reuse::ReusableSearch;
 use crate::root_parallel::RootParallelSearch;
@@ -41,11 +44,10 @@ use crate::shared::SharedTreeSearch;
 use crate::speculative::SpeculativeSearch;
 use accel::Device;
 use games::Game;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which parallel implementation to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Single-thread baseline.
     Serial,
@@ -121,8 +123,6 @@ pub struct SearchBuilder {
     scheme: Scheme,
     cfg: MctsConfig,
     eval: Option<EvalSource>,
-    spec: Option<Arc<dyn BatchEvaluator>>,
-    commit_batch: Option<usize>,
     reuse: bool,
 }
 
@@ -134,8 +134,6 @@ impl SearchBuilder {
             scheme,
             cfg: MctsConfig::default(),
             eval: None,
-            spec: None,
-            commit_batch: None,
             reuse: false,
         }
     }
@@ -155,49 +153,6 @@ impl SearchBuilder {
     /// Parallel workers `N`.
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
-        self
-    }
-
-    /// UCT exploration constant.
-    pub fn c_puct(mut self, c: f32) -> Self {
-        self.cfg.c_puct = c;
-        self
-    }
-
-    /// Virtual-loss policy.
-    pub fn virtual_loss(mut self, vl: VirtualLoss) -> Self {
-        self.cfg.virtual_loss = vl;
-        self
-    }
-
-    /// Shared-tree locking discipline.
-    pub fn lock_kind(mut self, lock: LockKind) -> Self {
-        self.cfg.lock_kind = lock;
-        self
-    }
-
-    /// AlphaZero-style Dirichlet root noise for self-play.
-    pub fn root_noise(mut self, noise: RootNoise) -> Self {
-        self.cfg.root_noise = Some(noise);
-        self
-    }
-
-    /// Wall-clock budget per move, enforced by **every** scheme: no new
-    /// playout (shared tree: rollout ticket; local tree: issued leaf)
-    /// starts after the deadline and the search returns promptly;
-    /// `playouts` remains an upper bound.
-    pub fn time_budget_ms(mut self, ms: u64) -> Self {
-        self.cfg.time_budget_ms = Some(ms);
-        self
-    }
-
-    /// Fold a unified [`Budget`] into the configuration: `playouts`,
-    /// `time` and `max_bytes` map onto the corresponding
-    /// [`MctsConfig`] fields (fields left `None` keep their current
-    /// values). The same `Budget` type can also be passed per run via
-    /// [`SearchScheme::begin`].
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.cfg = budget.apply_to(&self.cfg);
         self
     }
 
@@ -223,25 +178,6 @@ impl SearchBuilder {
         self
     }
 
-    /// Cheap model for the speculative scheme (defaults to uniform
-    /// priors when unset).
-    pub fn speculative_model(mut self, spec: Arc<dyn BatchEvaluator>) -> Self {
-        self.spec = Some(spec);
-        self
-    }
-
-    /// Corrections per main-model batch in the speculative scheme
-    /// (defaults to `workers`).
-    pub fn commit_batch(mut self, batch: usize) -> Self {
-        self.commit_batch = Some(batch);
-        self
-    }
-
-    /// The hyper-parameters as currently configured.
-    pub fn current_config(&self) -> &MctsConfig {
-        &self.cfg
-    }
-
     /// Instantiate the configured scheme for game type `G`.
     ///
     /// # Panics
@@ -253,13 +189,6 @@ impl SearchBuilder {
         assert!(
             !self.reuse || self.scheme == Scheme::Serial,
             "tree reuse requires the serial scheme (got {})",
-            self.scheme
-        );
-        // Scheme-specific knobs are rejected, not silently dropped.
-        assert!(
-            (self.spec.is_none() && self.commit_batch.is_none())
-                || self.scheme == Scheme::Speculative,
-            "speculative_model/commit_batch apply only to the speculative scheme (got {})",
             self.scheme
         );
         let source = self
@@ -286,40 +215,13 @@ impl SearchBuilder {
             Scheme::LeafParallel => Box::new(LeafParallelSearch::new(cfg, eval)),
             Scheme::RootParallel => Box::new(RootParallelSearch::new(cfg, eval)),
             Scheme::Speculative => {
-                let spec = self.spec.unwrap_or_else(|| {
-                    Arc::new(UniformEvaluator::new(eval.input_len(), eval.action_space()))
-                });
+                let spec = Arc::new(UniformEvaluator::new(eval.input_len(), eval.action_space()));
                 // Commit corrections in worker-sized batches, mirroring
                 // the pipeline depth a real speculative system would use.
-                let commit = self.commit_batch.unwrap_or_else(|| cfg.workers.max(1));
-                Box::new(SpeculativeSearch::new(cfg, eval, spec, commit))
+                Box::new(SpeculativeSearch::new(cfg, eval, spec, cfg.workers))
             }
             Scheme::LocalTree => unreachable!("handled above"),
         }
-    }
-
-    /// Like [`SearchBuilder::build`], but returns the concrete reusable
-    /// searcher so callers can query `inherited_nodes`/`retained_nodes`.
-    pub fn build_reusable(self) -> ReusableSearch {
-        let cfg = self.cfg;
-        cfg.validate();
-        assert_eq!(
-            self.scheme,
-            Scheme::Serial,
-            "tree reuse requires the serial scheme"
-        );
-        assert!(
-            self.spec.is_none() && self.commit_batch.is_none(),
-            "speculative knobs do not apply to a reusable serial searcher"
-        );
-        let eval: Arc<dyn BatchEvaluator> = match self
-            .eval
-            .expect("SearchBuilder needs an evaluator or device")
-        {
-            EvalSource::Batch(e) => e,
-            EvalSource::Device(d) => Arc::new(AccelEvaluator::new(d)),
-        };
-        ReusableSearch::new(cfg, eval)
     }
 }
 
@@ -372,21 +274,20 @@ mod tests {
     }
 
     #[test]
-    fn knobs_reach_the_config() {
-        let b = SearchBuilder::new(Scheme::SharedTree)
+    fn playouts_and_workers_reach_the_built_search() {
+        let mut s = SearchBuilder::new(Scheme::Serial)
             .playouts(123)
+            .evaluator(uniform())
+            .build::<TicTacToe>();
+        assert_eq!(s.search(&TicTacToe::new()).stats.playouts, 123);
+        // Root parallelization gives every worker at least one playout,
+        // so 3 requested over 7 workers runs 7.
+        let mut s = SearchBuilder::new(Scheme::RootParallel)
+            .playouts(3)
             .workers(7)
-            .c_puct(2.5)
-            .virtual_loss(VirtualLoss::VisitTracking)
-            .lock_kind(LockKind::Atomic)
-            .time_budget_ms(250);
-        let cfg = b.current_config();
-        assert_eq!(cfg.playouts, 123);
-        assert_eq!(cfg.workers, 7);
-        assert_eq!(cfg.c_puct, 2.5);
-        assert_eq!(cfg.virtual_loss, VirtualLoss::VisitTracking);
-        assert_eq!(cfg.lock_kind, LockKind::Atomic);
-        assert_eq!(cfg.time_budget_ms, Some(250));
+            .evaluator(uniform())
+            .build::<TicTacToe>();
+        assert_eq!(s.search(&TicTacToe::new()).stats.playouts, 7);
     }
 
     #[test]
@@ -404,15 +305,6 @@ mod tests {
         let r2 = s.search(&g);
         assert_eq!(r2.stats.playouts, 60);
         assert_eq!(s.name(), "serial+reuse");
-    }
-
-    #[test]
-    #[should_panic(expected = "speculative scheme")]
-    fn speculative_knobs_rejected_off_speculative() {
-        let _ = SearchBuilder::new(Scheme::LocalTree)
-            .evaluator(uniform())
-            .commit_batch(4)
-            .build::<TicTacToe>();
     }
 
     #[test]

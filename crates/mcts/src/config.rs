@@ -1,11 +1,9 @@
 //! Search hyper-parameters shared by every scheme.
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual-loss policy applied to edges traversed by in-flight playouts
 /// (§2.1: VL can be "a pre-defined constant value \[2\], or a number tracking
 /// visit counts of child nodes \[8\]").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VirtualLoss {
     /// Chaslot-style: an in-flight playout counts as a visit that lost by
     /// `c` (subtract `c` from `W`, add 1 to `N` while in flight).
@@ -22,7 +20,7 @@ impl Default for VirtualLoss {
 }
 
 /// Locking discipline for shared-tree edge statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LockKind {
     /// Per-node mutex around statistic updates (the paper's design, after
     /// Chaslot et al.).
@@ -34,7 +32,7 @@ pub enum LockKind {
 }
 
 /// Hyper-parameters for one tree-based search ("move").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MctsConfig {
     /// Exploration constant `c` in the UCT score (Eq. 1).
     pub c_puct: f32,
@@ -69,14 +67,6 @@ pub struct MctsConfig {
     /// AlphaZero-style Dirichlet noise mixed into the root priors during
     /// self-play (None ⇒ deterministic evaluation-time search).
     pub root_noise: Option<crate::noise::RootNoise>,
-    /// Optional wall-clock budget per move in milliseconds, enforced
-    /// uniformly by **every** scheme (resolved into a deadline when a run
-    /// begins): serial-family searchers stop between playouts, shared-tree
-    /// workers stop taking rollout tickets, and the local-tree master
-    /// stops issuing leaves, draining what is in flight. `playouts`
-    /// remains an upper bound. Per-run overrides go through
-    /// [`crate::Budget::time`].
-    pub time_budget_ms: Option<u64>,
     /// Maintain a per-tree transposition index (position hash → node) so
     /// identical states reached by different move orders reuse already
     /// computed priors/values at expansion instead of paying another
@@ -104,7 +94,6 @@ impl Default for MctsConfig {
             q_init: 0.0,
             arena_budget_bytes: None,
             root_noise: None,
-            time_budget_ms: None,
             transpositions: false,
         }
     }
@@ -155,9 +144,6 @@ impl MctsConfig {
         if let Some(n) = self.root_noise {
             assert!(n.alpha > 0.0, "dirichlet alpha must be positive");
             assert!((0.0..=1.0).contains(&n.epsilon), "noise epsilon in [0,1]");
-        }
-        if let Some(ms) = self.time_budget_ms {
-            assert!(ms > 0, "time budget must be positive");
         }
         if let Some(b) = self.arena_budget_bytes {
             assert!(

@@ -73,9 +73,8 @@ impl LocalTreeSearch {
         Self::with_client(cfg, EvalClient::for_device(device, cap))
     }
 
-    /// Build over an explicit client (tests, custom backends).
-    pub fn with_client(cfg: MctsConfig, client: EvalClient) -> Self {
-        cfg.validate();
+    /// Build over an explicit client (`cfg` validated by the caller).
+    fn with_client(cfg: MctsConfig, client: EvalClient) -> Self {
         LocalTreeSearch {
             cfg,
             client,

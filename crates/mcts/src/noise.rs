@@ -8,7 +8,6 @@
 //! (Marsaglia–Tsang) since no distribution crate is available offline.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide nonce so each move's root expansion draws fresh noise
@@ -21,7 +20,7 @@ pub(crate) fn next_nonce() -> u64 {
 }
 
 /// Root-noise hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RootNoise {
     /// Dirichlet concentration α (AlphaZero used 0.03 for Go, ~0.3 for
     /// chess-scale action spaces; Gomoku implementations commonly use 0.3).

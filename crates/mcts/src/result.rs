@@ -2,7 +2,6 @@
 
 use crate::budget::{Budget, StepOutcome};
 use games::Action;
-use serde::{Deserialize, Serialize};
 
 /// Timing/accounting breakdown of one search call. Times are wall-clock
 /// nanoseconds accumulated inside the scheme; parallel schemes report the
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// takes `eval_ns` from its inference workers; the shared tree times
 /// evaluation per worker and splits the rest of its workers' time 2 : 1
 /// between selection and backup.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
     /// Playouts completed (== requested playouts on success).
     pub playouts: u64,
@@ -89,7 +88,7 @@ impl SearchStats {
 }
 
 /// The outcome of one tree-based search ("one move", Algorithms 2/3).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchResult {
     /// Normalized root visit distribution over the full action space
     /// ("action_prior ← normalized root's children list wrt visit count").
@@ -201,8 +200,9 @@ impl SearchResult {
 ///   (reuse scheme) stays consistent and a subsequent `begin`/`advance`
 ///   behaves as if the cancelled run had been a shorter search.
 pub trait SearchScheme<G: games::Game>: Send {
-    /// Open a resumable run from `root` under `budget` (fields left
-    /// `None` inherit the scheme's config). Any active run is cancelled.
+    /// Open a resumable run from `root` under `budget` (playouts and
+    /// bytes left `None` inherit the scheme's config; `time` left `None`
+    /// means no deadline). Any active run is cancelled.
     fn begin(&mut self, root: &G, budget: Budget);
 
     /// Advance the active run by roughly `quota` completed playouts.

@@ -639,11 +639,12 @@ mod tests {
         );
         let mut s = SearchBuilder::new(Scheme::Serial)
             .playouts(10_000)
-            .time_budget_ms(20)
             .evaluator(Arc::new(slow))
             .build::<TicTacToe>();
         let t0 = std::time::Instant::now();
-        let r = s.search(&TicTacToe::new());
+        s.begin(&TicTacToe::new(), Budget::time(Duration::from_millis(20)));
+        while s.step(usize::MAX) == StepOutcome::Running {}
+        let r = s.partial_result();
         assert!(
             r.stats.playouts < 10_000,
             "budget must cut the search short"

@@ -1,14 +1,13 @@
 //! The wall-clock budget is enforced consistently by **all six**
 //! schemes: with a slow evaluator and a 1 ms budget, every scheme must
-//! terminate promptly with far fewer playouts than requested — whether
-//! the budget arrives via `MctsConfig::time_budget_ms`, the
-//! `SearchBuilder::budget` knob, or a per-run `Budget` at `begin`.
+//! terminate promptly with far fewer playouts than requested. A deadline
+//! reaches a search one way, a per-run `Budget::time` at `begin`, and a
+//! duration no clock can reach means no deadline at all.
 
 use games::tictactoe::TicTacToe;
 use mcts::evaluator::DelayedEvaluator;
 use mcts::{
-    BatchEvaluator, Budget, MctsConfig, NodeArena, Scheme, SearchBuilder, StepOutcome,
-    UniformEvaluator,
+    BatchEvaluator, Budget, NodeArena, Scheme, SearchBuilder, StepOutcome, UniformEvaluator,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,33 +19,6 @@ fn slow_eval() -> Arc<dyn BatchEvaluator> {
         UniformEvaluator::for_game(&TicTacToe::new()),
         Duration::from_millis(2),
     ))
-}
-
-#[test]
-fn one_ms_config_budget_terminates_every_scheme_promptly() {
-    for scheme in Scheme::ALL {
-        let mut s = SearchBuilder::new(scheme)
-            .config(MctsConfig {
-                playouts: HUGE,
-                workers: 2,
-                time_budget_ms: Some(1),
-                ..Default::default()
-            })
-            .evaluator(slow_eval())
-            .build::<TicTacToe>();
-        let t0 = Instant::now();
-        let r = s.search(&TicTacToe::new());
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "{scheme}: took {elapsed:?} on a 1 ms budget"
-        );
-        assert!(
-            r.stats.playouts < HUGE as u64 / 2,
-            "{scheme}: {} playouts ignored the budget",
-            r.stats.playouts
-        );
-    }
 }
 
 #[test]
@@ -71,16 +43,23 @@ fn per_run_time_budget_via_begin() {
 }
 
 #[test]
-fn builder_budget_knob_reaches_the_config() {
-    let b = SearchBuilder::new(Scheme::Serial).budget(
-        Budget::playouts(77)
-            .with_time(Duration::from_millis(9))
-            .with_max_bytes(1234 * NodeArena::slot_bytes()),
-    );
-    let cfg = b.current_config();
-    assert_eq!(cfg.playouts, 77);
-    assert_eq!(cfg.time_budget_ms, Some(9));
-    assert_eq!(cfg.node_budget(), Some(1234));
+fn unreachable_deadline_is_no_deadline() {
+    for scheme in Scheme::ALL {
+        let mut s = SearchBuilder::new(scheme)
+            .playouts(64)
+            .workers(2)
+            .evaluator(Arc::new(UniformEvaluator::for_game(&TicTacToe::new())))
+            .build::<TicTacToe>();
+        s.begin(&TicTacToe::new(), Budget::time(Duration::MAX));
+        while s.step(usize::MAX) == StepOutcome::Running {}
+        let r = s.partial_result();
+        s.cancel();
+        assert!(
+            r.stats.playouts >= 64,
+            "{scheme}: {} playouts",
+            r.stats.playouts
+        );
+    }
 }
 
 #[test]

@@ -13,13 +13,12 @@
 
 use crate::norm::BatchNorm2d;
 use crate::residual::ResidualBlock;
-use serde::{Deserialize, Serialize};
 use tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
 use tensor::ops::{gemm, gemm_ep, Epilogue};
 use tensor::{Tensor, Workspace};
 
 /// A 2-D convolution layer with bias.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     /// `[out_c, in_c, kh, kw]`
     pub weight: Tensor,
@@ -122,7 +121,7 @@ impl Conv2d {
 }
 
 /// A fully-connected layer: `y = x·Wᵀ + b`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     /// `[out, in]`
     pub weight: Tensor,
@@ -232,7 +231,7 @@ impl Linear {
 }
 
 /// Closed set of layer types used by the policy-value network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum LayerKind {
     Conv2d(Conv2d),
     Linear(Linear),

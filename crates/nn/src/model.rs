@@ -11,7 +11,6 @@ use crate::layer::{
 use crate::loss::{alphazero_loss_backward, LossParts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tensor::{Tensor, Workspace};
 
 /// What differs between two policy-value nets: the input shape, the
@@ -31,7 +30,7 @@ pub trait Architecture: Copy + std::fmt::Debug + Send + Sync + 'static {
 
 /// Architecture hyper-parameters of the paper's 5-conv / 3-FC net.
 /// Defaults follow the paper's Gomoku setup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Input channels (encoding planes).
     pub in_c: usize,

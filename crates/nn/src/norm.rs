@@ -16,11 +16,10 @@
 //! activations (the same recompute-over-store tradeoff the residual block
 //! makes).
 
-use serde::{Deserialize, Serialize};
 use tensor::Tensor;
 
 /// Per-channel batch normalization over `[b, c, h, w]` tensors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     /// Learned scale `γ`, `[c]`.
     pub gamma: Tensor,

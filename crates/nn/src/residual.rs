@@ -13,12 +13,11 @@
 
 use crate::layer::Conv2d;
 use crate::norm::BatchNorm2d;
-use serde::{Deserialize, Serialize};
 use tensor::{Tensor, Workspace};
 
 /// Two 3×3 convolutions with batch norm and an identity skip connection.
 /// Input and output are both `[b, c, h, w]` (channel-preserving).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResidualBlock {
     pub conv1: Conv2d,
     pub bn1: BatchNorm2d,

@@ -15,10 +15,9 @@ use crate::model::{Architecture, PolicyValueNet};
 use crate::norm::BatchNorm2d;
 use crate::residual::ResidualBlock;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Residual-tower hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResNetConfig {
     /// Input channels (encoding planes).
     pub in_c: usize,

@@ -3,10 +3,8 @@
 //! AlphaZero-style training anneals the learning rate over the run; the
 //! pipeline applies one of these schedules between episodes.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule mapping a step index to a rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
     /// Constant rate.
     Constant(f32),

@@ -13,10 +13,9 @@ use crate::vsearch;
 use accel::LatencyModel;
 use mcts::Scheme;
 use nn::PolicyValueNet;
-use serde::{Deserialize, Serialize};
 
 /// The workflow's output: what to build and what the models predicted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignChoice {
     /// Selected parallel scheme.
     pub scheme: Scheme,

@@ -7,10 +7,9 @@
 
 use accel::LatencyModel;
 use mcts::Scheme;
-use serde::{Deserialize, Serialize};
 
 /// Profiled quantities feeding the models (all nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfParams {
     /// Workers `N`.
     pub workers: usize,
@@ -53,7 +52,7 @@ impl PerfParams {
 }
 
 /// Target platform for the model evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Platform {
     /// Everything on the multi-core CPU.
     CpuOnly,

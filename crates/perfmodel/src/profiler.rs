@@ -19,13 +19,12 @@ use games::synthetic::SyntheticGame;
 use mcts::{Scheme, SearchBuilder, UniformEvaluator};
 use nn::PolicyValueNet;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 use tensor::Workspace;
 
 /// Profiled in-tree and inference costs (nanoseconds, amortized).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfiledCosts {
     /// Per-iteration Node Selection latency.
     pub t_select_ns: f64,

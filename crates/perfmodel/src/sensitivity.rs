@@ -11,12 +11,11 @@
 
 use crate::model::{choose_scheme, PerfParams, Platform};
 use mcts::Scheme;
-use serde::{Deserialize, Serialize};
 
 /// Which model input a sweep varies. All sweeps are *multiplicative*: the
 /// swept value is `base × factor`, so factors are dimensionless and a
 /// factor of 1.0 reproduces the base configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepParam {
     /// Single-thread CPU inference latency `T^CPU_DNN`.
     DnnCpu,
@@ -70,7 +69,7 @@ impl SweepParam {
 }
 
 /// One point of a sensitivity sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// The scale factor applied to the swept parameter.
     pub factor: f64,

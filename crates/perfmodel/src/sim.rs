@@ -25,11 +25,10 @@
 //!   `t_in_tree(B) = t_in_tree / (1 + in_tree_shrink_per_batch · B)`.
 
 use accel::LatencyModel;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Hardware/algorithm parameters for a simulated move.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// Parallel workers `N`.
     pub workers: usize,
@@ -98,7 +97,7 @@ impl SimParams {
 }
 
 /// Outcome of a simulated move.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOutcome {
     /// Total virtual time of the move, ns.
     pub move_ns: f64,

@@ -234,8 +234,9 @@ pub struct SearchRequest<G: Game> {
     pub scheme: Scheme,
     /// Hyper-parameters for the session.
     pub config: MctsConfig,
-    /// Playout/deadline/memory budget (fields left `None` inherit from
-    /// `config`). The deadline clock starts at submission.
+    /// Playout/deadline/memory budget. `playouts` and `max_bytes` left
+    /// `None` inherit from `config`; `time` is the session's only
+    /// deadline (`None` ⇒ none), and its clock starts at submission.
     pub budget: Budget,
     /// Scheduling priority.
     pub priority: Priority,

@@ -388,7 +388,7 @@ impl SearchService {
         req: SearchRequest<G>,
     ) -> SearchTicket {
         // Resolved once: the pooled searcher is re-bounded to this config,
-        // a built scheme starts from it, cost and deadline are read off it.
+        // a built scheme starts from it, cost is read off it.
         let cfg = run_config(&req.budget, &req.config, self.inner.cfg.session_arena_bytes);
         // `begin` folds its budget into the config again: the memory
         // bound is in `cfg` already, clamped, and must not be widened.
@@ -417,9 +417,7 @@ impl SearchService {
             )
         };
         let session = TypedSession::begin(engine, &req.root, budget);
-        let deadline = cfg
-            .time_budget_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        let deadline = req.budget.time.and_then(|t| Instant::now().checked_add(t));
         let shared = Arc::new(SessionShared::new(
             self.inner.next_id.fetch_add(1, Ordering::Relaxed),
         ));
@@ -557,7 +555,34 @@ impl Drop for SearchService {
 mod tests {
     use super::*;
     use games::tictactoe::TicTacToe;
-    use mcts::{MctsConfig, UniformEvaluator};
+    use mcts::{EvalOutput, MctsConfig, UniformEvaluator};
+
+    /// Uniform priors behind a gate: every call waits until `open`.
+    struct Gated {
+        uniform: UniformEvaluator,
+        entered: AtomicBool,
+        open: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl BatchEvaluator for Gated {
+        fn input_len(&self) -> usize {
+            self.uniform.input_len()
+        }
+
+        fn action_space(&self) -> usize {
+            self.uniform.action_space()
+        }
+
+        fn evaluate_batch(&self, inputs: &[&[f32]], out: &mut [EvalOutput]) {
+            self.entered.store(true, Ordering::SeqCst);
+            let mut open = self.open.lock();
+            while !*open {
+                open = self.cv.wait(open);
+            }
+            self.uniform.evaluate_batch(inputs, out);
+        }
+    }
 
     #[test]
     fn a_finished_sessions_searcher_is_pooled_before_its_result_shows() {
@@ -577,5 +602,53 @@ mod tests {
                 .wait();
             assert_eq!(s.inner.pool.lock().len(), 1, "request {i}");
         }
+    }
+
+    #[test]
+    fn a_queued_sessions_deadline_is_its_exact_time_budget() {
+        let s = SearchService::new(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let gated = Arc::new(Gated {
+            uniform: UniformEvaluator::for_game(&TicTacToe::new()),
+            entered: AtomicBool::new(false),
+            open: Mutex::new(false),
+            cv: Condvar::new(),
+        });
+        let cfg = MctsConfig {
+            playouts: 8,
+            ..Default::default()
+        };
+        // The one worker parks inside the gate, so the next session stays
+        // queued where its deadline can be read.
+        let parked = s.submit(SearchRequest::new(TicTacToe::new(), gated.clone()).config(cfg));
+        while !gated.entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let time = Duration::from_micros(1_900);
+        let before = Instant::now();
+        let eval: Arc<dyn BatchEvaluator> = Arc::new(UniformEvaluator::for_game(&TicTacToe::new()));
+        let timed = s.submit(
+            SearchRequest::new(TicTacToe::new(), eval)
+                .config(cfg)
+                .budget(Budget::time(time)),
+        );
+        let queued = s.inner.queue.lock().drain();
+        let deadlines: Vec<_> = queued.iter().map(|e| e.deadline).collect();
+        for entry in queued {
+            s.inner.queue.lock().enqueue_new(entry);
+        }
+        *gated.open.lock() = true;
+        gated.cv.notify_all();
+        parked.wait();
+        timed.wait();
+        assert_eq!(deadlines.len(), 1, "only the timed session is queued");
+        let deadline = deadlines[0].expect("a timed session has a deadline");
+        assert!(
+            deadline >= before + time,
+            "deadline {:?} after submit, budget {time:?}",
+            deadline.saturating_duration_since(before)
+        );
     }
 }

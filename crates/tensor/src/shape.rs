@@ -1,7 +1,5 @@
 //! Tensor shapes and row-major stride arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum supported tensor rank.
 pub const MAX_RANK: usize = 6;
 
@@ -11,7 +9,7 @@ pub const MAX_RANK: usize = 6;
 /// extents are stored **inline** in a fixed array — constructing a shape
 /// (and therefore wrapping a buffer in a `Tensor`) performs no heap
 /// allocation, which the zero-alloc inference workspace relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [usize; MAX_RANK],
     rank: u8,

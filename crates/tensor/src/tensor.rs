@@ -2,10 +2,9 @@
 
 use crate::ops;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 
 /// A dense, contiguous, row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,

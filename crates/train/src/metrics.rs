@@ -1,11 +1,10 @@
 //! Loss-over-time and throughput instrumentation (Figures 6 and 7).
 
 use nn::LossParts;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One point on the loss curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossPoint {
     /// Wall-clock seconds since recording started.
     pub t_sec: f64,

@@ -1,11 +1,10 @@
 //! The self-play dataset: a bounded ring buffer of training samples.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tensor::Tensor;
 
 /// One training datapoint `(s_t, π_t, z_t)` (paper §2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Encoded state planes (flattened `[c, h, w]`).
     pub state: Vec<f32>,

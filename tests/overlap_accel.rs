@@ -65,28 +65,3 @@ fn staleness_accounting_is_bounded_by_episodes() {
         report.stale_searches
     );
 }
-
-#[test]
-fn time_budgeted_search_inside_episode() {
-    // A wall-clock move budget composes with the pipeline: episodes finish
-    // and samples are produced even with a tiny budget.
-    use mcts::ReusableSearch;
-    use train::play_episode;
-    let game = TicTacToe::new();
-    let cfg = MctsConfig {
-        playouts: 100_000, // absurd budget; the clock must cut it
-        time_budget_ms: Some(5),
-        ..Default::default()
-    };
-    let mut s = ReusableSearch::one_shot(cfg, Arc::new(UniformEvaluator::for_game(&game)));
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
-    let t0 = std::time::Instant::now();
-    let out = play_episode(&game, &mut s, 2, 20, &mut rng);
-    assert!(out.status.is_terminal());
-    assert!(
-        t0.elapsed() < std::time::Duration::from_secs(30),
-        "budget must bound the episode"
-    );
-    // Each move ran at most 5 ms of playouts — far fewer than 100k.
-    assert!(out.search_stats.playouts < 100_000 * out.moves as u64);
-}

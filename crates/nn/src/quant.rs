@@ -14,6 +14,12 @@
 //! step, no accumulated inter-layer quantization state, and row `r` of a
 //! batched forward equals the forward of sample `r` alone, bit for bit.
 //!
+//! The policy and value heads each open with a 1×1 conv on the trunk
+//! output; the snapshot stacks the two into one conv, so the trunk output
+//! is quantized and gathered once, and splits its output per sample into
+//! the two heads' linear inputs. Quantization is per row and per sample,
+//! so the merged conv's outputs are the two separate convs', bit for bit.
+//!
 //! The accuracy contract (pinned by the parity tests): per-layer weight
 //! round-off is bounded by half the per-channel scale, activation round-off
 //! by half the per-sample scale; through the 5-conv/3-linear nets this yields
@@ -22,11 +28,12 @@
 //! reference checks) keeps using the float paths.
 //!
 //! Only the inference-relevant layer kinds are supported (conv, linear,
-//! fused ReLU, flatten, tanh, identity batch norms). Snapshotting a net
-//! with residual blocks or unfolded norms returns `None` and callers fall
-//! back to the f32 snapshot.
+//! fused ReLU, flatten, tanh, identity batch norms), and each head must
+//! open with a 1×1 conv, its ReLU and a flatten. Snapshotting a net with
+//! residual blocks, unfolded norms or other heads returns `None` and
+//! callers fall back to the f32 snapshot.
 
-use crate::layer::LayerKind;
+use crate::layer::{Conv2d, LayerKind};
 use crate::model::write_predictions;
 use tensor::conv::Conv2dSpec;
 use tensor::quant::{qconv2d, qlinear, QuantizedWeights};
@@ -123,25 +130,68 @@ fn quantize_stack(layers: &[LayerKind]) -> Option<Vec<QLayer>> {
 pub struct QuantPolicyValueNet {
     actions: usize,
     trunk: Vec<QLayer>,
+    /// Both heads' 1×1 convs (each with its fused ReLU) as one conv: the
+    /// policy head's `policy_c` rows, then the value head's. Both read the
+    /// trunk output, so it is quantized and gathered once, and every row
+    /// keeps its own weights, scale and bias.
+    heads: QLayer,
+    policy_c: usize,
+    /// The policy head after its conv, ReLU and flatten.
     policy_head: Vec<QLayer>,
+    /// The value head after its conv, ReLU and flatten.
     value_head: Vec<QLayer>,
+}
+
+/// Split a head stack into its opening 1×1 conv and the layers after the
+/// conv's ReLU and the flatten that follows it; `None` if it does not open
+/// that way.
+fn head_conv(head: &[LayerKind]) -> Option<(&Conv2d, &[LayerKind])> {
+    match head {
+        [LayerKind::Conv2d(c), LayerKind::ReLU, LayerKind::Flatten, rest @ ..]
+            if (c.kh, c.kw, c.stride, c.pad) == (1, 1, 1, 0) =>
+        {
+            Some((c, rest))
+        }
+        _ => None,
+    }
 }
 
 impl QuantPolicyValueNet {
     /// Build from already-folded stacks of a net with `actions` policy
     /// outputs. `None` if any stack contains a layer kind the int8 path
-    /// cannot represent.
+    /// cannot represent, or if a head does not open with a 1×1 conv, its
+    /// ReLU and a flatten.
     pub(crate) fn from_folded_stacks(
         actions: usize,
         trunk: &[LayerKind],
         policy_head: &[LayerKind],
         value_head: &[LayerKind],
     ) -> Option<Self> {
+        let (pc, policy_rest) = head_conv(policy_head)?;
+        let (vc, value_rest) = head_conv(value_head)?;
+        if pc.in_c != vc.in_c {
+            return None;
+        }
+        let weights = [pc.weight.data(), vc.weight.data()].concat();
+        let out_c = pc.out_c + vc.out_c;
+        let heads = QLayer::Conv {
+            qw: QuantizedWeights::quantize_conv(&weights, out_c, pc.in_c, 1, 1),
+            bias: [pc.bias.data(), vc.bias.data()].concat(),
+            in_c: pc.in_c,
+            out_c,
+            kh: 1,
+            kw: 1,
+            stride: 1,
+            pad: 0,
+            relu: true,
+        };
         Some(QuantPolicyValueNet {
             actions,
             trunk: quantize_stack(trunk)?,
-            policy_head: quantize_stack(policy_head)?,
-            value_head: quantize_stack(value_head)?,
+            heads,
+            policy_c: pc.out_c,
+            policy_head: quantize_stack(policy_rest)?,
+            value_head: quantize_stack(value_rest)?,
         })
     }
 
@@ -151,6 +201,7 @@ impl QuantPolicyValueNet {
         [&self.trunk, &self.policy_head, &self.value_head]
             .into_iter()
             .flat_map(|s| s.iter())
+            .chain([&self.heads])
             .map(|l| match l {
                 QLayer::Conv { qw, .. } | QLayer::Linear { qw, .. } => qw.packed_bytes(),
                 _ => 0,
@@ -170,9 +221,30 @@ impl QuantPolicyValueNet {
         values: &mut Vec<f32>,
     ) {
         let feat = forward_stack_q(&self.trunk, x, ws);
-        let logits = forward_stack_q(&self.policy_head, &feat, ws);
-        let vals = forward_stack_q(&self.value_head, &feat, ws);
+        let heads = forward_stack_q(std::slice::from_ref(&self.heads), &feat, ws);
         ws.release(feat.into_vec());
+        // `[b, policy_c + value_c, h, w]` → the flat `[b, policy_c·h·w]`
+        // and `[b, value_c·h·w]` inputs of the heads' linears.
+        let b = heads.dims()[0];
+        let per_sample = heads.numel() / b;
+        let policy_len = self.policy_c * heads.dims()[2] * heads.dims()[3];
+        let value_len = per_sample - policy_len;
+        let mut policy_in = Tensor::from_vec(ws.lease(b * policy_len), &[b, policy_len]);
+        let mut value_in = Tensor::from_vec(ws.lease(b * value_len), &[b, value_len]);
+        for ((s, p), v) in heads
+            .data()
+            .chunks_exact(per_sample)
+            .zip(policy_in.data_mut().chunks_exact_mut(policy_len))
+            .zip(value_in.data_mut().chunks_exact_mut(value_len))
+        {
+            p.copy_from_slice(&s[..policy_len]);
+            v.copy_from_slice(&s[policy_len..]);
+        }
+        ws.release(heads.into_vec());
+        let logits = forward_stack_q(&self.policy_head, &policy_in, ws);
+        let vals = forward_stack_q(&self.value_head, &value_in, ws);
+        ws.release(policy_in.into_vec());
+        ws.release(value_in.into_vec());
         write_predictions(logits, vals, self.actions, ws, policy, values);
     }
 }
@@ -277,8 +349,10 @@ fn forward_stack_q(layers: &[QLayer], x: &Tensor, ws: &mut Workspace) -> Tensor 
 
 #[cfg(test)]
 mod tests {
-    use crate::model::{NetConfig, PolicyValueNet};
-    use tensor::{Tensor, Workspace};
+    use super::*;
+    use crate::layer::Linear;
+    use crate::model::{Architecture, NetConfig, PolicyValueNet};
+    use rand::SeedableRng;
 
     fn rand_input(cfg: &NetConfig, b: usize, seed: u64) -> Tensor {
         let len = b * cfg.in_c * cfg.h * cfg.w;
@@ -374,6 +448,42 @@ mod tests {
             assert_eq!(p1, &p3[r * a..(r + 1) * a], "row {r}");
             assert_eq!(v1[0], v3[r], "row {r}");
         }
+    }
+
+    #[test]
+    fn merged_head_conv_equals_the_two_head_convs_bitwise() {
+        // Fresh layers have zero biases: give every head bias a value, so
+        // a row that met the other head's bias, weights or scale would
+        // show.
+        let cfg = NetConfig::for_board(4, 9, 9, 81);
+        let [trunk, mut policy, mut value] = cfg.build(&mut rand::rngs::StdRng::seed_from_u64(3));
+        for (i, layer) in policy.iter_mut().chain(value.iter_mut()).enumerate() {
+            if let LayerKind::Conv2d(Conv2d { bias, .. }) | LayerKind::Linear(Linear { bias, .. }) =
+                layer
+            {
+                let noise = rand_input(&NetConfig::tiny(1, 1, bias.numel(), 1), 1, 50 + i as u64);
+                bias.data_mut().copy_from_slice(noise.data());
+            }
+        }
+        let merged =
+            QuantPolicyValueNet::from_folded_stacks(cfg.actions, &trunk, &policy, &value).unwrap();
+        // The oracle: each head as a stack of its own, its conv included.
+        let (policy, value) = (
+            quantize_stack(&policy).unwrap(),
+            quantize_stack(&value).unwrap(),
+        );
+        let mut ws = Workspace::new();
+        let x = rand_input(&cfg, 3, 11);
+        let (mut got_p, mut got_v, mut want_p, mut want_v) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        merged.predict_into(&x, &mut ws, &mut got_p, &mut got_v);
+        let feat = forward_stack_q(&merged.trunk, &x, &mut ws);
+        let logits = forward_stack_q(&policy, &feat, &mut ws);
+        let vals = forward_stack_q(&value, &feat, &mut ws);
+        write_predictions(logits, vals, cfg.actions, &mut ws, &mut want_p, &mut want_v);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got_p), bits(&want_p), "policy");
+        assert_eq!(bits(&got_v), bits(&want_v), "value");
     }
 
     fn argmax(v: &[f32]) -> usize {

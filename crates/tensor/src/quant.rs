@@ -33,9 +33,10 @@
 //!   `[C, H, W]` activation is scanned and quantized **once** (one
 //!   vectorized `maxabs` + quantize pass) into u8 planes that interleave
 //!   four channels per pixel and carry the zero point as a border; the
-//!   GEMM's B panels are then *gathered* from those planes, 32 bytes per
-//!   copy. No f32 im2col matrix, no staging buffer, no scatter: the tiles
-//!   are written straight into `[B, out_c, oh·ow]`.
+//!   GEMM's B panels are then *gathered* from those planes, one k-group
+//!   (32 or 64 bytes, see below) per copy. No f32 im2col matrix, no
+//!   staging buffer, no scatter: the tiles are written straight into
+//!   `[B, out_c, oh·ow]`.
 //! * [`qlinear`] — what a served linear layer runs: each input vector is
 //!   quantized once and multiplied against the packed weight panels by a
 //!   matrix-vector kernel (no B panel at all, no wasted tile columns at
@@ -49,20 +50,28 @@
 //! # Kernel
 //!
 //! Same BLIS-style structure as [`crate::ops`]: A is pre-packed (at
-//! quantization time — it never changes) into `MR`-row panels with k
-//! grouped by 4; B panels hold `NR` columns with k grouped by 4, so one
-//! 32-byte load yields the 4-deep k-group of all 8 columns. The
-//! micro-kernel computes an 8×8 i32 tile per pass. Three targets, chosen
+//! quantization time — it never changes) into `MR` = 8-row panels with k
+//! grouped by 4; a B panel holds its columns with k grouped by 4, so one
+//! load yields the 4-deep k-group of every column. Four targets, chosen
 //! once at run time by `is_x86_feature_detected!` (see [`kernel_name`]):
 //!
-//! * `avx-vnni` — one `vpdpbusd` per tile row and k-group;
+//! * `avx512-vnni` — one `zmm` `vpdpbusd` per tile row and k-group. Its
+//!   conv tile is 16 rows × 16 columns: two consecutive A panels (so the
+//!   packing is the same for every target) against a 16-column B panel
+//!   that one 64-byte load covers, 16 independent accumulator chains; a
+//!   layer's odd last panel runs an 8×16 tile.
+//! * `avx-vnni` — one `ymm` `vpdpbusd` per tile row and k-group;
 //! * `avx2` — `maddubs(b_u8, w_i8)` → 16×i16 pair sums, `madd(·, 1)` →
 //!   8×i32 4-deep dots, `add`;
 //! * `scalar` — portable loops.
 //!
-//! All three produce bit-identical accumulators (integer arithmetic is
-//! exact), and the vectorized quantize/pack/write-back helpers round and
-//! clamp exactly like their scalar twins.
+//! Every other tile is 8×8 against an 8-column, 32-byte B panel, and so
+//! are [`qgemm`]'s on every target (`avx512-vnni` runs the `avx-vnni`
+//! body in its EVEX encoding): the oracle keeps one tile shape whatever
+//! the host, and [`qlinear`]'s matrix-vector kernel has no B panel to
+//! widen. All four produce bit-identical accumulators (integer arithmetic
+//! is exact), and the vectorized quantize/pack/write-back helpers round
+//! and clamp exactly like their scalar twins.
 //!
 //! Multithreading splits the work into column-panel strips (A is
 //! pre-packed and shared read-only, so the split duplicates nothing) and
@@ -73,15 +82,19 @@ use crate::conv::{im2col, Conv2dSpec};
 use crate::workspace::Workspace;
 use std::cell::RefCell;
 
-/// Micro-kernel tile rows (one 32-byte A load per k-group in the
+/// Rows of an A panel (one 32-byte A load per k-group in the
 /// matrix-vector kernel).
 const MR: usize = 8;
 /// Micro-kernel tile columns (one AVX2 vector of i32 lanes).
 const NR: usize = 8;
+/// Columns of the wide conv tile (one AVX-512 vector of i32 lanes).
+const WIDE_NR: usize = 16;
+/// Accumulators of the largest conv tile: two A panels by a wide B panel.
+const CONV_TILE: usize = 2 * MR * WIDE_NR;
 /// k values packed per group (one dot-product step consumes 4).
 const KG: usize = 4;
-/// Bytes of one k-group of a B panel (`NR` columns × `KG` values) — also
-/// the unit the conv gather copies.
+/// Bytes of one k-group of an `NR`-wide B panel (`NR` columns × `KG`
+/// values).
 const GROUP_BYTES: usize = NR * KG;
 
 /// Weight clamp. ±63 guarantees the i16 pair sums inside `maddubs` cannot
@@ -92,9 +105,9 @@ const ACT_QMAX: f32 = 127.0;
 /// Bias added to quantized activations to make them unsigned.
 const ACT_ZERO: i32 = 128;
 
-/// Per-output-channel symmetric int8 weights, pre-packed for the 8×8
-/// micro-kernel, with the per-row scales and weight sums the dequant
-/// epilogue needs.
+/// Per-output-channel symmetric int8 weights, pre-packed in the 8-row
+/// panels every micro-kernel reads, with the per-row scales and weight
+/// sums the dequant epilogue needs.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeights {
     rows: usize,
@@ -219,8 +232,13 @@ impl QuantizedWeights {
 
     /// Packed panel for row-panel `p`: `kgroups * MR * KG` int8 values.
     fn panel(&self, p: usize) -> &[i8] {
+        self.panels(p, 1)
+    }
+
+    /// Row panels `p .. p + count`, which lie back to back.
+    fn panels(&self, p: usize, count: usize) -> &[i8] {
         let stride = self.kgroups * MR * KG;
-        &self.packed[p * stride..(p + 1) * stride]
+        &self.packed[p * stride..(p + count) * stride]
     }
 }
 
@@ -236,6 +254,8 @@ enum Kernel {
     Avx2,
     #[cfg(target_arch = "x86_64")]
     AvxVnni,
+    #[cfg(target_arch = "x86_64")]
+    Avx512Vnni,
 }
 
 impl Kernel {
@@ -246,6 +266,8 @@ impl Kernel {
         Kernel::Avx2,
         #[cfg(target_arch = "x86_64")]
         Kernel::AvxVnni,
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512Vnni,
     ];
 
     /// Whether this host can run the kernel (the detection macro caches).
@@ -257,6 +279,14 @@ impl Kernel {
             #[cfg(target_arch = "x86_64")]
             Kernel::AvxVnni => {
                 is_x86_feature_detected!("avx2") && is_x86_feature_detected!("avxvnni")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni => {
+                is_x86_feature_detected!("avx2")
+                    && is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512vnni")
             }
         }
     }
@@ -277,12 +307,32 @@ impl Kernel {
             Kernel::Avx2 => "avx2",
             #[cfg(target_arch = "x86_64")]
             Kernel::AvxVnni => "avx-vnni",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni => "avx512-vnni",
         }
     }
 
     /// True when the AVX2 quantize/pack/write-back helpers may run.
     fn vectorized(self) -> bool {
         self != Kernel::Scalar
+    }
+
+    /// Columns of a conv B panel, so of a conv tile.
+    fn conv_cols(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni => WIDE_NR,
+            _ => NR,
+        }
+    }
+
+    /// A panels (of `MR` rows) one conv tile covers.
+    fn conv_panels(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni => 2,
+            _ => 1,
+        }
     }
 
     /// `acc[i·NR + j] += Σ_k b[k, j] · a[i, k]` over one A panel and one B
@@ -301,6 +351,37 @@ impl Kernel {
             Kernel::AvxVnni => unsafe {
                 x86::vnni::tile(kgroups, apanel.as_ptr(), bpanel.as_ptr(), acc)
             },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni => unsafe {
+                x86::vnni512::tile(kgroups, apanel.as_ptr(), bpanel.as_ptr(), acc)
+            },
+        }
+    }
+
+    /// The conv tile: `acc[i·nr + j] += Σ_k b[k, j] · a[i, k]` over the
+    /// consecutive A panels `apanels` (at most [`Kernel::conv_panels`]) and
+    /// one B panel `nr` = [`Kernel::conv_cols`] wide, both of `kgroups`
+    /// k-groups.
+    fn conv_tile(self, kgroups: usize, apanels: &[i8], bpanel: &[u8], acc: &mut [i32; CONV_TILE]) {
+        let stride = kgroups * MR * KG;
+        let panels = apanels.len() / stride;
+        assert!(apanels.len() == panels * stride && (1..=self.conv_panels()).contains(&panels));
+        assert!(bpanel.len() >= kgroups * self.conv_cols() * KG);
+        match self {
+            // SAFETY: the variant proves the features (see `Kernel`); the
+            // asserts above cover every byte the kernel reads.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni if panels == 2 => unsafe {
+                x86::avx512::tile::<2>(kgroups, apanels.as_ptr(), bpanel.as_ptr(), acc)
+            },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni => unsafe {
+                x86::avx512::tile::<1>(kgroups, apanels.as_ptr(), bpanel.as_ptr(), acc)
+            },
+            _ => {
+                let acc = acc.first_chunk_mut().expect("a conv tile holds an 8×8 one");
+                self.tile(kgroups, apanels, bpanel, acc)
+            }
         }
     }
 
@@ -317,12 +398,17 @@ impl Kernel {
             Kernel::AvxVnni => unsafe {
                 x86::vnni::matvec(kgroups, apanel.as_ptr(), x.as_ptr(), acc)
             },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512Vnni => unsafe {
+                x86::vnni512::matvec(kgroups, apanel.as_ptr(), x.as_ptr(), acc)
+            },
         }
     }
 }
 
 /// Name of the int8 micro-kernel this host dispatches to: `"scalar"`,
-/// `"avx2"` or `"avx-vnni"`. For bench metadata and CI logs.
+/// `"avx2"`, `"avx-vnni"` or `"avx512-vnni"`. For bench metadata and CI
+/// logs.
 pub fn kernel_name() -> &'static str {
     Kernel::dispatched().name()
 }
@@ -576,10 +662,12 @@ fn qconv2d_with(
         return;
     }
 
+    let (nr, tile_panels) = (kernel.conv_cols(), kernel.conv_panels());
+    let group_bytes = nr * KG;
     let pl = Planes::of(spec);
     let sample = pl.bytes();
     // One group of slack: a gather copy may read that far past a sample.
-    let (q, scales) = ws.quant_scratch(batch * sample + GROUP_BYTES, batch);
+    let (q, scales) = ws.quant_scratch(batch * sample + group_bytes, batch);
     for (bi, img) in input.chunks_exact(img_len).enumerate() {
         scales[bi] = quantize_planes(
             kernel,
@@ -591,7 +679,7 @@ fn qconv2d_with(
     }
     let (q, scales) = (&*q, &*scales);
 
-    let col_panels = cols.div_ceil(NR);
+    let col_panels = cols.div_ceil(nr);
     let row_panels = m.div_ceil(MR);
     let kgroups = qw.kgroups;
     let c_ptr = CPtr(out.as_mut_ptr());
@@ -599,23 +687,42 @@ fn qconv2d_with(
     for_each_strip(batch * col_panels, 2 * m * k * cols * batch, &|lo, hi| {
         QPACK_B.with(|buf| {
             let mut buf = buf.borrow_mut();
-            buf.resize((kgroups + 1) * GROUP_BYTES, 0);
+            buf.resize((kgroups + 1) * group_bytes, 0);
+            let mut acc = [0i32; CONV_TILE];
             for item in lo..hi {
-                let (bi, j0) = (item / col_panels, item % col_panels * NR);
-                let jcount = NR.min(cols - j0);
+                let (bi, j0) = (item / col_panels, item % col_panels * nr);
+                let jcount = nr.min(cols - j0);
                 // SAFETY: sample `bi`'s block of `out`; its tiles stay
                 // inside it, and items (so strips) are disjoint in
                 // (sample, column panel).
                 let c = CPtr(unsafe { c_ptr.0.add(bi * out_len) });
-                gather_b_panel(&pl, &q[bi * sample..], j0, jcount, &mut buf);
-                for rp in 0..row_panels {
-                    let mut acc = [0i32; MR * NR];
-                    kernel.tile(kgroups, qw.panel(rp), &buf, &mut acc);
+                let q = &q[bi * sample..];
+                if nr == WIDE_NR {
+                    gather_b_panel::<WIDE_NR>(&pl, q, j0, jcount, &mut buf);
+                } else {
+                    gather_b_panel::<NR>(&pl, q, j0, jcount, &mut buf);
+                }
+                for rp in (0..row_panels).step_by(tile_panels) {
+                    let panels = tile_panels.min(row_panels - rp);
+                    let acc_len = panels * MR * nr;
+                    acc[..acc_len].fill(0);
+                    kernel.conv_tile(kgroups, qw.panels(rp, panels), &buf, &mut acc);
                     // SAFETY: rows/cols of this tile are in-bounds of the
                     // sample's `m × cols` block.
                     unsafe {
                         write_tile(
-                            kernel, &acc, qw, rp, j0, jcount, cols, false, c, ep, scales[bi],
+                            kernel,
+                            &acc[..acc_len],
+                            nr,
+                            qw,
+                            rp,
+                            j0,
+                            jcount,
+                            cols,
+                            false,
+                            c,
+                            ep,
+                            scales[bi],
                         );
                     }
                 }
@@ -624,17 +731,19 @@ fn qconv2d_with(
     });
 }
 
-/// Gather the B panel of output pixels `j0 .. j0 + jcount` of one sample
-/// from its quantized planes `q` (which must extend one group past the
-/// sample, see `qconv2d`). Output pixels that share a row are adjacent
-/// words of a plane row, so each k-group is one 32-byte copy per row the
-/// panel touches. A copy is always a whole group: what it carries past its
-/// run lands in columns a later copy overwrites (next run, next group, the
-/// buffer's slack) or in the unused columns of a ragged panel.
-fn gather_b_panel(pl: &Planes, q: &[u8], j0: usize, jcount: usize, buf: &mut [u8]) {
+/// Gather the `W`-column B panel of output pixels `j0 .. j0 + jcount` of
+/// one sample from its quantized planes `q` (which must extend one group
+/// past the sample, see `qconv2d`). Output pixels that share a row are
+/// adjacent words of a plane row, so each k-group is one `4·W`-byte copy
+/// per row the panel touches. A copy is always a whole group: what it
+/// carries past its run lands in columns a later copy overwrites (next
+/// run, next group, the buffer's slack) or in the unused columns of a
+/// ragged panel.
+fn gather_b_panel<const W: usize>(pl: &Planes, q: &[u8], j0: usize, jcount: usize, buf: &mut [u8]) {
+    let group_bytes = W * KG;
     // Per run of pixels in one output row: byte offset of its first column
     // in a group, byte offset of its first pixel in a plane at tap (0, 0).
-    let mut runs = [(0usize, 0usize); NR];
+    let mut runs = [(0usize, 0usize); W];
     let mut nruns = 0;
     let (mut oy, mut ox, mut jj) = (j0 / pl.ow, j0 % pl.ow, 0);
     while jj < jcount {
@@ -648,9 +757,9 @@ fn gather_b_panel(pl: &Planes, q: &[u8], j0: usize, jcount: usize, buf: &mut [u8
     // of the last channel group, into the last group of the panel.
     let (last_d, last_s) = runs[nruns - 1];
     let last_tap = ((pl.groups - 1) * pl.plane + (pl.kh - 1) * pl.wp + pl.kw - 1) * KG;
-    let last_dst = (pl.groups * pl.kh * pl.kw - 1) * GROUP_BYTES;
-    assert!(last_tap + last_s + GROUP_BYTES <= q.len());
-    assert!(last_dst + last_d + GROUP_BYTES <= buf.len());
+    let last_dst = (pl.groups * pl.kh * pl.kw - 1) * group_bytes;
+    assert!(last_tap + last_s + group_bytes <= q.len());
+    assert!(last_dst + last_d + group_bytes <= buf.len());
     let mut dst = 0;
     for cg in 0..pl.groups {
         for ky in 0..pl.kh {
@@ -661,17 +770,17 @@ fn gather_b_panel(pl: &Planes, q: &[u8], j0: usize, jcount: usize, buf: &mut [u8
                     // `dst <= last_dst` and `d <= last_d`, so the two
                     // asserts above bound both ends of every copy.
                     // Unchecked because the checks cost as much as the
-                    // copies: 2.0 → 1.2 µs for the 11 panels of a 32-channel
-                    // 3×3 conv on a 9×9 board.
+                    // copies: 2.0 → 1.2 µs for the 11 8-column panels of a
+                    // 32-channel 3×3 conv on a 9×9 board.
                     unsafe {
                         std::ptr::copy_nonoverlapping(
                             q.as_ptr().add(tap + s),
                             buf.as_mut_ptr().add(dst + d),
-                            GROUP_BYTES,
+                            group_bytes,
                         );
                     }
                 }
-                dst += GROUP_BYTES;
+                dst += group_bytes;
             }
         }
     }
@@ -798,7 +907,7 @@ fn qgemm_with(
                     // workers touch the same C element (in either the
                     // direct or the transposed write layout).
                     unsafe {
-                        write_tile(kernel, &acc, qw, rp, j0, jcount, n, tb, *c_ptr, ep, s_x);
+                        write_tile(kernel, &acc, NR, qw, rp, j0, jcount, n, tb, *c_ptr, ep, s_x);
                     }
                 }
             }
@@ -893,7 +1002,7 @@ fn matvec_scalar(kgroups: usize, apanel: &[i8], x: &[u8], acc: &mut [i32; MR]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{ACT_QMAX, ACT_ZERO, GROUP_BYTES, KG, MR, NR};
+    use super::{ACT_QMAX, ACT_ZERO, CONV_TILE, GROUP_BYTES, KG, MR, NR, WIDE_NR};
     use std::arch::x86_64::*;
 
     /// `acc + Σ₄ u8·i8` per i32 lane, the AVX2 way: `maddubs` (u8×i8 →
@@ -912,6 +1021,14 @@ mod x86 {
     macro_rules! dot4_vnni {
         ($acc:expr, $u:expr, $s:expr) => {
             _mm256_dpbusd_avx_epi32($acc, $u, $s)
+        };
+    }
+
+    /// The same instruction in its AVX-512 VNNI (EVEX) encoding, which a
+    /// host with AVX-512 VNNI runs whether or not it has AVX-VNNI.
+    macro_rules! dot4_vnni512 {
+        ($acc:expr, $u:expr, $s:expr) => {
+            _mm256_dpbusd_epi32($acc, $u, $s)
         };
     }
 
@@ -999,6 +1116,55 @@ mod x86 {
 
     kernels!(avx2, "avx2", dot4_avx2);
     kernels!(vnni, "avx2,avxvnni", dot4_vnni);
+    kernels!(vnni512, "avx2,avx512f,avx512vl,avx512vnni", dot4_vnni512);
+
+    pub mod avx512 {
+        use super::*;
+
+        /// Wide conv micro-kernel, `P·MR` rows × `WIDE_NR` columns
+        /// (`P` = 2: 16×16; `P` = 1: 8×16): per k-group, one 64-byte B
+        /// load gives the 4-deep slice of all 16 columns; each row's 4
+        /// weights broadcast as an i32 and one `vpdpbusd` accumulates the
+        /// 16 column dots of that row. Rows `0..8` come from the first A
+        /// panel and rows `8..16` from the next one, so the weights keep
+        /// their 8-row packing; the 16 accumulator chains are independent.
+        ///
+        /// # Safety
+        /// AVX-512 F, BW and VNNI must be available. `apanels` must hold
+        /// `P` panels of `kgroups*MR*KG` i8 back to back and `bpanel`
+        /// `kgroups*WIDE_NR*KG` u8.
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        pub unsafe fn tile<const P: usize>(
+            kgroups: usize,
+            apanels: *const i8,
+            bpanel: *const u8,
+            acc: &mut [i32; CONV_TILE],
+        ) {
+            let stride = kgroups * MR * KG;
+            let out = acc.as_mut_ptr() as *mut __m512i;
+            let mut c = [_mm512_setzero_si512(); 2 * MR];
+            for (i, ci) in c.iter_mut().enumerate().take(P * MR) {
+                *ci = _mm512_loadu_si512(out.add(i));
+            }
+            for g in 0..kgroups {
+                let bv = _mm512_loadu_si512(bpanel.add(g * WIDE_NR * KG) as *const __m512i);
+                for p in 0..P {
+                    let w = apanels.add(p * stride + g * MR * KG) as *const i32;
+                    for i in 0..MR {
+                        let ci = &mut c[p * MR + i];
+                        *ci = _mm512_dpbusd_epi32(
+                            *ci,
+                            bv,
+                            _mm512_set1_epi32(w.add(i).read_unaligned()),
+                        );
+                    }
+                }
+            }
+            for (i, ci) in c.iter().enumerate().take(P * MR) {
+                _mm512_storeu_si512(out.add(i), *ci);
+            }
+        }
+    }
 
     /// Largest magnitude among the first `len` (a multiple of 8) elements,
     /// ignoring NaN: `max_ps` returns its second operand when the first is
@@ -1186,7 +1352,8 @@ fn dequant(acc: i32, qw: &QuantizedWeights, row: usize, s_x: f32, ep: Epilogue) 
     }
 }
 
-/// Dequantize one accumulator tile and write it back with the fused
+/// Dequantize one accumulator tile — `nr` accumulators per row, its first
+/// row the first of row panel `rp` — and write it back with the fused
 /// epilogue. `tb` selects the direct (`C[row, col]`) or transposed
 /// (`C[col, row]`) layout.
 ///
@@ -1196,7 +1363,8 @@ fn dequant(acc: i32, qw: &QuantizedWeights, row: usize, s_x: f32, ep: Epilogue) 
 #[allow(clippy::too_many_arguments)]
 unsafe fn write_tile(
     kernel: Kernel,
-    acc: &[i32; MR * NR],
+    acc: &[i32],
+    nr: usize,
     qw: &QuantizedWeights,
     rp: usize,
     j0: usize,
@@ -1208,24 +1376,27 @@ unsafe fn write_tile(
     s_x: f32,
 ) {
     let m = qw.rows;
-    let rows_here = MR.min(m - rp * MR);
+    let rows_here = (acc.len() / nr).min(m - rp * MR);
     // Fast path: full-width tile in the direct layout — one vectorized
-    // dequant+bias+ReLU store per row. The transposed (linear) layout and
-    // ragged edges fall through to the scalar loop.
+    // dequant+bias+ReLU store per 8 columns of a row. The transposed
+    // (linear) layout and ragged edges fall through to the scalar loop.
     #[cfg(target_arch = "x86_64")]
-    if !tb && jcount == NR && kernel.vectorized() {
+    if !tb && jcount == nr && kernel.vectorized() {
         for i in 0..rows_here {
             let row = rp * MR + i;
-            // SAFETY: AVX2 present; row*n+j0+8 <= m*n for a full tile.
-            unsafe {
-                x86::write_row(
-                    acc.as_ptr().add(i * NR),
-                    ACT_ZERO * qw.row_sums[row],
-                    qw.scales[row] * s_x,
-                    ep.bias.map_or(0.0, |b| b[row]),
-                    ep.relu,
-                    c.0.add(row * n + j0),
-                );
+            for j in (0..nr).step_by(NR) {
+                // SAFETY: AVX2 present; `acc` holds `rows_here` rows of
+                // `nr`, and row*n+j0+nr <= m*n for a full tile.
+                unsafe {
+                    x86::write_row(
+                        acc.as_ptr().add(i * nr + j),
+                        ACT_ZERO * qw.row_sums[row],
+                        qw.scales[row] * s_x,
+                        ep.bias.map_or(0.0, |b| b[row]),
+                        ep.relu,
+                        c.0.add(row * n + j0 + j),
+                    );
+                }
             }
         }
         return;
@@ -1240,7 +1411,7 @@ unsafe fn write_tile(
                 row * n + (j0 + jj)
             };
             // SAFETY: idx < m*n by construction; disjointness per caller.
-            unsafe { *c.0.add(idx) = dequant(acc[i * NR + jj], qw, row, s_x, ep) };
+            unsafe { *c.0.add(idx) = dequant(acc[i * nr + jj], qw, row, s_x, ep) };
         }
     }
 }
@@ -1267,15 +1438,22 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every kernel the host can run; says which one it dispatches and
-    /// which ones it has to skip.
+    /// Every kernel the host can run, not only the one it dispatches;
+    /// says which one it dispatches, which ones run and which ones it has
+    /// to skip.
     fn kernels() -> Vec<Kernel> {
         println!("int8 kernel dispatched on this host: {}", kernel_name());
         for k in Kernel::ALL.iter().filter(|k| !k.supported()) {
             println!("host has no {}: that kernel is skipped", k.name());
         }
-        let supported = Kernel::ALL.iter().copied().filter(|k| k.supported());
-        supported.collect()
+        let supported: Vec<Kernel> = Kernel::ALL
+            .iter()
+            .copied()
+            .filter(|k| k.supported())
+            .collect();
+        let names: Vec<&str> = supported.iter().map(|k| k.name()).collect();
+        println!("int8 kernels under test: {}", names.join(", "));
+        supported
     }
 
     /// Per-element error bound for `qgemm` vs the exact f32 product:
@@ -1450,31 +1628,67 @@ mod tests {
         // in and detected here must produce bitwise-equal output to the
         // scalar one over the same packed operands — micro-kernels first,
         // then whole calls (which add each kernel's pack and write-back).
-        let (m, n, k) = (9, 21, 14);
-        let w = rand_vec(m * k, 31);
-        let x = rand_vec(k * n, 37);
-        let qw = QuantizedWeights::quantize(&w, m, k);
-        let kgroups = qw.kgroups;
-        let bpanel: Vec<u8> = (0..kgroups * GROUP_BYTES)
-            .map(|i| (i * 37 % 256) as u8)
-            .collect();
-        for kernel in kernels() {
-            for rp in 0..m.div_ceil(MR) {
-                let (mut want, mut got) = ([7i32; MR * NR], [7i32; MR * NR]);
-                tile_scalar(kgroups, qw.panel(rp), &bpanel, &mut want);
-                kernel.tile(kgroups, qw.panel(rp), &bpanel, &mut got);
-                assert_eq!(want, got, "{} tile, row panel {rp}", kernel.name());
-                let (mut want, mut got) = ([7i32; MR], [7i32; MR]);
-                matvec_scalar(kgroups, qw.panel(rp), &bpanel, &mut want);
-                kernel.matvec(kgroups, qw.panel(rp), &bpanel, &mut got);
-                assert_eq!(want, got, "{} matvec, row panel {rp}", kernel.name());
-            }
-            for tb in [false, true] {
-                let ep = Epilogue::new(None, false, m);
-                let (mut want, mut got) = (vec![0f32; m * n], vec![0f32; m * n]);
-                qgemm_with(Kernel::Scalar, &qw, &x, tb, n, &mut want, ep);
-                qgemm_with(kernel, &qw, &x, tb, n, &mut got, ep);
-                assert_eq!(want, got, "{} qgemm tb={tb}", kernel.name());
+        // 17 rows: two full A panels and a one-row one, so a wide kernel
+        // runs both its 16×16 and its 8×16 conv tile.
+        let kernels = kernels();
+        for m in [9, 17] {
+            let (n, k) = (21, 14);
+            let w = rand_vec(m * k, 31);
+            let x = rand_vec(k * n, 37);
+            let qw = QuantizedWeights::quantize(&w, m, k);
+            let kgroups = qw.kgroups;
+            let row_panels = m.div_ceil(MR);
+            let bytes =
+                |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 37 % 256) as u8).collect() };
+            let bpanel = bytes(kgroups * GROUP_BYTES);
+            for &kernel in &kernels {
+                let name = kernel.name();
+                for rp in 0..row_panels {
+                    let (mut want, mut got) = ([7i32; MR * NR], [7i32; MR * NR]);
+                    tile_scalar(kgroups, qw.panel(rp), &bpanel, &mut want);
+                    kernel.tile(kgroups, qw.panel(rp), &bpanel, &mut got);
+                    assert_eq!(want, got, "{name} tile, row panel {rp}");
+                    let (mut want, mut got) = ([7i32; MR], [7i32; MR]);
+                    matvec_scalar(kgroups, qw.panel(rp), &bpanel, &mut want);
+                    kernel.matvec(kgroups, qw.panel(rp), &bpanel, &mut got);
+                    assert_eq!(want, got, "{name} matvec, row panel {rp}");
+                }
+                // The conv tile, checked on each of its 8×8 quarters: the
+                // quarter's A panel by the quarter's 8 columns of B.
+                let nr = kernel.conv_cols();
+                let wide_b = bytes(kgroups * nr * KG);
+                for rp in (0..row_panels).step_by(kernel.conv_panels()) {
+                    let panels = kernel.conv_panels().min(row_panels - rp);
+                    let mut got = [7i32; CONV_TILE];
+                    kernel.conv_tile(kgroups, qw.panels(rp, panels), &wide_b, &mut got);
+                    for p in 0..panels {
+                        for j0 in (0..nr).step_by(NR) {
+                            let quarter_b: Vec<u8> = wide_b
+                                .chunks_exact(nr * KG)
+                                .flat_map(|g| &g[j0 * KG..(j0 + NR) * KG])
+                                .copied()
+                                .collect();
+                            let mut want = [7i32; MR * NR];
+                            tile_scalar(kgroups, qw.panel(rp + p), &quarter_b, &mut want);
+                            for (i, want_row) in want.chunks_exact(NR).enumerate() {
+                                let at = (p * MR + i) * nr + j0;
+                                assert_eq!(
+                                    want_row,
+                                    &got[at..at + NR],
+                                    "{name} {}×{nr} conv tile, row panel {rp}, quarter ({p}, {j0})",
+                                    panels * MR
+                                );
+                            }
+                        }
+                    }
+                }
+                for tb in [false, true] {
+                    let ep = Epilogue::new(None, false, m);
+                    let (mut want, mut got) = (vec![0f32; m * n], vec![0f32; m * n]);
+                    qgemm_with(Kernel::Scalar, &qw, &x, tb, n, &mut want, ep);
+                    qgemm_with(kernel, &qw, &x, tb, n, &mut got, ep);
+                    assert_eq!(want, got, "{name} qgemm tb={tb}");
+                }
             }
         }
     }
@@ -1543,7 +1757,7 @@ mod tests {
         // 9×9 rows take the overlapping last block.
         for (ksize, pad, stride) in [(1, 0, 1), (3, 1, 1), (3, 0, 1), (3, 1, 2)] {
             for (h, w) in [(5, 7), (9, 9)] {
-                for (in_c, out_c) in [(3, 5), (6, 12), (8, 16)] {
+                for (in_c, out_c) in [(3, 5), (6, 12), (8, 16), (16, 32), (32, 32)] {
                     for batch in [1, 2, 3, 8] {
                         seed += 1;
                         let spec = Conv2dSpec {

@@ -120,16 +120,18 @@ proptest! {
     /// The serving convolution (quantize each sample once, gather u8 into
     /// the panels) equals `im2col` → `qgemm` run sample by sample, bit for
     /// bit: over 1×1 and 3×3 kernels, pad 0/1, boards with rows narrower
-    /// and wider than a vector, channel counts off the tile edges, several
-    /// batch sizes, bias and ReLU on and off.
+    /// and wider than a vector, channel counts off the tile edges (up to
+    /// two 16-row tiles and a trailing 8-row one), output planes under one
+    /// wide panel and exactly one, several batch sizes, bias and ReLU on
+    /// and off.
     #[test]
     fn qconv2d_equals_im2col_then_qgemm_bitwise(
-        in_c in 1usize..10, out_c in 1usize..19,
-        board in 0usize..3, kernel_pad in 0usize..3, batch in 0usize..4,
+        in_c in 1usize..10, out_c in 1usize..41,
+        board in 0usize..5, kernel_pad in 0usize..3, batch in 0usize..4,
         bias in proptest::bool::ANY, relu in proptest::bool::ANY,
         seed in 0u64..10_000,
     ) {
-        let (in_h, in_w) = [(5, 7), (9, 9), (4, 11)][board];
+        let (in_h, in_w) = [(5, 7), (9, 9), (4, 11), (3, 3), (4, 4)][board];
         let (k, pad) = [(1, 0), (3, 0), (3, 1)][kernel_pad];
         let batch = [1, 2, 3, 8][batch];
         let spec = Conv2dSpec { in_c, out_c, in_h, in_w, kh: k, kw: k, stride: 1, pad };
